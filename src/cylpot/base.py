@@ -434,10 +434,7 @@ def build_graph(
     )
 
 
-def _require(doc: dict, key: str, typ) -> object:
-    if key not in doc:
-        raise SchemaError(f"base-spec document is missing required field '{key}'")
-    val = doc[key]
+def _typed(key: str, val, typ) -> object:
     if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
         return float(val)
     if typ is int and isinstance(val, int) and not isinstance(val, bool):
@@ -445,6 +442,16 @@ def _require(doc: dict, key: str, typ) -> object:
     if typ is list and isinstance(val, list):
         return val
     raise SchemaError(f"field '{key}' must be of type {typ.__name__}")
+
+
+def _require(doc: dict, key: str, typ) -> object:
+    if key not in doc:
+        raise SchemaError(f"base-spec document is missing required field '{key}'")
+    return _typed(key, doc[key], typ)
+
+
+def _optional(doc: dict, key: str, typ, default) -> object:
+    return _typed(key, doc[key], typ) if key in doc else default
 
 
 def load_base(document: Union[str, Path, dict]) -> BaseOperator:
@@ -481,11 +488,11 @@ def load_base(document: Union[str, Path, dict]) -> BaseOperator:
     if kind == "chain":
         J = _require(doc, "J", int)
         if "radii" in doc:
-            radii = tuple(float(r) for r in _require(doc, "radii", list))
+            radii = tuple(_typed("radii", r, float) for r in _require(doc, "radii", list))
         else:
             rule = doc.get("radiiRule", "uniform")
             if rule == "uniform":
-                radii = uniform_radii(J, doc.get("radius", DEFAULT_BEAD_RADIUS))
+                radii = uniform_radii(J, _optional(doc, "radius", float, DEFAULT_BEAD_RADIUS))
             elif rule == "inverse_sqrt":
                 radii = inverse_sqrt_radii(J)
             else:
@@ -493,9 +500,9 @@ def load_base(document: Union[str, Path, dict]) -> BaseOperator:
         spec = ChainSpec(
             bead_count=J,
             radii=radii,
-            bead_nodes=doc.get("beadNodes", DEFAULT_BEAD_NODES),
-            neck_ratio=doc.get("neckRatio", DEFAULT_NECK_RATIO),
-            anchor_nodes=doc.get("anchorNodes", DEFAULT_BEAD_NODES),
+            bead_nodes=_optional(doc, "beadNodes", int, DEFAULT_BEAD_NODES),
+            neck_ratio=_optional(doc, "neckRatio", float, DEFAULT_NECK_RATIO),
+            anchor_nodes=_optional(doc, "anchorNodes", int, DEFAULT_BEAD_NODES),
         )
         return build_chain(spec, _require(doc, "d", int), b=None if b is None else float(b))
     if kind == "graph":

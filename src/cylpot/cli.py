@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .base import (
+    DEFAULT_NECK_RATIO,
     BaseSpecError,
     chain_bead_centers,
     default_chain_spec,
@@ -112,9 +113,8 @@ def cmd_spectrum(args) -> int:
     base, spec, _ = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (k + 1, spec.eigenvalues[k], spec.mu[k]) for k in range(spec.n)
-    ]
+    mu = spec.mu
+    rows = [(k + 1, spec.eigenvalues[k], mu[k]) for k in range(spec.n)]
     write_csv(out / "spectrum.csv", ("k", "lambda", "mu"), rows)
     n_modes = spec.n if args.modes in (None, 0) else min(args.modes, spec.n)
     vec_rows = [
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--beads", type=int, default=40)
     p.add_argument("--bead-nodes", type=int, default=8)
-    p.add_argument("--neck-ratio", type=float, default=None)
+    p.add_argument("--neck-ratio", type=float, default=DEFAULT_NECK_RATIO)
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.set_defaults(func=cmd_chain_demo)
@@ -441,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "neck_ratio", "missing") is None:
-        from .base import DEFAULT_NECK_RATIO
-
-        args.neck_ratio = DEFAULT_NECK_RATIO
     try:
         return args.func(args)
     except (BaseSpecError, SpectralError, OSError, ValueError) as exc:

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .base import BaseOperator
-from .spectral import SpectralData
+from .spectral import SpectralData, mass_scaled_bands
 
 __all__ = [
     "CylinderPoint",
@@ -84,6 +82,20 @@ def gaussian_density(t: float, w: float, b: float) -> float:
     return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
+def _prefix_products(ratios: np.ndarray):
+    """Prefix products P_y = prod_{j<y} ratios[j] down the rows of a positive
+    (n-1, W) array, as (mantissa, exponent) arrays of shape (n, W) with
+    P = mantissa * 2**exponent; one rounding per factor, as in a running
+    product, but no underflow."""
+    man = np.empty((ratios.shape[0] + 1, ratios.shape[1]))
+    exp = np.empty(man.shape, dtype=np.int64)
+    man[0], exp[0] = 0.5, 1
+    for j in range(ratios.shape[0]):
+        man[j + 1], step = np.frexp(man[j] * ratios[j])
+        exp[j + 1] = exp[j] + step
+    return man, exp
+
+
 def _gauss_panel_rule(edges: Sequence[float], order: int = 12):
     """Composite Gauss-Legendre nodes/weights over the given panel edges."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -103,10 +115,16 @@ class StableAxialEvaluator:
 
         V(s) = (1/pi) * int_0^inf cos(s w) [(A + b^2/4 + w^2)^{-1}]_{xy} dw
 
-    in the mass-symmetrized frame.  Each resolvent is a Cholesky solve of a
-    positive-definite tridiagonal matrix with non-positive off-diagonals, so
-    its columns decay multiplicatively through the base without
-    cancellation; the only cancellation left is the mild cosine damping.
+    in the mass-symmetrized frame.  Each resolvent T_w = A + b^2/4 + w^2 is
+    a positive-definite tridiagonal matrix with non-positive off-diagonals.
+    One twisted factorization per quadrature node gives its forward and
+    backward pivots d+ and d-; then [T_w^{-1}]_{xx} = 1/gamma_x and every
+    other entry of column x is 1/gamma_x times a product of the positive
+    ratios -e/d+ (towards node 0) or -e/d- (towards node n-1), so columns
+    decay multiplicatively through the base without cancellation; the only
+    cancellation left is the mild cosine damping.  The factorization costs
+    O(n W) time and memory for W quadrature nodes, is built on the first
+    evaluation, and then yields any entry of any column in O(W).
     Meaningful exactly in the deep regime (resolvent columns concentrated at
     small w), which is when the eigenmode route degrades.
     """
@@ -119,34 +137,68 @@ class StableAxialEvaluator:
     def __init__(self, base: BaseOperator, b: float):
         if not base.is_tridiagonal or base.n < 2:
             raise ValueError("stable axial evaluation needs a tridiagonal base")
-        self._scale = 1.0 / np.sqrt(base.mass)
-        K = base.stiffness
-        self._diag = np.diag(K) * self._scale * self._scale
-        self._off = np.diag(K, 1) * self._scale[:-1] * self._scale[1:]
+        self._scale, self._diag, self._off = mass_scaled_bands(base)
         self._shift = 0.25 * b * b
         self._w, self._qw = _gauss_panel_rule(self._EDGES)
-        self._columns = {}
+        # A zero coupling splits the path into blocks that do not interact.
+        self._block = np.concatenate(([0], np.cumsum(self._off == 0.0)))
+        self._factors = None
 
-    def _column(self, node: int) -> np.ndarray:
-        cols = self._columns.get(node)
-        if cols is None:
-            n = self._diag.shape[0]
-            ab = np.zeros((2, n))
-            ab[0, 1:] = self._off
-            rhs = np.zeros(n)
-            rhs[node] = 1.0
-            cols = np.empty((n, self._w.size))
-            for idx, w in enumerate(self._w):
-                ab[1, :] = self._diag + self._shift + w * w
-                cols[:, idx] = scipy.linalg.solveh_banded(ab, rhs)
-            self._columns[node] = cols
-        return cols
+    def _factorize(self):
+        """Twisted factorization of T_w at every quadrature node w.
+
+        Returns (first, last, inv_gamma).  With the positive ratios
+        f_j = -e_j / d+_j and l_j = -e_j / d-_{j+1}, an entry of column x is
+        [T_w^{-1}]_{yx} = inv_gamma[x] * prod_{j=y}^{x-1} f_j for y < x and
+        inv_gamma[x] * prod_{j=x}^{y-1} l_j for y > x.  ``first`` and
+        ``last`` hold the prefix products F_y = prod_{j<y} f_j and
+        L_y = prod_{j<y} l_j as (mantissa, exponent) pairs, which cannot
+        underflow, so any entry is one quotient of two of them.  Every array
+        has one column per quadrature node.  A ratio across a zero coupling
+        is 0; it enters the products as 1, and entries between different
+        blocks are set to 0 instead.
+        """
+        if self._factors is None:
+            t = self._diag[:, None] + (self._shift + self._w * self._w)[None, :]
+            e = self._off[:, None]
+            e2 = e * e
+            n = t.shape[0]
+            fwd = np.empty_like(t)
+            bwd = np.empty_like(t)
+            fwd[0] = t[0]
+            for i in range(1, n):
+                fwd[i] = t[i] - e2[i - 1] / fwd[i - 1]
+            bwd[n - 1] = t[n - 1]
+            for i in range(n - 2, -1, -1):
+                bwd[i] = t[i] - e2[i] / bwd[i + 1]
+            gamma = fwd.copy()
+            gamma[:-1] -= e2 / bwd[1:]
+            coupled = e != 0.0
+            self._factors = (
+                _prefix_products(np.where(coupled, -e / fwd[:-1], 1.0)),
+                _prefix_products(np.where(coupled, -e / bwd[1:], 1.0)),
+                1.0 / gamma,
+            )
+        return self._factors
+
+    def resolvent(self, root: int, nodes) -> np.ndarray:
+        """[T_w^{-1}]_{nodes, root} for every quadrature node w, shape
+        (len(nodes), W)."""
+        (f_man, f_exp), (l_man, l_exp), inv_gamma = self._factorize()
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+        below = (nodes < root)[:, None]
+        # Towards node 0 the entry is F_root / F_y, otherwise L_y / L_root.
+        num_man = np.where(below, f_man[root], l_man[nodes])
+        num_exp = np.where(below, f_exp[root], l_exp[nodes])
+        den_man = np.where(below, f_man[nodes], l_man[root])
+        den_exp = np.where(below, f_exp[nodes], l_exp[root])
+        same = (self._block[nodes] == self._block[root])[:, None]
+        return np.ldexp(num_man / den_man, num_exp - den_exp) * inv_gamma[root] * same
 
     def values(self, s: float, root: int, nodes) -> np.ndarray:
         """V(s; root, nodes) for axial separation s >= 0."""
-        cols = self._column(root)
         nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-        integrand = cols[nodes, :] * np.cos(s * self._w)[None, :]
+        integrand = self.resolvent(root, nodes) * np.cos(s * self._w)[None, :]
         vals = integrand @ self._qw / math.pi
         return vals * self._scale[nodes] * self._scale[root]
 
@@ -284,6 +336,8 @@ class GreenEvaluator:
         Integrates gaussian_density(t, u-v, b) * pi_t(i, j) over t in
         (0, inf), split at the saddle time |u - v| / (2 sqrt(mu_1)).
         """
+        import scipy.integrate  # deferred: only this cross-check needs it
+
         w = p.u - q.u
         if w == 0.0 and p.node == q.node:
             raise ValueError("quadrature route requires p != q")

@@ -29,6 +29,7 @@ __all__ = [
     "SpectralData",
     "ExponentLadder",
     "decompose",
+    "mass_scaled_bands",
     "heat_kernel",
     "heat_kernel_matrix",
     "exponent_ladder",
@@ -113,45 +114,77 @@ class ExponentLadder(NamedTuple):
     lambda1: float
 
 
-def _tridiagonal_parts(A: np.ndarray):
-    d = np.diag(A).copy()
-    e = np.diag(A, k=1).copy()
-    return d, e
+def mass_scaled_bands(base: BaseOperator):
+    """Scale vector s = M^(-1/2) and the bands (diag, off) of the symmetric
+    similarity A = M^(-1/2) K M^(-1/2) of a tridiagonal base.
+
+    Reads only the two bands of K, with the operation order of the dense
+    product (K * s[None, :]) * s[:, None], so the bands are bit-identical to
+    the diagonals of that matrix.
+    """
+    K = base.stiffness
+    s = 1.0 / np.sqrt(base.mass)
+    diag = (np.diag(K) * s) * s
+    off = (np.diag(K, 1) * s[1:]) * s[:-1]
+    return s, diag, off
+
+
+def _tridiagonal_matvec(diag, off, x: np.ndarray) -> np.ndarray:
+    """T @ x for the symmetric tridiagonal T = (diag, off) and an (n, k)
+    block x; the result takes the wider dtype of the operands."""
+    out = diag[:, None] * x
+    out[:-1] += off[:, None] * x[1:]
+    out[1:] += off[:, None] * x[:-1]
+    return out
 
 
 def _solve_shifted_tridiagonal(
-    diag: np.ndarray, off: np.ndarray, shift, rhs: np.ndarray
+    diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (T - shift*I) z = rhs for symmetric tridiagonal T, in the dtype
-    of the inputs, with partial pivoting (the shift sits next to an
-    eigenvalue, so the system is deliberately near-singular)."""
+    """Solve (T - shifts[k]*I) z_k = rhs[:, k] for every column k at once,
+    for symmetric tridiagonal T, in the dtype of the inputs.
+
+    One sweep of Gaussian elimination with partial pivoting runs down the
+    rows for all columns together (each shift sits next to an eigenvalue,
+    so every system is deliberately near-singular); each pivot choice is
+    made per column, so column k gets exactly the arithmetic of a solve of
+    its own system.
+    """
     n = diag.shape[0]
     dt = diag.dtype
-    b = (diag - shift).astype(dt, copy=True)  # col i of row i
-    c = np.zeros(n, dtype=dt)                 # col i+1 of row i
-    c[: n - 1] = off
-    c2 = np.zeros(n, dtype=dt)                # col i+2 fill-in
+    b = diag[:, None] - shifts[None, :]  # col i of row i
+    c = np.zeros_like(b)                # col i+1 of row i
+    c[: n - 1] = off[:, None]
+    c2 = np.zeros_like(b)               # col i+2 fill-in
     x = rhs.astype(dt, copy=True)
     tiny = np.finfo(dt).tiny * 1e8
+
+    def pivot(v):
+        return np.where(v != 0, v, tiny)
+
     for i in range(n - 1):
-        sub = off[i]
-        if abs(sub) > abs(b[i]):
-            b[i], sub = sub, b[i]
-            c[i], b[i + 1] = b[i + 1], c[i]
-            c2[i], c[i + 1] = c[i + 1], c2[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
-        piv = b[i] if b[i] != 0 else tiny
-        m = sub / piv
+        swap = abs(off[i]) > abs(b[i])
+        b[i], sub = np.where(swap, off[i], b[i]), np.where(swap, b[i], off[i])
+        c[i], b[i + 1] = np.where(swap, b[i + 1], c[i]), np.where(swap, c[i], b[i + 1])
+        c2[i], c[i + 1] = np.where(swap, c[i + 1], c2[i]), np.where(swap, c2[i], c[i + 1])
+        x[i], x[i + 1] = np.where(swap, x[i + 1], x[i]), np.where(swap, x[i], x[i + 1])
+        m = sub / pivot(b[i])
         b[i + 1] = b[i + 1] - m * c[i]
         c[i + 1] = c[i + 1] - m * c2[i]
         x[i + 1] = x[i + 1] - m * x[i]
-    z = np.empty(n, dtype=dt)
-    z[n - 1] = x[n - 1] / (b[n - 1] if b[n - 1] != 0 else tiny)
+    z = np.empty_like(x)
+    z[n - 1] = x[n - 1] / pivot(b[n - 1])
     if n > 1:
-        z[n - 2] = (x[n - 2] - c[n - 2] * z[n - 1]) / (b[n - 2] if b[n - 2] != 0 else tiny)
+        z[n - 2] = (x[n - 2] - c[n - 2] * z[n - 1]) / pivot(b[n - 2])
     for i in range(n - 3, -1, -1):
-        z[i] = (x[i] - c[i] * z[i + 1] - c2[i] * z[i + 2]) / (b[i] if b[i] != 0 else tiny)
+        z[i] = (x[i] - c[i] * z[i + 1] - c2[i] * z[i + 2]) / pivot(b[i])
     return z
+
+
+def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[:, k] @ v[:, k] for every column, one 1-D dot product each (the
+    per-column summation order is what keeps refined modes reproducible)."""
+    return np.array([u[:, k] @ v[:, k] for k in range(u.shape[1])], dtype=u.dtype)
 
 
 def _refine_low_band(diag, off, vals, psi, cutoff: float):
@@ -162,42 +195,34 @@ def _refine_low_band(diag, off, vals, psi, cutoff: float):
     magnitudes, which double-precision eigenvectors cannot support; two
     inverse-iteration steps per low mode push the eigenpair noise below the
     longdouble working precision.  High modes never matter there (their
-    axial decay rates are huge), so they stay as solved.
+    axial decay rates are huge), so they stay as solved.  All low modes
+    iterate together; a mode whose iterate stops being finite keeps its
+    last good eigenpair.
     """
     ld = np.longdouble
     dL = diag.astype(ld)
     eL = off.astype(ld)
     vals_out = vals.astype(ld)
     psi_out = psi.astype(ld)
-    n = diag.shape[0]
-
-    def tri_mv(v):
-        out = dL * v
-        out[:-1] += eL * v[1:]
-        out[1:] += eL * v[:-1]
-        return out
-
-    for k in range(n):
-        if vals[k] > cutoff:
-            break
-        v = psi_out[:, k]
-        v = v / np.sqrt(v @ v)
-        lam = v @ tri_mv(v)
-        for _ in range(2):
-            z = _solve_shifted_tridiagonal(dL, eL, lam, v)
-            top = np.max(np.abs(z))
-            if not np.isfinite(top) or top == 0.0:
-                break
-            z = z / top  # guard the norm against overflow at tiny residuals
-            v = z / np.sqrt(z @ z)
-            lam = v @ tri_mv(v)
-        # Defensive: a Rayleigh iteration that wandered to a different
-        # eigenvalue is discarded.
-        if abs(float(lam) - vals[k]) <= 1e-6 * (1.0 + abs(vals[k])):
-            if v @ psi_out[:, k] < 0:
-                v = -v
-            vals_out[k] = lam
-            psi_out[:, k] = v
+    low = int(np.searchsorted(vals, cutoff, side="right"))  # vals ascend
+    V = psi_out[:, :low]
+    V = V / np.sqrt(_column_dots(V, V))
+    lam = _column_dots(V, _tridiagonal_matvec(dL, eL, V))
+    live = np.ones(low, dtype=bool)
+    for _ in range(2):
+        Z = _solve_shifted_tridiagonal(dL, eL, lam, V)
+        top = np.max(np.abs(Z), axis=0)
+        live &= np.isfinite(top) & (top != 0.0)
+        Z = Z[:, live] / top[live]  # guard the norm against overflow at tiny residuals
+        V[:, live] = Z / np.sqrt(_column_dots(Z, Z))
+        lam[live] = _column_dots(V[:, live], _tridiagonal_matvec(dL, eL, V[:, live]))
+    # Defensive: a Rayleigh iteration that wandered to a different
+    # eigenvalue is discarded.
+    keep = np.abs(lam.astype(float) - vals[:low]) <= 1e-6 * (1.0 + np.abs(vals[:low]))
+    flip = _column_dots(V, psi_out[:, :low]) < 0
+    V[:, flip] = -V[:, flip]
+    vals_out[:low][keep] = lam[keep]
+    psi_out[:, :low][:, keep] = V[:, keep]
     return vals_out, psi_out
 
 
@@ -230,15 +255,11 @@ def decompose(
     """
     K = base.stiffness
     m = base.mass
-    s = 1.0 / np.sqrt(m)
-    # The solvers below read a single triangle, so exact symmetry of the
-    # scaled matrix is not load-bearing.
-    A = (K * s[None, :]) * s[:, None]
     tridiagonal = base.is_tridiagonal
     if refine_low_band is None:
         refine_low_band = tridiagonal and base.kind == "chain"
     if tridiagonal:
-        diag, off = _tridiagonal_parts(A)
+        s, diag, off = mass_scaled_bands(base)
         vals, psi = scipy.linalg.eigh_tridiagonal(diag, off)
         if refine_low_band:
             vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
@@ -246,7 +267,10 @@ def decompose(
     else:
         if refine_low_band:
             raise EigensolverError("low-band refinement requires a tridiagonal base")
-        vals, psi = scipy.linalg.eigh(A)
+        s = 1.0 / np.sqrt(m)
+        # eigh reads a single triangle, so exact symmetry of the scaled
+        # matrix is not load-bearing.
+        vals, psi = scipy.linalg.eigh((K * s[None, :]) * s[:, None])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     phi = s[:, None] * psi[:, order]
@@ -257,8 +281,18 @@ def decompose(
     signs[signs == 0] = 1.0
     phi = phi * signs[None, :]
 
-    resid = K @ phi - (m[:, None] * phi) * vals[None, :]
-    scale = np.abs(vals) * np.linalg.norm(phi, axis=0) + np.linalg.norm(K, ord=np.inf)
+    if tridiagonal:
+        k_diag, k_off = np.diag(K), np.diag(K, 1)
+        k_phi = _tridiagonal_matvec(k_diag, k_off, phi)
+        row_abs = np.abs(k_diag)
+        row_abs[:-1] += np.abs(k_off)
+        row_abs[1:] += np.abs(k_off)
+        k_norm = np.max(row_abs)
+    else:
+        k_phi = K @ phi
+        k_norm = np.linalg.norm(K, ord=np.inf)
+    resid = k_phi - (m[:, None] * phi) * vals[None, :]
+    scale = np.abs(vals) * np.linalg.norm(phi, axis=0) + k_norm
     worst = np.max(np.linalg.norm(resid, axis=0) / np.maximum(scale, 1e-300))
     if not np.isfinite(worst) or worst > residual_tol:
         raise EigensolverError(

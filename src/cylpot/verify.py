@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .base import chain_bead_centers
 from .cylinder import (
@@ -131,6 +130,8 @@ def _node_band(n: int) -> Tuple[int, int]:
 def _sobol(dims: int, count: int, seed: int) -> np.ndarray:
     """First `count` points of a scrambled Sobol sequence (drawn in a
     power-of-two block to keep its balance properties)."""
+    from scipy.stats import qmc  # deferred: importing scipy.stats is slow
+
     sob = qmc.Sobol(d=dims, scramble=True, seed=seed)
     block = 1 << max(0, (count - 1).bit_length())
     return sob.random(block)[:count]

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cylpot.cli import main
+import cylpot
+from cylpot.base import DEFAULT_NECK_RATIO
+from cylpot.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -141,3 +147,44 @@ def test_chernoff_command_atoms_file(tmp_path):
     assert main(["chernoff", "--atoms", str(atoms), "--out", str(out)]) == 0
     meta = json.loads((out / "chernoff.json").read_text())
     assert meta["delays"] == 10 and meta["delay_sum"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beadNodes", 2.5),
+        ("anchorNodes", "8"),
+        ("neckRatio", "0.1"),
+        ("radius", None),
+        ("radii", [0.3, "0.3", 0.3]),
+    ],
+)
+def test_chain_field_types_rejected(field, value, tmp_path, capsys):
+    doc = {"type": "chain", "d": 4, "J": 3, field: value}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code = main(["spectrum", "--base", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "SchemaError" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_chain_demo_neck_ratio_default():
+    args = build_parser().parse_args(["chain-demo"])
+    assert args.neck_ratio == DEFAULT_NECK_RATIO
+
+
+def test_cli_import_defers_slow_scipy_modules():
+    code = (
+        "import sys, cylpot.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    src = str(Path(cylpot.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

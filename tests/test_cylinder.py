@@ -385,3 +385,55 @@ def test_log_green_deep_separation_finite(chain_default):
     assert np.isfinite(val)
     kern = ev.martin_kernel(P(0.0, deep))
     assert kern(ev.reference) == 1.0
+
+
+def _assert_resolvent_matches_cholesky(base, b):
+    """Resolvent entries and s = 0 values against solveh_banded columns."""
+    import scipy.linalg
+
+    from cylpot.spectral import mass_scaled_bands
+
+    stable = StableAxialEvaluator(base, b)
+    scale, diag, off = mass_scaled_bands(base)
+    w, qw = stable._w, stable._qw
+    n = base.n
+    ab = np.zeros((2, n))
+    ab[0, 1:] = off
+    nodes = np.arange(n)
+    for root in (0, n // 3, n - 1):
+        rhs = np.zeros(n)
+        rhs[root] = 1.0
+        want = np.empty((n, w.size))
+        for k, wk in enumerate(w):
+            ab[1] = diag + 0.25 * b * b + wk * wk
+            want[:, k] = scipy.linalg.solveh_banded(ab, rhs)
+        got = stable.resolvent(root, nodes)
+        assert np.array_equal(got > 0.0, want > 0.0)
+        nz = want > 0.0
+        assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-10
+        # At s = 0 the quadrature has no cosine cancellation.
+        ref = (want @ qw) / math.pi * scale * scale[root]
+        got_v = stable.values(0.0, root, nodes)
+        assert np.array_equal(got_v > 0.0, ref > 0.0)
+        assert np.max(np.abs(got_v[ref > 0] / ref[ref > 0] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["chain_default", "arc_small", "cap_small"])
+def test_resolvent_matches_banded_cholesky_reference(fixture, request):
+    base, spec = request.getfixturevalue(fixture)
+    _assert_resolvent_matches_cholesky(base, spec.b)
+
+
+def test_resolvent_splits_at_zero_coupling():
+    # A zero-conductance edge cuts the path into two blocks.
+    base = cp.build_graph(
+        edges=[[0, 1, 1.0], [1, 2, 0.0], [2, 3, 2.0], [3, 4, 1.0], [4, 5, 0.5]],
+        mass=[1.0, 0.5, 1.0, 2.0, 1.0, 1.5],
+        dirichlet_leak=[1.0, 0.0, 0.5, 0.0, 0.0, 1.0],
+        d=3,
+    )
+    assert base.is_tridiagonal
+    _assert_resolvent_matches_cholesky(base, base.b)
+    stable = StableAxialEvaluator(base, base.b)
+    assert np.all(stable.resolvent(4, [0, 1]) == 0.0)
+    assert np.all(stable.resolvent(4, [2, 3, 5]) > 0.0)

@@ -158,3 +158,123 @@ def test_refinement_consistent_with_plain_solve(chain_default):
     phi_r = np.asarray(refined.eigenvectors, dtype=float)[:, low]
     phi_p = np.asarray(plain.eigenvectors, dtype=float)[:, low]
     assert np.max(np.abs(phi_r - phi_p)) <= 1e-7 * np.max(np.abs(phi_p))
+
+
+def _solve_shifted_reference(diag, off, shift, rhs):
+    """Scalar per-row pivoted elimination for one shifted system."""
+    n = diag.shape[0]
+    dt = diag.dtype
+    b = (diag - shift).astype(dt, copy=True)
+    c = np.zeros(n, dtype=dt)
+    c[: n - 1] = off
+    c2 = np.zeros(n, dtype=dt)
+    x = rhs.astype(dt, copy=True)
+    tiny = np.finfo(dt).tiny * 1e8
+    for i in range(n - 1):
+        sub = off[i]
+        if abs(sub) > abs(b[i]):
+            b[i], sub = sub, b[i]
+            c[i], b[i + 1] = b[i + 1], c[i]
+            c2[i], c[i + 1] = c[i + 1], c2[i]
+            x[i], x[i + 1] = x[i + 1], x[i]
+        piv = b[i] if b[i] != 0 else tiny
+        m = sub / piv
+        b[i + 1] = b[i + 1] - m * c[i]
+        c[i + 1] = c[i + 1] - m * c2[i]
+        x[i + 1] = x[i + 1] - m * x[i]
+    z = np.empty(n, dtype=dt)
+    z[n - 1] = x[n - 1] / (b[n - 1] if b[n - 1] != 0 else tiny)
+    if n > 1:
+        z[n - 2] = (x[n - 2] - c[n - 2] * z[n - 1]) / (b[n - 2] if b[n - 2] != 0 else tiny)
+    for i in range(n - 3, -1, -1):
+        z[i] = (x[i] - c[i] * z[i + 1] - c2[i] * z[i + 2]) / (b[i] if b[i] != 0 else tiny)
+    return z
+
+
+def _refine_reference(diag, off, vals, psi, cutoff):
+    """Mode-by-mode 80-bit Rayleigh-quotient refinement."""
+    ld = np.longdouble
+    dL, eL = diag.astype(ld), off.astype(ld)
+    vals_out, psi_out = vals.astype(ld), psi.astype(ld)
+
+    def tri_mv(v):
+        out = dL * v
+        out[:-1] += eL * v[1:]
+        out[1:] += eL * v[:-1]
+        return out
+
+    for k in range(diag.shape[0]):
+        if vals[k] > cutoff:
+            break
+        v = psi_out[:, k]
+        v = v / np.sqrt(v @ v)
+        lam = v @ tri_mv(v)
+        for _ in range(2):
+            z = _solve_shifted_reference(dL, eL, lam, v)
+            top = np.max(np.abs(z))
+            if not np.isfinite(top) or top == 0.0:
+                break
+            z = z / top
+            v = z / np.sqrt(z @ z)
+            lam = v @ tri_mv(v)
+        if abs(float(lam) - vals[k]) <= 1e-6 * (1.0 + abs(vals[k])):
+            if v @ psi_out[:, k] < 0:
+                v = -v
+            vals_out[k] = lam
+            psi_out[:, k] = v
+    return vals_out, psi_out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cp.default_chain_spec(), cp.ChainSpec(bead_count=10, radii=cp.inverse_sqrt_radii(10))],
+)
+def test_batched_refinement_bit_identical_to_per_mode(spec):
+    import scipy.linalg
+
+    from cylpot.spectral import _refine_low_band, mass_scaled_bands
+
+    _, diag, off = mass_scaled_bands(cp.build_chain(spec, d=4))
+    vals, psi = scipy.linalg.eigh_tridiagonal(diag, off)
+    assert np.count_nonzero(vals <= 50.0) >= 5
+    want = _refine_reference(diag, off, vals, psi, 50.0)
+    got = _refine_low_band(diag, off, vals, psi, 50.0)
+    for w, g in zip(want, got):
+        assert g.dtype == np.longdouble
+        assert np.array_equal(w, g)
+
+
+def test_mass_scaled_bands_match_dense_similarity(cap_small):
+    from cylpot.spectral import mass_scaled_bands
+
+    base, _ = cap_small
+    s, diag, off = mass_scaled_bands(base)
+    A = (base.stiffness * s[None, :]) * s[:, None]
+    assert np.array_equal(diag, np.diag(A))
+    assert np.array_equal(off, np.diag(A, 1))
+
+
+@pytest.mark.parametrize(
+    "base, refined",
+    [
+        (cp.build_arc(math.pi, 101), False),
+        (cp.build_chain(cp.default_chain_spec(), d=4), True),
+    ],
+)
+def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monkeypatch):
+    import scipy.linalg
+
+    from cylpot import EigensolverError
+
+    solver = scipy.linalg.eigh_tridiagonal
+    assert cp.decompose(base).eigenvectors.dtype == (np.longdouble if refined else float)
+
+    def perturbed(diag, off):
+        vals, psi = solver(diag, off)
+        # The top mode sits above every refinement cutoff.
+        psi[base.n // 2, -1] += 1e-3
+        return vals, psi
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    with pytest.raises(EigensolverError, match="residual"):
+        cp.decompose(base)
