@@ -154,12 +154,17 @@ class BaseOperator:
 
     @property
     def is_tridiagonal(self) -> bool:
-        """True when all couplings sit on the first off-diagonal (path graph)."""
-        K = self.stiffness
-        if K.shape[0] <= 2:
-            return True
-        mask = np.tri(K.shape[0], k=-2, dtype=bool)
-        return not np.any(K[mask] != 0.0)
+        """True when all couplings sit on the first off-diagonal (path graph).
+
+        Counted once per base, without temporaries: the stiffness is exactly
+        symmetric, so it is a path when all its nonzeros sit on the diagonal
+        and the two first off-diagonals.
+        """
+        if "_is_tridiagonal" not in self.__dict__:
+            K = self.stiffness
+            band = np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
+            self.__dict__["_is_tridiagonal"] = bool(np.count_nonzero(K) == band)
+        return self.__dict__["_is_tridiagonal"]
 
 
 @dataclass(frozen=True)

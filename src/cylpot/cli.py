@@ -34,7 +34,7 @@ from .convolution import (
     exact_convolution,
     tail_mass,
 )
-from .cylinder import CylinderPoint, GreenEvaluator, fit_exponent
+from .cylinder import CylinderPoint, GreenEvaluator, NumericalLossError, fit_exponent
 from .spectral import SpectralError, decompose, exponent_ladder
 from .verify import (
     UnknownSuiteError,
@@ -71,19 +71,27 @@ def write_summary(path: Path, payload: dict) -> None:
     payload["metadata"]["tool"] = f"cylpot {__version__}"
     payload["metadata"]["generated_unix"] = int(time.time())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+def _strict_json(obj):
+    """Plain JSON values of a payload; non-finite floats become null, which
+    keeps the summary valid JSON (NaN and Infinity are not)."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(val) for val in obj]
     if isinstance(obj, np.ndarray):
-        return np.asarray(obj, dtype=float).tolist()
+        return _strict_json(np.asarray(obj, dtype=float).tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, str):
+        return obj
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
@@ -141,10 +149,15 @@ def cmd_green(args) -> int:
             if not row or row[0].strip().lower() in ("u", ""):
                 continue
             points.append(CylinderPoint(float(row[0]), int(row[1])))
-    rows = []
-    for p in points:
-        lg = ev.log_green(p, pole)
-        rows.append((p.u, p.node, pole.u, pole.node, np.exp(lg), lg))
+    logs, lost = ev.log_green_many(
+        [p.u for p in points], [p.node for p in points], pole.u, pole.node
+    )
+    if lost.any():
+        p = points[int(np.argmax(lost))]
+        raise NumericalLossError(f"no positive value for G({p}; {pole}) on any route")
+    rows = [
+        (p.u, p.node, pole.u, pole.node, np.exp(lg), lg) for p, lg in zip(points, logs)
+    ]
     write_csv(
         out / "green.csv",
         ("u", "node", "v", "nodePole", "value", "logValue"),
@@ -272,15 +285,17 @@ def cmd_chain_demo(args) -> int:
         y_sequence=centers, base=base,
     )
     u_fit = np.linspace(*_ALPHA_FIT_WINDOW, _ALPHA_FIT_POINTS)
-    alpha_hats = []
-    for node in centers:
-        kernel = ev.martin_kernel(CylinderPoint(0.0, int(node)))
-        vals = [
-            (u, np.exp(kernel.log_value(CylinderPoint(u, ev.reference.node))))
-            for u in u_fit
-        ]
-        alpha_hats.append(fit_exponent(vals).alpha_hat)
-    alpha_hats = np.asarray(alpha_hats)
+    # Martin kernels K_pole(u, x0) = G((u, x0); pole) / G(reference; pole)
+    # with poles (0, center), the reference value in column 0.
+    ref = ev.reference
+    logs, lost = ev.log_green_many(
+        np.concatenate(([ref.u], u_fit))[None, :], ref.node, 0.0, centers[:, None]
+    )
+    if lost.any():
+        raise NumericalLossError("no positive Martin kernel value on any route")
+    alpha_hats = np.asarray([
+        fit_exponent(list(zip(u_fit, np.exp(row[1:] - row[0])))).alpha_hat for row in logs
+    ])
 
     ratios = small.extras["ratios"]
     devs = ratio.extras["deviations"]

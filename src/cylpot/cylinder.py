@@ -49,6 +49,11 @@ _NEGATIVITY_TOL = 1e-12
 # quadrature (tridiagonal bases only).
 _HEALTH_SWITCH = 1e-8
 
+_EPS = float(np.finfo(float).eps)
+
+# Mode terms per chunk array of the batched Green sums.
+_CHUNK_TERMS = 1 << 15
+
 
 class CylinderPoint(NamedTuple):
     """A point (u, x) of the cylinder: real axial coordinate, base node index."""
@@ -217,6 +222,15 @@ class SeparatedSolution:
         return self.alpha * p.u + math.log(self.profile[p.node])
 
 
+class _Modes(NamedTuple):
+    """Eigendata of one working precision for the Green mode sums."""
+
+    phi: np.ndarray
+    two_sqrt_mu: np.ndarray
+    delta: np.ndarray  # sqrt(mu_k) - sqrt(mu_1)
+    sqrt_mu1: float
+
+
 @dataclass(frozen=True)
 class GreenEvaluator:
     """Immutable evaluator of G, Martin kernels and the canonical solutions.
@@ -245,18 +259,200 @@ class GreenEvaluator:
         if self.base.is_tridiagonal and self.base.n >= 2:
             stable = StableAxialEvaluator(self.base, self.spec.b)
         object.__setattr__(self, "_stable", stable)
+        # Truncation data of the batched mode sums (see _mode_counts): the
+        # quarter-octave ladder of mode counts, and g_i = -log(phi_1(i) sqrt(m_i)).
+        n = self.spec.n
+        ladder = np.minimum(n, np.ceil(2.0 ** (np.arange(4 * n.bit_length() + 1) / 4.0)))
+        phi1 = np.asarray(self.spec.ground_state, dtype=float)
+        object.__setattr__(self, "_ladder", np.unique(ladder).astype(int))
+        object.__setattr__(self, "_ground_depth", -np.log(phi1 * np.sqrt(self.spec.mass)))
 
     @property
     def sqrt_mu(self) -> np.ndarray:
         return self._sqrt_mu
 
-    def _pair_weights(self, i: int, j: int) -> np.ndarray:
-        """Mode weights phi_k(i) phi_k(j) / (2 sqrt(mu_k))."""
+    def _modes(self, precision: str) -> _Modes:
+        """Mode data of one working precision, built on first use.
+
+        ``native`` is the eigendata as stored; ``float64`` is its float64
+        view (the data itself for float64 eigendata, a copy for refined
+        chains); ``extended`` accumulates the decays in 80-bit floats.
+        """
+        cache = self.__dict__.setdefault("_mode_cache", {})
+        if precision not in cache:
+            native = _Modes(
+                self.spec.eigenvectors,
+                2.0 * self._sqrt_mu,
+                self._sqrt_mu - self._sqrt_mu[0],
+                self._sqrt_mu[0],
+            )
+            if precision == "native":
+                cache[precision] = native
+            elif precision == "extended":
+                cache[precision] = native._replace(delta=native.delta.astype(np.longdouble))
+            else:
+                cache[precision] = _Modes(
+                    np.asarray(native.phi, dtype=float),
+                    native.two_sqrt_mu.astype(float),
+                    native.delta.astype(float),
+                    float(native.sqrt_mu1),
+                )
+        return cache[precision]
+
+    @property
+    def _screen_is_native(self) -> bool:
+        return self.spec.eigenvectors.dtype == np.float64
+
+    def _pairs(self, pu, pnode, qu, qnode):
+        """Flat (w, s, i, j, keep) of broadcast pair arrays, and their shape."""
+        pu, pnode, qu, qnode = np.broadcast_arrays(
+            np.asarray(pu, dtype=float), np.asarray(pnode),
+            np.asarray(qu, dtype=float), np.asarray(qnode),
+        )
+        i = pnode.astype(int).ravel()
+        j = qnode.astype(int).ravel()
         n = self.spec.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"node index out of range: ({i}, {j}) with n={n}")
-        phi = self.spec.eigenvectors
-        return phi[i] * phi[j] / (2.0 * self._sqrt_mu)
+        if i.size and not (0 <= min(i.min(), j.min()) and max(i.max(), j.max()) < n):
+            raise ValueError(f"node index out of range with n={n}")
+        w = (pu - qu).ravel()
+        s = np.abs(w)
+        group = pu.shape[-1] if pu.ndim >= 2 else 1
+        keep = self._mode_counts(s, i, j, group) if s.size else np.zeros(0, dtype=int)
+        return pu.shape, w, s, i, j, keep
+
+    def _mode_counts(self, s, i, j, group: int = 1) -> np.ndarray:
+        """Number of leading modes each pair keeps.
+
+        Mass-orthonormal modes satisfy sum_k phi_k(i)^2 = 1/m_i, so by
+        Cauchy-Schwarz the modes k >= K add at most
+        e^{-s delta_K} / (2 sqrt(mu_1) sqrt(m_i m_j)) to the mode sum.  That
+        is below eps * _HEALTH_SWITCH * w_1, w_1 = phi_1(i) phi_1(j) /
+        (2 sqrt(mu_1)) the first mode weight, once s delta_K exceeds
+        log(1.01 / (eps * _HEALTH_SWITCH)) + g_i + g_j with
+        g_i = -log(phi_1(i) sqrt(m_i)) >= 0 (1% slack for rounding): the
+        dropped part then stays under one ulp of any tail that passes the
+        health switch.  K is rounded up to a quarter-octave ladder, and the
+        ``group`` consecutive pairs that one sample compares keep the largest
+        K among them, so they share their mode count and summation order.
+        """
+        g = self._ground_depth
+        with np.errstate(divide="ignore"):
+            reach = (math.log(1.01 / (_EPS * _HEALTH_SWITCH)) + g[i] + g[j]) / s
+        keep = np.searchsorted(self._modes("float64").delta, reach, side="right")
+        keep = np.repeat(keep.reshape(-1, group).max(axis=1), group)
+        return self._ladder[np.searchsorted(self._ladder, keep)]
+
+    @staticmethod
+    def _mode_sums(modes: _Modes, s, i, j, keep):
+        """Signed and absolute sums of the kept mode terms
+        w_k e^{-s delta_k}, w_k = phi_k(i) phi_k(j) / (2 sqrt(mu_k)), of each
+        pair, rounded to float64.  Pairs keeping the same number of modes are
+        summed together in chunks of at most _CHUNK_TERMS terms."""
+        tail = np.empty(s.size)
+        mag = np.empty(s.size)
+        order = np.argsort(keep, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
+            if not group.size:
+                continue
+            K = int(keep[group[0]])
+            step = max(1, _CHUNK_TERMS // K)
+            for lo in range(0, group.size, step):
+                idx = group[lo : lo + step]
+                weights = modes.phi[i[idx], :K] * modes.phi[j[idx], :K] / modes.two_sqrt_mu[:K]
+                terms = weights * np.exp(-s[idx, None] * modes.delta[:K])
+                # Running sums add the modes in order, as a 1-D dot does.
+                tail[idx] = np.cumsum(terms, axis=1)[:, -1]
+                mag[idx] = np.cumsum(np.abs(terms), axis=1)[:, -1]
+        return tail, mag
+
+    def _log_values(self, modes: _Modes, w, s, tail, mag):
+        """(log G, lost): the factored mode-1 decay times the tail; pairs
+        whose signed sum fell to _HEALTH_SWITCH of its magnitude are lost."""
+        lost = ~(tail > _HEALTH_SWITCH * mag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = -0.5 * self.spec.b * w - s * modes.sqrt_mu1 + np.log(tail)
+        logs[lost] = np.nan
+        return logs, lost
+
+    def _screen(self, w, s, i, j, keep, exact: bool):
+        """Float64 pass: (log values, bound, lost).
+
+        ``bound`` certifies |log value - log value at the target precision|:
+        0 when ``exact`` (the target is this float64 pass itself), inf where
+        the health conclusion could flip at the target precision.  The
+        float64 sums differ from the target's (same modes, same order) by at
+        most (K + 6 + s delta_K) eps * magnitude: K - 1 summation roundings,
+        a few per term for the weight, exp and product, and s delta eps for
+        the rounded exp argument.
+        """
+        modes = self._modes("float64")
+        tail, mag = self._mode_sums(modes, s, i, j, keep)
+        logs, lost = self._log_values(modes, w, s, tail, mag)
+        if exact:
+            return logs, np.zeros(s.size), lost
+        err = (keep + 6 + s * modes.delta[keep - 1]) * _EPS * mag
+        sure = (tail - err > _HEALTH_SWITCH * (mag + err)) | lost & (
+            tail + err <= _HEALTH_SWITCH * (mag - err)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rounding = 2.0 * _EPS * (
+                np.abs(0.5 * self.spec.b * w) + s * modes.sqrt_mu1 + np.abs(np.log(tail))
+            )
+            bound = np.where(lost, 0.0, err / (tail - err) + rounding)
+        return logs, np.where(sure, bound, np.inf), lost
+
+    def screen_many(self, pu, pnode, qu, qnode):
+        """Float64 preview of log_green_many at eigendata precision.
+
+        Returns (log_values, bound, lost_mask) in the broadcast shape of the
+        inputs: ``bound`` is a certified bound on the distance of each log
+        value from the eigendata-precision value (0 when the eigendata is
+        float64, so the preview is that value), and inf where the preview
+        cannot certify whether the pair passes the health switch; lost pairs
+        with a finite bound are certainly lost at eigendata precision.
+        """
+        shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
+        out = self._screen(w, s, i, j, keep, exact=self._screen_is_native)
+        return tuple(a.reshape(shape) for a in out)
+
+    def log_green_many(self, pu, pnode, qu, qnode, extended: bool = False,
+                       allow_stable: bool = True):
+        """log G((pu, pnode); (qu, qnode)) for broadcast arrays of pairs.
+
+        Returns (log_values, lost_mask) in the broadcast shape; lost pairs
+        hold nan.  Each pair is measured as ``log_green`` measures it: the
+        mode sum in eigendata precision (80-bit with ``extended=True``),
+        and, where the signed sum has lost its digits and ``allow_stable``
+        is set, resolvent quadrature (tridiagonal bases).  Trailing modes
+        below one ulp of the sum are dropped (see _mode_counts); pairs along
+        the last axis of a 2-D input share their mode count.  A float64
+        screen runs first, and pairs it certifies as lost skip the 80-bit
+        sums.
+        """
+        shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
+        exact = self._screen_is_native and not extended
+        logs, bound, lost = self._screen(w, s, i, j, keep, exact)
+        if not exact:
+            modes = self._modes("extended" if extended else "native")
+            todo = ~(lost & np.isfinite(bound))
+            logs = np.full(s.size, np.nan, dtype=self._sqrt_mu.dtype)
+            tail, mag = self._mode_sums(modes, s[todo], i[todo], j[todo], keep[todo])
+            logs[todo], lost[todo] = self._log_values(modes, w[todo], s[todo], tail, mag)
+        if allow_stable and self._stable is not None and lost.any():
+            self._resolvent_logs(logs, lost, w, s, i, j)
+        return logs.reshape(shape), lost.reshape(shape)
+
+    def _resolvent_logs(self, logs, lost, w, s, i, j) -> None:
+        """Fill lost pairs in place from resolvent quadrature, one
+        StableAxialEvaluator.values call per (separation, pole node)."""
+        idx = np.flatnonzero(lost)
+        idx = idx[np.lexsort((j[idx], s[idx]))]
+        cuts = np.flatnonzero((np.diff(s[idx]) != 0) | (np.diff(j[idx]) != 0)) + 1
+        for group in np.split(idx, cuts):
+            vals = self._stable.values(float(s[group[0]]), int(j[group[0]]), i[group])
+            ok = vals > 0.0
+            logs[group[ok]] = -0.5 * self.spec.b * w[group[ok]] + np.log(vals[ok])
+            lost[group[ok]] = False
 
     def log_green(
         self,
@@ -274,34 +470,17 @@ class GreenEvaluator:
         is recomputed by resolvent quadrature (tridiagonal bases); with
         ``allow_stable=False`` such evaluations raise NumericalLossError
         instead, which the 1e-12 exactness sweeps use to skip pairs they
-        cannot measure at that precision.
+        cannot measure at that precision.  One-pair form of log_green_many.
         """
-        w = p.u - q.u
-        s = abs(w)
-        delta = self._sqrt_mu - self._sqrt_mu[0]
-        weights = self._pair_weights(p.node, q.node)
-        if extended:
-            decay = np.exp(np.longdouble(-s) * delta.astype(np.longdouble))
-            tail = float(np.dot(weights.astype(np.longdouble), decay))
-        else:
-            decay = np.exp(-s * delta)
-            tail = float(np.dot(weights, decay))
-        magnitude = float(np.dot(np.abs(weights), decay))
-        if tail <= _HEALTH_SWITCH * magnitude:
-            # Cancellation ate the eigenmode sum; go through the resolvent.
-            if self._stable is None or not allow_stable:
-                raise NumericalLossError(
-                    f"mode sum for G({p}; {q}) is {tail:.3e} against magnitude "
-                    f"{magnitude:.3e}"
-                    + ("; no stable route for this base" if self._stable is None else "")
-                )
-            val = float(self._stable.values(s, p.node, [q.node])[0])
-            if not val > 0.0:
-                raise NumericalLossError(
-                    f"resolvent value for G({p}; {q}) is {val:.3e}"
-                )
-            return -0.5 * self.spec.b * w + math.log(val)
-        return -0.5 * self.spec.b * w - s * self._sqrt_mu[0] + math.log(tail)
+        logs, lost = self.log_green_many(p[0], p[1], q[0], q[1], extended, allow_stable)
+        if lost:
+            if allow_stable and self._stable is not None:
+                raise NumericalLossError(f"resolvent value for G({p}; {q}) is not positive")
+            raise NumericalLossError(
+                f"mode sum for G({p}; {q}) lost its digits to cancellation"
+                + ("; no stable route for this base" if self._stable is None else "")
+            )
+        return logs[()]
 
     def green(self, p: CylinderPoint, q: CylinderPoint) -> float:
         """G(p; q) in closed eigenmode form (finite on the diagonal too)."""

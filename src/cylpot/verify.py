@@ -18,6 +18,7 @@ import numpy as np
 
 from .base import chain_bead_centers
 from .cylinder import (
+    _HEALTH_SWITCH,
     CylinderPoint,
     GreenEvaluator,
     NumericalLossError,
@@ -75,13 +76,14 @@ class RateFit:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one suite.  passed follows from max_violation alone."""
+    """Outcome of one suite.  passed follows from status and max_violation;
+    an exactness sweep that resolved no sample is ``insufficient``."""
 
     suite: str
     sample_count: int
     max_violation: float
     tolerance: float
-    status: str = "ok"  # ok | skipped | error
+    status: str = "ok"  # ok | skipped | insufficient | error
     empirical_constant: Optional[float] = None
     rate: Optional[RateFit] = None
     seed: Optional[int] = None
@@ -155,6 +157,66 @@ def sample_axial_tuples(
     return axial, nodes
 
 
+def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
+           table, columns, **report) -> VerificationReport:
+    """Screen -> re-measure -> classify, shared by the exactness sweeps.
+
+    ``pairs`` holds (pu, pnode, qu, qnode) arrays of shape (samples, r): the
+    r Green values one sample compares.  ``metric(logs, k)`` maps the (len(k),
+    r) log values of samples k to their measured values; it must move by at
+    most 1 per unit change of any one log value.  A sample is measured in
+    eigendata precision and re-measured in 80-bit arithmetic when its value
+    exceeds ``slack``; a sample with a lost mode sum is skipped.  The float64
+    screen settles a sample when its certified bound cannot change that
+    outcome (certainly lost, or certainly healthy with value + bound <=
+    slack); every other sample takes the full route.  A sweep that resolves
+    no sample measured nothing and is ``insufficient``.  ``table`` holds the
+    per-sample rows (``columns`` without the measured value), or None.
+    """
+    logs, bound, lost = ev.screen_many(*pairs)
+    count = logs.shape[0]
+    values = metric(logs, np.arange(count)).astype(ev.sqrt_mu.dtype)
+    skipped = (lost & np.isfinite(bound)).any(axis=1)
+    exact = (bound == 0.0).all(axis=1)
+    err = bound.sum(axis=1) + 4.0 * np.finfo(float).eps * (
+        np.abs(logs).sum(axis=1) + np.abs(values)
+    )
+    settled = skipped | np.isfinite(bound).all(axis=1) & (
+        values + np.where(exact, 0.0, err) <= slack
+    )
+
+    def remeasure(k, extended):
+        lg, gone = ev.log_green_many(*(a[k] for a in pairs), extended=extended,
+                                     allow_stable=False)
+        gone = gone.any(axis=1)
+        skipped[k[gone]] = True
+        values[k[~gone]] = metric(lg[~gone], k[~gone])
+
+    # An exact screen value is the eigendata-precision measurement itself.
+    remeasure(np.flatnonzero(~settled & ~exact), False)
+    remeasure(np.flatnonzero(~settled & ~skipped & (values > slack)), True)
+    resolved = ~skipped
+    extras = {
+        "skipped_unresolvable": int(np.count_nonzero(skipped)),
+        "resolved_fraction": float(np.count_nonzero(resolved) / count),
+        "screened": int(np.count_nonzero(settled)),
+        "escalated": int(count - np.count_nonzero(settled)),
+    }
+    if table is not None:
+        extras["sample_columns"] = columns + ("violation",)
+        table = [tuple(row) + (float(val),)
+                 for row, val, ok in zip(table, values, resolved) if ok]
+    return VerificationReport(
+        suite=suite,
+        sample_count=int(np.count_nonzero(resolved)),
+        max_violation=np.max(values[resolved]) if resolved.any() else -math.inf,
+        status="ok" if resolved.any() else "insufficient",
+        samples=table,
+        extras=extras,
+        **report,
+    )
+
+
 def check_green_monotonicity(
     ev: GreenEvaluator,
     samples: Optional[Sequence[Tuple[float, float, float, int, int]]] = None,
@@ -173,60 +235,29 @@ def check_green_monotonicity(
         axial, nodes = sample_axial_tuples(ev.spec.n, count, seed, 3, 2)
         u, v = axial[:, 0], axial[:, 1]
         rho = 0.05 + 4.0 * (axial[:, 2] + 6.0) / 12.0  # shifts in (0, 4.05]
-        rows = list(zip(u, v, rho, nodes[:, 0], nodes[:, 1]))
+        i, j = nodes[:, 0], nodes[:, 1]
     else:
-        rows = [tuple(r) for r in samples]
-    if not rows:
-        raise ValueError("monotonicity check requires a nonempty sample set")
+        rows = np.asarray([tuple(r) for r in samples], dtype=float)
+        if rows.size == 0:
+            raise ValueError("monotonicity check requires a nonempty sample set")
+        u, v, rho = rows[:, 0], rows[:, 1], rows[:, 2]
+        i, j = rows[:, 3].astype(int), rows[:, 4].astype(int)
     b = ev.spec.b
 
-    def violation(u, v, rho, i, j, extended):
-        lg_here = ev.log_green(
-            CylinderPoint(u, i), CylinderPoint(v, j),
-            extended=extended, allow_stable=False,
+    def violation(lg, k):
+        bound = 0.5 * b * rho[k] + lg[:, 1]
+        mid = u[k] + 0.5 * rho[k]
+        return np.maximum(
+            np.where(v[k] >= mid, lg[:, 0] - bound, -np.inf),
+            np.where(v[k] <= mid, bound - lg[:, 0], -np.inf),
         )
-        lg_shift = ev.log_green(
-            CylinderPoint(u + rho, i), CylinderPoint(v, j),
-            extended=extended, allow_stable=False,
-        )
-        bound = 0.5 * b * rho + lg_shift
-        out = -math.inf
-        if v >= u + 0.5 * rho:
-            out = max(out, lg_here - bound)
-        if v <= u + 0.5 * rho:
-            out = max(out, bound - lg_here)
-        return out
 
-    # Double precision first; samples without clear slack are re-measured in
-    # 80-bit arithmetic before they can count as violations.  Pairs whose
-    # mode sums cannot be resolved at this precision are skipped and counted.
-    worst = -math.inf
-    skipped = 0
-    table = [] if collect_samples else None
-    for u, v, rho, i, j in rows:
-        i, j = int(i), int(j)
-        try:
-            viol = violation(u, v, rho, i, j, False)
-            if viol > -1e-8:
-                viol = violation(u, v, rho, i, j, True)
-        except NumericalLossError:
-            skipped += 1
-            continue
-        worst = max(worst, viol)
-        if table is not None:
-            table.append((float(u), float(v), float(rho), i, j, float(viol)))
-    extras = {"skipped_unresolvable": skipped}
-    if table is not None:
-        extras["sample_columns"] = ("u", "v", "rho", "i", "j", "violation")
-    return VerificationReport(
-        suite="monotonicity",
-        sample_count=len(rows) - skipped,
-        max_violation=worst,
-        tolerance=tolerance,
-        seed=seed,
-        config={"count": len(rows)},
-        samples=table,
-        extras=extras,
+    pairs = (np.stack([u, u + rho], 1), np.stack([i, i], 1),
+             np.stack([v, v], 1), np.stack([j, j], 1))
+    table = list(zip(u, v, rho, i.tolist(), j.tolist())) if collect_samples else None
+    return _sweep(
+        "monotonicity", ev, pairs, violation, -1e-8, table, ("u", "v", "rho", "i", "j"),
+        tolerance=tolerance, seed=seed, config={"count": len(u)},
     )
 
 
@@ -240,46 +271,19 @@ def check_symmetry_identity(
     """Reflection/translation identity
     G(v0-u, x; v0-v, y) = e^{b(u-v)} G(v1+u, x; v1+v, y)."""
     axial, nodes = sample_axial_tuples(ev.spec.n, count, seed, 4, 2)
+    u, v, v0, v1 = axial.T
+    i, j = nodes[:, 0], nodes[:, 1]
     b = ev.spec.b
 
-    def gap(u, v, v0, v1, i, j, extended):
-        lhs = ev.log_green(
-            CylinderPoint(v0 - u, i), CylinderPoint(v0 - v, j),
-            extended=extended, allow_stable=False,
-        )
-        rhs = b * (u - v) + ev.log_green(
-            CylinderPoint(v1 + u, i), CylinderPoint(v1 + v, j),
-            extended=extended, allow_stable=False,
-        )
-        return abs(lhs - rhs)
+    def gap(lg, k):
+        return np.abs(lg[:, 0] - (b * (u[k] - v[k]) + lg[:, 1]))
 
-    worst = -math.inf
-    skipped = 0
-    table = [] if collect_samples else None
-    for (u, v, v0, v1), (i, j) in zip(axial, nodes):
-        i, j = int(i), int(j)
-        try:
-            g = gap(u, v, v0, v1, i, j, False)
-            if g > 1e-13:
-                g = gap(u, v, v0, v1, i, j, True)
-        except NumericalLossError:
-            skipped += 1
-            continue
-        worst = max(worst, g)
-        if table is not None:
-            table.append((float(u), float(v), float(v0), float(v1), i, j, float(g)))
-    extras = {"skipped_unresolvable": skipped}
-    if table is not None:
-        extras["sample_columns"] = ("u", "v", "v0", "v1", "i", "j", "violation")
-    return VerificationReport(
-        suite="symmetry",
-        sample_count=count - skipped,
-        max_violation=worst,
-        tolerance=tolerance,
-        seed=seed,
-        config={"count": count},
-        samples=table,
-        extras=extras,
+    pairs = (np.stack([v0 - u, v1 + u], 1), np.stack([i, i], 1),
+             np.stack([v0 - v, v1 + v], 1), np.stack([j, j], 1))
+    table = list(zip(u, v, v0, v1, i.tolist(), j.tolist())) if collect_samples else None
+    return _sweep(
+        "symmetry", ev, pairs, gap, 1e-13, table, ("u", "v", "v0", "v1", "i", "j"),
+        tolerance=tolerance, seed=seed, config={"count": count},
     )
 
 
@@ -339,29 +343,21 @@ def _harnack_constant(
     """Smallest C for the chain inequalities on the level grid."""
     x0 = ev.reference.node
     levels = _harnack_levels(ev, grid_max, densify)
-    logs = {}
-
-    def lg(a: float, c: float) -> float:
-        key = (a, c)
-        if key not in logs:
-            logs[key] = (
-                ev.log_green(CylinderPoint(a, x0), CylinderPoint(c, x0), extended=True),
-                ev.log_green(CylinderPoint(c, x0), CylinderPoint(a, x0), extended=True),
-            )
-        return logs[key]
-
-    worst = 0.0
-    count = 0
-    for u in levels:
-        for v in levels[levels >= u + 1.0]:
-            for w in levels[levels >= v + 1.0]:
-                direct = lg(u, w)
-                prod_u, prod_v = lg(u, v), lg(v, w)
-                for t in (0, 1):  # kernel and transposed kernel
-                    log_ratio = direct[t] - prod_u[t] - prod_v[t]
-                    worst = max(worst, abs(log_ratio))
-                count += 1
-    return math.exp(worst), count
+    # Level pairs a < c at least one unit apart, kernel and transpose.
+    lo, hi = np.nonzero(levels[None, :] >= levels[:, None] + 1.0)
+    logs, lost = ev.log_green_many(
+        np.stack([levels[lo], levels[hi]], 1), x0,
+        np.stack([levels[hi], levels[lo]], 1), x0, extended=True,
+    )
+    if lost.any():
+        raise NumericalLossError("Harnack level pair has no positive Green value")
+    table = np.full((levels.size, levels.size, 2), np.nan, dtype=logs.dtype)
+    table[lo, hi] = logs
+    # Triples u < v < w: log G(u;w) - log G(u;v) - log G(v;w), both kernels.
+    ratio = table[:, None, :, :] - table[:, :, None, :] - table[None, :, :, :]
+    valid = ~np.isnan(ratio[..., 0])
+    worst = float(np.max(np.abs(ratio[valid]), initial=0.0))
+    return math.exp(worst), int(np.count_nonzero(valid))
 
 
 def check_boundary_harnack(
@@ -543,7 +539,7 @@ def check_ratio_limit(
         sums = phi[nodes] @ weights
         if stable is not None:
             mags = np.abs(phi[nodes]) @ np.abs(weights)
-            sick = np.asarray(sums <= 1e-8 * mags)
+            sick = np.asarray(sums <= _HEALTH_SWITCH * mags)
             if np.any(sick):
                 repl = 2.0 * stable.values(s, x, nodes[sick]) * math.exp(s * float(sm[0]))
                 sums = np.asarray(sums, dtype=float)
@@ -619,30 +615,6 @@ def check_reflection(
     y_nodes = left[(raw[:, 2] * len(left)).astype(int).clip(0, len(left) - 1)]
     z_pool = np.concatenate([right, fixed])
     z_nodes = z_pool[(raw[:, 3] * len(z_pool)).astype(int).clip(0, len(z_pool) - 1)]
-    def gap(w, z, pole, extended):
-        lhs = ev.log_green(
-            CylinderPoint(w, int(z)), pole, extended=extended, allow_stable=False
-        )
-        rhs = ev.log_green(
-            CylinderPoint(w, int(sigma[z])), pole, extended=extended, allow_stable=False
-        )
-        return lhs - rhs
-
-    worst = -math.inf
-    skipped = 0
-    table = [] if collect_samples else None
-    for w, v, y, z in zip(w_ax, v_ax, y_nodes, z_nodes):
-        pole = CylinderPoint(v, int(y))
-        try:
-            g = gap(w, z, pole, False)
-            if g > -1e-8:
-                g = gap(w, z, pole, True)
-        except NumericalLossError:
-            skipped += 1
-            continue
-        worst = max(worst, g)
-        if table is not None:
-            table.append((float(w), int(z), float(v), int(y), float(g)))
 
     x0 = ev.reference.node
     dom = -math.inf
@@ -655,19 +627,19 @@ def check_reflection(
     for u, v, y in zip(u2, v2, y2):
         profile = ev.log_green_profile(u, CylinderPoint(v, int(y)))[band]
         dom = max(dom, float(np.max(profile) - profile[x0 - band_lo]))
-    extras = {"skipped_unresolvable": skipped}
-    if table is not None:
-        extras["sample_columns"] = ("w", "z", "v", "y", "violation")
-    return VerificationReport(
-        suite="reflection",
-        sample_count=count - skipped,
-        max_violation=worst,
-        tolerance=tolerance,
-        empirical_constant=math.exp(dom),
-        seed=seed,
+
+    def gap(lg, k):
+        return lg[:, 0] - lg[:, 1]
+
+    pairs = (np.stack([w_ax, w_ax], 1), np.stack([z_nodes, sigma[z_nodes]], 1),
+             np.stack([v_ax, v_ax], 1), np.stack([y_nodes, y_nodes], 1))
+    table = (
+        list(zip(w_ax, z_nodes.tolist(), v_ax, y_nodes.tolist())) if collect_samples else None
+    )
+    return _sweep(
+        "reflection", ev, pairs, gap, -1e-8, table, ("w", "z", "v", "y"),
+        tolerance=tolerance, seed=seed, empirical_constant=math.exp(dom),
         config={"count": count, "domination_gap": domination_gap},
-        samples=table,
-        extras=extras,
     )
 
 

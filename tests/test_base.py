@@ -34,6 +34,27 @@ def test_arc_tridiagonal_structure():
     assert base.is_tridiagonal
 
 
+
+def test_is_tridiagonal_counted_once_without_temporaries(monkeypatch):
+    import tracemalloc
+
+    base = cp.build_arc(math.pi, 1500)
+    calls = []
+    count = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count(*a, **k))
+    tracemalloc.start()
+    try:
+        assert base.is_tridiagonal
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # an n x n boolean mask alone takes 2.25 MB
+    first = len(calls)
+    assert base.is_tridiagonal and len(calls) == first
+    ring = cp.build_graph(edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 0, 0.5]],
+                          mass=[1.0, 1.0, 1.0], dirichlet_leak=[1.0, 0.0, 1.0], d=3)
+    assert not ring.is_tridiagonal
+
 def test_arc_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         cp.build_arc(0.0, 5)

@@ -109,6 +109,25 @@ def test_verify_command_and_determinism(arc_doc, tmp_path):
     assert report["seed"] == 5
 
 
+
+def test_verify_all_skipped_writes_strict_json(arc_doc, tmp_path, monkeypatch):
+    # A health switch at 1 declares every mode sum lost: the sweeps resolve
+    # nothing, fail as insufficient, and their -inf maxima are written null.
+    monkeypatch.setattr("cylpot.cylinder._HEALTH_SWITCH", 1.0)
+    out = tmp_path / "v"
+    code = main(["verify", "--base", str(arc_doc), "--suite", "monotonicity,symmetry",
+                 "--count", "64", "--out", str(out)])
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "verify.json").read_text(encoding="utf-8"), parse_constant=reject)
+    for rep in report["suites"].values():
+        assert rep["status"] == "insufficient" and rep["passed"] is False
+        assert rep["max_violation"] is None
+        assert rep["extras"]["resolved_fraction"] == 0.0
+
 def test_verify_unknown_suite(arc_doc, tmp_path):
     code = main(
         ["verify", "--base", str(arc_doc), "--suite", "nope",

@@ -437,3 +437,122 @@ def test_resolvent_splits_at_zero_coupling():
     stable = StableAxialEvaluator(base, base.b)
     assert np.all(stable.resolvent(4, [0, 1]) == 0.0)
     assert np.all(stable.resolvent(4, [2, 3, 5]) > 0.0)
+
+
+@pytest.fixture(scope="module")
+def graph_small():
+    # A weighted graph with a cycle and a chord: not a path, no resolvent route.
+    base = cp.build_graph(
+        edges=[[0, 1, 1.0], [1, 2, 0.7], [2, 3, 1.3], [3, 4, 0.4], [4, 5, 2.0],
+               [5, 0, 0.9], [1, 4, 0.25], [2, 6, 1.1]],
+        mass=[1.0, 0.5, 1.5, 0.8, 1.2, 0.6, 0.9],
+        dirichlet_leak=[0.3, 0.0, 0.0, 0.5, 0.0, 0.2, 0.7],
+        d=3,
+    )
+    assert not base.is_tridiagonal
+    return base, cp.decompose(base)
+
+
+def _oracle_log_green(ev, p, q, extended=False):
+    """Per-pair log G over every mode, as log_green computed it before the
+    batched route: (log G or None when the sum fails the health switch,
+    tail, magnitude)."""
+    w = p.u - q.u
+    s = abs(w)
+    sqrt_mu = ev.sqrt_mu
+    delta = sqrt_mu - sqrt_mu[0]
+    phi = ev.spec.eigenvectors
+    weights = phi[p.node] * phi[q.node] / (2.0 * sqrt_mu)
+    if extended:
+        decay = np.exp(np.longdouble(-s) * delta.astype(np.longdouble))
+        tail = float(np.dot(weights.astype(np.longdouble), decay))
+    else:
+        decay = np.exp(-s * delta)
+        tail = float(np.dot(weights, decay))
+    magnitude = float(np.dot(np.abs(weights), decay))
+    if tail <= 1e-8 * magnitude:
+        return None, tail, magnitude
+    return -0.5 * ev.spec.b * w - s * sqrt_mu[0] + math.log(tail), tail, magnitude
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize(
+    "fixture", ["arc_small", "cap_small", "chain_default", "one_node", "graph_small"]
+)
+def test_log_green_many_matches_per_pair_oracle(fixture, extended, request):
+    base, spec = request.getfixturevalue(fixture)
+    ev = GreenEvaluator(spec=spec, base=base)
+    rng = np.random.default_rng(17)
+    m = 300
+    pu, qu = rng.uniform(-6.0, 6.0, m), rng.uniform(-6.0, 6.0, m)
+    pu[:30] = qu[:30]  # s = 0 keeps every mode
+    pn, qn = rng.integers(0, base.n, m), rng.integers(0, base.n, m)
+    logs, lost = ev.log_green_many(pu, pn, qu, qn, extended=extended, allow_stable=False)
+    eps64 = np.finfo(float).eps
+    work = np.longdouble if extended else spec.eigenvectors.dtype
+    sm = np.asarray(ev.sqrt_mu, dtype=float)
+    for k in range(m):
+        want, tail, mag = _oracle_log_green(ev, P(pu[k], int(pn[k])), P(qu[k], int(qn[k])), extended)
+        assert bool(lost[k]) == (want is None)
+        if want is None:
+            continue
+        # Both sums round by at most (n + 6 + s delta_max) eps magnitude in
+        # the working precision; truncation moves the tail by under an ulp.
+        s = abs(pu[k] - qu[k])
+        dtail = 2 * (spec.n + 6 + s * (sm[-1] - sm[0])) * np.finfo(work).eps * mag
+        dtail += eps64 * tail
+        bound = dtail / (tail - dtail) + 4 * eps64 * (
+            abs(float(want)) + s * sm[0] + abs(0.5 * spec.b * (pu[k] - qu[k])) + 1.0
+        )
+        assert abs(float(logs[k]) - float(want)) <= bound
+
+
+def test_identity_sides_share_mode_count_and_order(chain_default):
+    base, spec = chain_default
+    ev = GreenEvaluator(spec=spec, base=base)
+    delta, ladder, g = ev._modes("float64").delta, ev._ladder, ev._ground_depth
+    i, j = 3, 6
+    # The separation at which the count of pair (i, j) steps down to a ladder
+    # rung: two sides a hair apart on either side of it keep different
+    # counts alone, and one shared count as one sample.
+    rung = int(ladder[np.searchsorted(ladder, 16)])
+    reach = math.log(1.01 / (np.finfo(float).eps * 1e-8)) + g[i] + g[j]
+    s_pair = reach / delta[rung] * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    nodes_i, nodes_j = np.array([i, i]), np.array([j, j])
+    alone = ev._mode_counts(s_pair, nodes_i, nodes_j)
+    assert alone[0] > alone[1] == rung
+    shared = ev._mode_counts(s_pair, nodes_i, nodes_j, group=2)
+    assert shared[0] == shared[1] == alone[0]
+    logs, lost = ev.log_green_many(np.zeros((1, 2)), i, s_pair[None, :], j)
+    assert not lost.any()
+    # Both sides sum the same leading modes in index order.
+    K = int(shared[0])
+    phi, sm = spec.eigenvectors, ev.sqrt_mu
+    for side, s in enumerate(s_pair):
+        terms = phi[i, :K] * phi[j, :K] / (2.0 * sm[:K]) * np.exp(-s * (sm - sm[0])[:K])
+        tail = np.float64(np.cumsum(terms)[-1])
+        assert logs[0, side] == -0.5 * spec.b * -s - s * sm[0] + np.log(tail)
+
+
+def test_log_green_many_shapes_and_loss(chain_default):
+    base, spec = chain_default
+    ev = GreenEvaluator(spec=spec, base=base)
+    deep = int(cp.chain_bead_centers(base)[-1])
+    pu = np.array([[0.0, 1.0], [2.0, 3.0]])
+    logs, lost = ev.log_green_many(pu, 0, 0.0, [[deep], [5]])
+    assert logs.shape == lost.shape == (2, 2) and not lost.any()
+    for r in range(2):
+        for c in range(2):
+            node = deep if r == 0 else 5
+            assert logs[r, c] == pytest.approx(
+                float(ev.log_green(P(pu[r, c], 0), P(0.0, node))), abs=1e-12
+            )
+    # Without the resolvent the deep pair is lost, and log_green raises.
+    _, lost = ev.log_green_many(0.0, 0, 0.0, deep, allow_stable=False)
+    assert lost
+    with pytest.raises(cp.NumericalLossError):
+        ev.log_green(P(0.0, 0), P(0.0, deep), allow_stable=False)
+    with pytest.raises(ValueError):
+        ev.log_green_many(0.0, 0, 0.0, base.n)
+    empty, none_lost = ev.log_green_many([], [], 0.0, 0)
+    assert empty.shape == none_lost.shape == (0,)

@@ -219,3 +219,66 @@ def test_report_serialization(arc_small):
     d = rep.to_dict()
     assert d["suite"] == "monotonicity" and d["passed"] is True
     assert isinstance(d["max_violation"], float)
+
+
+def test_sweep_reports_route_counts(chain_default):
+    ev = _evaluator(chain_default)
+    for check in (check_green_monotonicity, check_symmetry_identity):
+        rep = check(ev, count=500, seed=13)
+        ex = rep.extras
+        assert ex["screened"] + ex["escalated"] == 500
+        assert ex["resolved_fraction"] == rep.sample_count / 500
+        assert rep.sample_count + ex["skipped_unresolvable"] == 500
+
+
+def test_sweep_with_no_resolved_sample_is_insufficient(arc_small, monkeypatch):
+    # A health switch at 1 declares every mode sum lost.
+    monkeypatch.setattr("cylpot.cylinder._HEALTH_SWITCH", 1.0)
+    ev = _evaluator(arc_small)
+    for rep in (
+        check_green_monotonicity(ev, count=64, seed=1),
+        check_symmetry_identity(ev, count=64, seed=1),
+    ):
+        assert rep.status == "insufficient" and not rep.passed
+        assert rep.sample_count == 0
+        assert rep.extras["skipped_unresolvable"] == 64
+        assert rep.extras["resolved_fraction"] == 0.0
+
+
+def test_deep_pair_near_the_slack_is_remeasured(chain_default):
+    """A screen value below the -1e-8 slack by less than its certified
+    bound settles nothing: the sample is re-measured in eigendata
+    precision, and the report carries that measurement."""
+    ev = _evaluator(chain_default)
+    b, phi, sm = ev.spec.b, ev.spec.eigenvectors, ev.sqrt_mu
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-6.0, 0.0, 4000)
+    v = u + rng.uniform(0.5, 6.0, 4000)
+    i, j = rng.integers(0, ev.spec.n, 4000), rng.integers(0, ev.spec.n, 4000)
+    _, bound, lost = ev.screen_many(u, i, v, j)
+    # A deep pair whose sum cancels to ~1e-7 of its magnitude: its float64
+    # screen is certified only to ~1e-6, far coarser than the slack.
+    k = int(np.flatnonzero(~lost & (bound > 1e-7) & (bound < 1e-5))[0])
+    u0, v0, i0, j0 = u[k], v[k], int(i[k]), int(j[k])
+    rhos = np.geomspace(1e-10, 1e-3, 2000)
+    pu = np.stack([np.full(rhos.size, u0), u0 + rhos], 1)
+    lg, bd, _ = ev.screen_many(pu, i0, v0, j0)
+    viol = lg[:, 0] - (0.5 * b * rhos + lg[:, 1])
+    # Independent floor of the certified bound: (K + 4) eps magnitude/|tail|
+    # for each side, from the sums over every mode.
+    keep = ev._mode_counts(np.abs(pu - v0).ravel(), np.full(pu.size, i0),
+                           np.full(pu.size, j0), group=2).reshape(pu.shape)
+    weights = phi[i0] * phi[j0] / (2.0 * sm)
+    terms = weights[None, :] * np.exp(-np.abs(pu - v0).ravel()[:, None] * (sm - sm[0]))
+    ratio = (np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))).reshape(pu.shape)
+    floor = (keep + 4) * np.finfo(float).eps * ratio.astype(float)
+    assert np.all(bd >= floor)
+    # The largest shift whose screen value the floor cannot settle.
+    rho_k = int(np.flatnonzero(viol + floor.sum(axis=1) > -1e-8)[-1])
+    rho = rhos[rho_k]
+    assert viol[rho_k] < -1e-8
+    rep = check_green_monotonicity(ev, samples=[(u0, v0, rho, i0, j0)])
+    assert rep.extras["escalated"] == 1 and rep.extras["screened"] == 0
+    native, gone = ev.log_green_many(np.array([[u0, u0 + rho]]), i0, v0, j0, allow_stable=False)
+    assert not gone.any()
+    assert rep.max_violation == native[0, 0] - (0.5 * b * rho + native[0, 1])
