@@ -1,10 +1,12 @@
 """Discrete Dirichlet operators on base domains.
 
-Every builder returns a :class:`BaseOperator`: a symmetric stiffness matrix
-(conservation-form finite differences / weighted-graph Laplacian with the
-Dirichlet boundary eliminated into diagonal leak terms) together with positive
-lumped mass weights.  The generalized eigenproblem ``K @ phi = lam * M @ phi``
-of that pair is what the spectral module consumes.
+Every builder returns a :class:`BaseOperator`: a weighted graph stored as an
+edge list (pairs i < j with conductances >= 0) plus the stiffness diagonal,
+in which the Dirichlet boundary is eliminated into leak terms, together with
+positive lumped mass weights.  The symmetric stiffness K has that diagonal
+and K[i, j] = K[j, i] = -conductance on each edge; conservation-form finite
+differences are paths (edges join consecutive nodes).  The generalized
+eigenproblem ``K @ phi = lam * M @ phi`` is what the spectral module consumes.
 
 Builders: uniform arcs of the circle, geodesic caps of the (d-1)-sphere in
 radial Sturm-Liouville form with weight sin^(d-2), bead-and-neck chains, and
@@ -34,7 +36,6 @@ __all__ = [
     "DEFAULT_BEAD_COUNT",
     "DEFAULT_BEAD_NODES",
     "DEFAULT_BEAD_RADIUS",
-    "DIVERGENCE_PROXY_THRESHOLD",
     "inverse_sqrt_radii",
     "uniform_radii",
     "default_chain_spec",
@@ -80,20 +81,26 @@ DEFAULT_BEAD_COUNT = 40
 DEFAULT_BEAD_NODES = 8
 DEFAULT_BEAD_RADIUS = 0.28
 DEFAULT_NECK_RATIO = 0.004
-DIVERGENCE_PROXY_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
 class BaseOperator:
-    """Discrete Dirichlet operator on a base domain.
+    """Discrete Dirichlet operator on a base domain, as a weighted graph.
+
+    Nothing n x n is stored: the stiffness K is the diagonal plus one
+    symmetric pair of entries -conductance per edge.
 
     Attributes
     ----------
-    stiffness : (n, n) ndarray
-        Symmetric, off-diagonal entries <= 0.  Constructed symmetric, never
-        symmetrized after the fact.
     mass : (n,) ndarray
         Positive lumped measure weights.
+    diagonal : (n,) ndarray
+        Diagonal of K: the conductances of the incident edges plus the
+        Dirichlet leak of each node.
+    edges : (E, 2) int ndarray
+        Distinct node pairs (i, j) with i < j.
+    conductance : (E,) ndarray
+        Conductance >= 0 of each edge.
     d : int
         Ambient dimension (>= 2).
     b : float
@@ -108,8 +115,10 @@ class BaseOperator:
         Builder tag ("arc", "cap", "chain", "graph").
     """
 
-    stiffness: np.ndarray
     mass: np.ndarray
+    diagonal: np.ndarray
+    edges: np.ndarray
+    conductance: np.ndarray
     d: int
     b: float
     labels: tuple = ()
@@ -118,20 +127,24 @@ class BaseOperator:
     kind: str = "graph"
 
     def __post_init__(self):
-        K = np.asarray(self.stiffness, dtype=float)
         m = np.asarray(self.mass, dtype=float)
-        object.__setattr__(self, "stiffness", K)
-        object.__setattr__(self, "mass", m)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ParameterError("stiffness must be a square matrix")
-        n = K.shape[0]
-        if m.shape != (n,):
-            raise ParameterError("mass must be a length-n vector")
-        if not np.array_equal(K, K.T):
-            raise AsymmetryError("stiffness matrix is not exactly symmetric")
-        off = K - np.diag(np.diag(K))
-        if np.any(off > 0.0):
-            raise OffDiagonalSignError("stiffness has positive off-diagonal entries")
+        diag = np.asarray(self.diagonal, dtype=float)
+        edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
+        cond = np.asarray(self.conductance, dtype=float)
+        for name, val in (("mass", m), ("diagonal", diag), ("edges", edges),
+                          ("conductance", cond)):
+            object.__setattr__(self, name, val)
+        n = m.shape[0]
+        if m.ndim != 1 or diag.shape != (n,):
+            raise ParameterError("mass and diagonal must be length-n vectors")
+        if cond.shape != (edges.shape[0],):
+            raise ParameterError("need one conductance per edge")
+        i, j = edges.T
+        repeated = np.diff(np.sort(_edge_keys(edges, n))) == 0
+        if np.any(i < 0) or np.any(i >= j) or np.any(j >= n) or np.any(repeated):
+            raise ParameterError("edges must be distinct node pairs (i, j) with i < j")
+        if np.any(cond < 0.0):
+            raise OffDiagonalSignError("an edge has negative conductance")
         if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
             raise MassError("mass weights must be strictly positive and finite")
         if self.reference_node < 0 or self.reference_node >= n:
@@ -143,28 +156,46 @@ class BaseOperator:
                 raise ParameterError("symmetry permutation has wrong length")
             if not np.array_equal(sig[sig], np.arange(n)):
                 raise ParameterError("declared symmetry is not an involution")
-            if not np.array_equal(K[np.ix_(sig, sig)], K):
+            if not (np.array_equal(diag[sig], diag) and _maps_edges_onto_themselves(
+                    sig, edges, cond)):
                 raise AsymmetryError("declared symmetry does not commute with stiffness")
             if not np.array_equal(m[sig], m):
                 raise AsymmetryError("declared symmetry does not preserve the mass weights")
 
     @property
     def n(self) -> int:
-        return self.stiffness.shape[0]
+        return self.mass.shape[0]
 
     @property
     def is_tridiagonal(self) -> bool:
-        """True when all couplings sit on the first off-diagonal (path graph).
+        """True when every edge of nonzero conductance joins consecutive
+        nodes (a path graph, so K is tridiagonal)."""
+        consecutive = self.edges[:, 1] - self.edges[:, 0] == 1
+        return bool(np.all(consecutive | (self.conductance == 0.0)))
 
-        Counted once per base, without temporaries: the stiffness is exactly
-        symmetric, so it is a path when all its nonzeros sit on the diagonal
-        and the two first off-diagonals.
-        """
-        if "_is_tridiagonal" not in self.__dict__:
-            K = self.stiffness
-            band = np.count_nonzero(np.diagonal(K)) + 2 * np.count_nonzero(np.diagonal(K, 1))
-            self.__dict__["_is_tridiagonal"] = bool(np.count_nonzero(K) == band)
-        return self.__dict__["_is_tridiagonal"]
+    @property
+    def stiffness(self) -> np.ndarray:
+        """The dense (n, n) stiffness matrix, built anew on every read."""
+        K = np.diag(self.diagonal)
+        i, j = self.edges.T
+        K[i, j] = K[j, i] = -self.conductance
+        return K
+
+
+def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """One integer per node pair (i, j), i < j."""
+    return edges[:, 0] * n + edges[:, 1]
+
+
+def _maps_edges_onto_themselves(sig, edges, cond) -> bool:
+    """Does the node permutation ``sig`` map the edge list of distinct pairs
+    onto itself, conductances included?  A zero-conductance edge is the
+    same stiffness as no edge, so it is left out."""
+    live = cond != 0.0
+    keys = _edge_keys(edges[live], sig.shape[0])
+    image = _edge_keys(np.sort(sig[edges[live]], axis=1), sig.shape[0])
+    a, b = np.argsort(keys), np.argsort(image)
+    return np.array_equal(keys[a], image[b]) and np.array_equal(cond[live][a], cond[live][b])
 
 
 @dataclass(frozen=True)
@@ -182,7 +213,6 @@ class ChainSpec:
     bead_nodes: int = DEFAULT_BEAD_NODES
     neck_ratio: float = DEFAULT_NECK_RATIO
     anchor_nodes: int = DEFAULT_BEAD_NODES
-    divergence_proxy_threshold: float = DIVERGENCE_PROXY_THRESHOLD
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
@@ -201,11 +231,6 @@ class ChainSpec:
     @property
     def radius_sq_sum(self) -> float:
         return float(sum(r * r for r in self.radii))
-
-    @property
-    def divergence_proxy_met(self) -> bool:
-        """Diagnostic: does sum(r_j^2) exceed the configured proxy threshold?"""
-        return self.radius_sq_sum >= self.divergence_proxy_threshold
 
 
 def inverse_sqrt_radii(bead_count: int) -> tuple:
@@ -234,18 +259,28 @@ def default_chain_spec(
     )
 
 
-def _assemble_path(conductances: np.ndarray, leak_left: float, leak_right: float) -> np.ndarray:
-    """Stiffness of a path graph from consecutive edge conductances."""
+def _graph_operator(edges, conductance, leak, mass, **fields) -> BaseOperator:
+    """BaseOperator of a weighted graph with Dirichlet leaks.  Each edge adds
+    its conductance to the diagonal entries of both its nodes, edge by edge
+    in list order, and the leaks are added last."""
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    conductance = np.asarray(conductance, dtype=float)
+    diagonal = np.zeros(len(mass))
+    np.add.at(diagonal, edges.ravel(), np.repeat(conductance, 2))
+    return BaseOperator(
+        mass=mass, diagonal=diagonal + leak, edges=edges, conductance=conductance, **fields
+    )
+
+
+def _path_operator(conductances, leak_left: float, leak_right: float, mass,
+                   **fields) -> BaseOperator:
+    """Path graph from its consecutive edge conductances and end leaks."""
     n = len(conductances) + 1
-    K = np.zeros((n, n))
-    for i, c in enumerate(conductances):
-        K[i, i] += c
-        K[i + 1, i + 1] += c
-        K[i, i + 1] = -c
-        K[i + 1, i] = -c
-    K[0, 0] += leak_left
-    K[n - 1, n - 1] += leak_right
-    return K
+    leak = np.zeros(n)
+    leak[0] += leak_left
+    leak[-1] += leak_right
+    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    return _graph_operator(edges, conductances, leak, mass, **fields)
 
 
 def build_arc(L: float, n: int, b: float = 0.0) -> BaseOperator:
@@ -261,15 +296,12 @@ def build_arc(L: float, n: int, b: float = 0.0) -> BaseOperator:
     n = int(n)
     h = L / (n + 1)
     c = 1.0 / h
-    K = _assemble_path(np.full(n - 1, c), c, c)
-    mass = np.full(n, h)
     theta = h * np.arange(1, n + 1)
     labels = tuple({"angle": float(t)} for t in theta)
     ref = int(np.argmin(np.abs(theta - L / 2.0)))
     sigma = np.arange(n)[::-1].copy()
-    return BaseOperator(
-        stiffness=K,
-        mass=mass,
+    return _path_operator(
+        np.full(n - 1, c), c, c, np.full(n, h),
         d=2,
         b=float(b),
         labels=labels,
@@ -302,14 +334,12 @@ def build_cap(d: int, theta0: float, n: int, b: Optional[float] = None) -> BaseO
     theta = (np.arange(1, n + 1) - 0.5) * h
     faces = np.arange(1, n + 1) * h
     w_face = np.sin(faces) ** (d - 2)
-    K = _assemble_path(w_face[:-1] / h, 0.0, w_face[-1] / h)
     mass = (np.sin(theta) ** (d - 2)) * h
     labels = tuple({"angle": float(t)} for t in theta)
     ref = int(np.argmin(np.abs(theta - theta0 / 2.0)))
     drift = float(d - 2) if b is None else float(b)
-    return BaseOperator(
-        stiffness=K,
-        mass=mass,
+    return _path_operator(
+        w_face[:-1] / h, 0.0, w_face[-1] / h, mass,
         d=d,
         b=drift,
         labels=labels,
@@ -352,11 +382,9 @@ def build_chain(spec: ChainSpec, d: int, b: Optional[float] = None) -> BaseOpera
             labels.append({"block": "bead", "bead": j, "index": i, "pos": pos})
             if i > 0:
                 conductances.append(1.0 / h_j)
-    K = _assemble_path(np.asarray(conductances), 1.0 / h_anchor, 0.0)
     drift = float(d - 2) if b is None else float(b)
-    return BaseOperator(
-        stiffness=K,
-        mass=np.asarray(masses),
+    return _path_operator(
+        np.asarray(conductances), 1.0 / h_anchor, 0.0, np.asarray(masses),
         d=d,
         b=drift,
         labels=tuple(labels),
@@ -396,7 +424,6 @@ def build_graph(
         raise SchemaError("dirichlet_leak must list one value per node")
     if np.any(leak < 0.0):
         raise ParameterError("Dirichlet leak coefficients must be >= 0")
-    K = np.zeros((n, n))
     seen = {}
     for e in edges:
         if len(e) != 3:
@@ -415,21 +442,14 @@ def build_graph(
                 f"edge {key} declared twice with conductances {seen[key]} and {c}"
             )
         seen[key] = c
-    for (i, j), c in seen.items():
-        K[i, i] += c
-        K[j, j] += c
-        K[i, j] = -c
-        K[j, i] = -c
-    K[np.diag_indices(n)] += leak
     if labels is None:
         lab = tuple({"tag": i} for i in range(n))
     else:
         lab = tuple(dict(x) if isinstance(x, dict) else {"tag": x} for x in labels)
     sig = None if symmetry is None else np.asarray(symmetry, dtype=int)
     drift = float(d - 2) if b is None else float(b)
-    return BaseOperator(
-        stiffness=K,
-        mass=m,
+    return _graph_operator(
+        list(seen), list(seen.values()), leak, m,
         d=int(d),
         b=drift,
         labels=lab,

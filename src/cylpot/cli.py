@@ -281,8 +281,7 @@ def cmd_chain_demo(args) -> int:
         spec, lam=args.lam, t0=args.t0, x=base.reference_node, y_sequence=centers
     )
     ratio = check_ratio_limit(
-        spec, b=base.b, rho=1.0, rho_prime=0.0, x=base.reference_node,
-        y_sequence=centers, base=base,
+        ev, rho=1.0, rho_prime=0.0, x=base.reference_node, y_sequence=centers
     )
     u_fit = np.linspace(*_ALPHA_FIT_WINDOW, _ALPHA_FIT_POINTS)
     # Martin kernels K_pole(u, x0) = G((u, x0); pole) / G(reference; pole)
@@ -329,7 +328,6 @@ def cmd_chain_demo(args) -> int:
                 "neck_ratio": chain.neck_ratio,
                 "anchor_nodes": chain.anchor_nodes,
                 "radius_sq_sum": chain.radius_sq_sum,
-                "divergence_proxy_met": chain.divergence_proxy_met,
             },
             "base": _base_metadata(base, spec),
             "checks": checks,

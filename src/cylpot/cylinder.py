@@ -486,27 +486,6 @@ class GreenEvaluator:
         """G(p; q) in closed eigenmode form (finite on the diagonal too)."""
         return math.exp(self.log_green(p, q))
 
-    def log_green_profile(self, u: float, pole: CylinderPoint) -> np.ndarray:
-        """log G(u, x; pole) for every base node x at once.
-
-        Intended for healthy (non-cancelling) separations; entries whose
-        mode sum came out non-positive are -inf.
-        """
-        w = u - pole.u
-        s = abs(w)
-        delta = self._sqrt_mu - self._sqrt_mu[0]
-        phi = self.spec.eigenvectors
-        weights = (phi[pole.node] / (2.0 * self._sqrt_mu)) * np.exp(-s * delta)
-        tails = phi @ weights
-        out = np.full(self.spec.n, -np.inf)
-        ok = tails > 0.0
-        out[ok] = (
-            -0.5 * self.spec.b * w
-            - s * self._sqrt_mu[0]
-            + np.log(tails[ok].astype(float))
-        )
-        return out
-
     def green_by_quadrature(
         self, p: CylinderPoint, q: CylinderPoint, rel_tol: float = 1e-9
     ) -> float:

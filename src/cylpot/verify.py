@@ -17,14 +17,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import chain_bead_centers
-from .cylinder import (
-    _HEALTH_SWITCH,
-    CylinderPoint,
-    GreenEvaluator,
-    NumericalLossError,
-    StableAxialEvaluator,
-    fit_exponent,
-)
+from .cylinder import CylinderPoint, GreenEvaluator, NumericalLossError, fit_exponent
 from .spectral import SpectralData
 
 __all__ = [
@@ -500,57 +493,26 @@ def check_small_time_ratio(
 
 
 def check_ratio_limit(
-    spec: SpectralData,
-    b: float,
+    ev: GreenEvaluator,
     rho: float,
     rho_prime: float,
     x: int,
     y_sequence: Sequence[int],
-    base=None,
 ) -> VerificationReport:
     """Drifted time-integral ratio against its end limit e^{-b(rho-rho')/2}.
 
-    The integrals int t^{-1/2} e^{-(rho+bt)^2/(4t)} pi_t(x,y) dt reduce
-    mode-wise to e^{-b rho/2} sum_k phi phi e^{-|rho| sqrt(mu_k)}/sqrt(mu_k);
-    the report tracks the deviation of the rho/rho' ratio from the limit
-    along y_sequence.  When ``base`` is supplied (tridiagonal), mode sums
-    that lost their digits to deep-separation cancellation are recomputed by
-    resolvent quadrature.  Informational: max_violation is the final
-    deviation.
+    The integrals int t^{-1/2} e^{-(rho+bt)^2/(4t)} pi_t(x,y) dt are
+    2 sqrt(pi) G((rho, y); (0, x)), so the rho/rho' ratio is
+    exp(log G(rho, y; 0, x) - log G(rho', y; 0, x)), measured by the
+    evaluator (resolvent quadrature where a mode sum lost its digits); the
+    report tracks its deviation from the limit along y_sequence.
+    Informational: max_violation is 0.
     """
-    mu = spec.eigenvalues + 0.25 * b * b
-    if np.any(mu <= 0.0):
-        raise ValueError("shifted rates must stay positive for this drift")
-    sm = np.sqrt(mu)
-    phi = spec.eigenvectors
+    b = ev.spec.b
     nodes = np.asarray(y_sequence, dtype=int)
-
-    stable = None
-    if base is not None and base.is_tridiagonal and base.n >= 2:
-        stable = StableAxialEvaluator(base, b)
-
-    def axial_sums(s: float) -> np.ndarray:
-        """sum_k phi_k(x) phi_k(y) e^{-s sqrt(mu_k)} / sqrt(mu_k), per y.
-
-        Returned in units of the factored mode-1 decay e^{-s sm_1}.
-        """
-        decay = np.exp(-s * (sm - sm[0]))
-        weights = (phi[x] / sm) * decay
-        sums = phi[nodes] @ weights
-        if stable is not None:
-            mags = np.abs(phi[nodes]) @ np.abs(weights)
-            sick = np.asarray(sums <= _HEALTH_SWITCH * mags)
-            if np.any(sick):
-                repl = 2.0 * stable.values(s, x, nodes[sick]) * math.exp(s * float(sm[0]))
-                sums = np.asarray(sums, dtype=float)
-                sums[sick] = repl
-        return np.asarray(sums, dtype=float)
-
+    logs, _ = ev.log_green_many([rho, rho_prime], nodes[:, None], 0.0, x)
+    ratios = np.exp((logs[:, 0] - logs[:, 1]).astype(float))
     limit = math.exp(-0.5 * b * (rho - rho_prime))
-    log_front = -0.5 * b * (rho - rho_prime) - (abs(rho) - abs(rho_prime)) * float(sm[0])
-    num = axial_sums(abs(rho))
-    den = axial_sums(abs(rho_prime))
-    ratios = math.exp(log_front) * num / den
     devs = np.abs(ratios / limit - 1.0)
     # Informational suite: whether the final deviation is small enough is a
     # property of the base (chains converge, arcs need not), so thresholds
@@ -616,17 +578,14 @@ def check_reflection(
     z_pool = np.concatenate([right, fixed])
     z_nodes = z_pool[(raw[:, 3] * len(z_pool)).astype(int).clip(0, len(z_pool) - 1)]
 
-    x0 = ev.reference.node
-    dom = -math.inf
-    dom_count = 200
-    raw2 = _sobol(3, dom_count, seed + 1)
+    raw2 = _sobol(3, 200, seed + 1)
     v2 = -2.0 + 6.0 * raw2[:, 0]
     u2 = v2 - domination_gap - 4.0 * raw2[:, 1]
     y2 = left[(raw2[:, 2] * len(left)).astype(int).clip(0, len(left) - 1)]
     band = np.arange(band_lo, band_hi)
-    for u, v, y in zip(u2, v2, y2):
-        profile = ev.log_green_profile(u, CylinderPoint(v, int(y)))[band]
-        dom = max(dom, float(np.max(profile) - profile[x0 - band_lo]))
+    profiles, _ = ev.log_green_many(u2[:, None], band[None, :], v2[:, None], y2[:, None])
+    x0 = ev.reference.node - band_lo
+    dom = float(np.max(profiles.max(axis=1) - profiles[:, x0]))
 
     def gap(lg, k):
         return lg[:, 0] - lg[:, 1]
@@ -710,13 +669,11 @@ def run_suite(
                 )
             elif name == "ratio_limit":
                 rep = check_ratio_limit(
-                    ev.spec,
-                    b=float(cfg.get("b", ev.spec.b)),
+                    ev,
                     rho=float(cfg.get("rho", 1.0)),
                     rho_prime=float(cfg.get("rho_prime", 0.0)),
                     x=ev.reference.node,
                     y_sequence=y_seq,
-                    base=ev.base,
                 )
             elif name == "reflection":
                 rep = check_reflection(

@@ -149,9 +149,7 @@ def test_criterion_7_chain_vs_arc_contrast(chain_default, arc_fine):
     )
     arc_min = arc_small_time.extras["min_ratio"]
 
-    ratio = check_ratio_limit(
-        spec, b=2.0, rho=1.0, rho_prime=0.0, x=x0, y_sequence=centers, base=base
-    )
+    ratio = check_ratio_limit(ev, rho=1.0, rho_prime=0.0, x=x0, y_sequence=centers)
     deep_dev = ratio.extras["final_deviation"]
 
     u_fit = np.linspace(2.0, 6.0, 9)

@@ -7,6 +7,7 @@ import pytest
 import cylpot as cp
 from cylpot.base import (
     AsymmetryError,
+    BaseOperator,
     MassError,
     OffDiagonalSignError,
     ParameterError,
@@ -142,13 +143,6 @@ def test_chain_bead_centers_march_outward():
     assert len(centers) == 12
 
 
-def test_chain_divergence_proxy_flag():
-    ok = cp.default_chain_spec()
-    assert ok.divergence_proxy_met
-    small = cp.ChainSpec(bead_count=3, radii=(0.5, 0.5, 0.5))
-    assert not small.divergence_proxy_met
-
-
 def test_chain_spec_validation():
     with pytest.raises(ParameterError):
         cp.ChainSpec(bead_count=2, radii=(0.5, 1.5))
@@ -238,3 +232,98 @@ def test_builder_postconditions_everywhere():
         off = K - np.diag(np.diag(K))
         assert np.all(off <= 0.0)
         assert np.all(base.mass > 0.0)
+
+
+def _assemble_path(conductances, leak_left, leak_right):
+    """Dense path stiffness, assembled entry by entry."""
+    n = len(conductances) + 1
+    K = np.zeros((n, n))
+    for i, c in enumerate(conductances):
+        K[i, i] += c
+        K[i + 1, i + 1] += c
+        K[i, i + 1] = -c
+        K[i + 1, i] = -c
+    K[0, 0] += leak_left
+    K[n - 1, n - 1] += leak_right
+    return K
+
+
+def _chain_conductances(spec):
+    h_anchor = 1.0 / spec.anchor_nodes
+    cond = [1.0 / h_anchor] * (spec.anchor_nodes - 1)
+    for r in spec.radii:
+        h = r / spec.bead_nodes
+        cond += [spec.neck_ratio / h] + [1.0 / h] * (spec.bead_nodes - 1)
+    return cond, 1.0 / h_anchor
+
+
+def test_path_stiffness_matches_dense_assembly():
+    for L, n in ((math.pi, 1), (2.0, 17)):
+        c = (n + 1) / L
+        want = _assemble_path(np.full(n - 1, c), c, c)
+        assert np.array_equal(cp.build_arc(L, n).stiffness, want)
+    d, theta0, n = 5, 1.0, 23
+    h = theta0 / (n + 0.5)
+    w_face = np.sin(np.arange(1, n + 1) * h) ** (d - 2)
+    want = _assemble_path(w_face[:-1] / h, 0.0, w_face[-1] / h)
+    assert np.array_equal(cp.build_cap(d, theta0, n).stiffness, want)
+    spec = cp.default_chain_spec(bead_count=4)
+    cond, leak = _chain_conductances(spec)
+    want = _assemble_path(np.asarray(cond), leak, 0.0)
+    assert np.array_equal(cp.build_chain(spec, d=4).stiffness, want)
+
+
+def test_cap_build_stores_nothing_quadratic():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = cp.build_cap(4, math.pi / 2, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # a dense 3000 x 3000 stiffness alone takes 72 MB
+    assert base.is_tridiagonal and base.edges.shape == (2999, 2)
+
+
+@pytest.mark.parametrize(
+    "mutation, match",
+    [
+        ({}, None),
+        # A zero-conductance edge is no edge: its image need not be listed.
+        ({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 0.5], [0, 2, 0.0]]}, None),
+        # Leaks keep the diagonal symmetric; the edge (2, 3) is not.
+        ({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.5], [0, 3, 0.5]],
+          "dirichlet_leak": [1.5, 0.5, 0.0, 1.0]}, "stiffness"),
+        ({"dirichlet_leak": [1.0, 0.0, 0.0, 2.0]}, "stiffness"),
+        ({"mass": [1.0, 2.0, 2.0, 1.5]}, "mass"),
+    ],
+)
+def test_graph_symmetry_declaration(mutation, match):
+    doc = {
+        "type": "graph",
+        "d": 3,
+        "edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 0.5]],
+        "mass": [1.0, 2.0, 2.0, 1.0],
+        "dirichlet_leak": [1.0, 0.0, 0.0, 1.0],
+        "symmetry": [3, 2, 1, 0],
+    }
+    doc.update(mutation)
+    if match is None:
+        base = cp.load_base(doc)
+        sigma = base.symmetry
+        assert np.array_equal(base.stiffness[np.ix_(sigma, sigma)], base.stiffness)
+    else:
+        with pytest.raises(AsymmetryError, match=match):
+            cp.load_base(doc)
+
+
+def test_operator_rejects_malformed_edge_lists():
+    fields = dict(mass=[1.0, 1.0, 1.0], diagonal=[2.0, 2.0, 2.0], d=3, b=1.0)
+    for edges in ([[1, 0]], [[1, 1]], [[0, 3]], [[-1, 2]], [[0, 1], [0, 1]]):
+        with pytest.raises(ParameterError):
+            BaseOperator(edges=edges, conductance=[1.0] * len(edges), **fields)
+    with pytest.raises(ParameterError):
+        BaseOperator(edges=[[0, 1]], conductance=[1.0, 2.0], **fields)
+    with pytest.raises(OffDiagonalSignError):
+        BaseOperator(edges=[[0, 1]], conductance=[-1.0], **fields)

@@ -259,6 +259,9 @@ def test_mass_scaled_bands_match_dense_similarity(cap_small):
     [
         (cp.build_arc(math.pi, 101), False),
         (cp.build_chain(cp.default_chain_spec(), d=4), True),
+        # Lumped cap masses near the pole are ~h^3: only a residual weighted
+        # by M^-1 sees this perturbation.
+        (cp.build_cap(4, 2 * math.pi / 5, 301), False),
     ],
 )
 def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monkeypatch):

@@ -114,21 +114,23 @@ def test_small_time_chain_collapses_at_the_end(chain_default):
 
 
 def test_ratio_limit_trivial_cases(arc_small, cap_small):
-    base_a, spec_a = arc_small
     nodes = [10, 40, 90]
-    rep = check_ratio_limit(spec_a, b=0.0, rho=1.3, rho_prime=-1.3, x=50, y_sequence=nodes)
+    rep = check_ratio_limit(
+        _evaluator(arc_small), rho=1.3, rho_prime=-1.3, x=50, y_sequence=nodes
+    )
     assert np.allclose(rep.extras["ratios"], 1.0, rtol=1e-12)
-    base_c, spec_c = cap_small
-    rep2 = check_ratio_limit(spec_c, b=2.0, rho=0.8, rho_prime=0.8, x=150, y_sequence=nodes)
+    rep2 = check_ratio_limit(
+        _evaluator(cap_small), rho=0.8, rho_prime=0.8, x=150, y_sequence=nodes
+    )
     assert np.allclose(rep2.extras["ratios"], math.exp(0.0), rtol=1e-12)
 
 
 def test_ratio_limit_chain_converges(chain_default):
-    base, spec = chain_default
+    base, _ = chain_default
     centers = cp.chain_bead_centers(base)
     rep = check_ratio_limit(
-        spec, b=2.0, rho=1.0, rho_prime=0.0, x=base.reference_node,
-        y_sequence=centers, base=base,
+        _evaluator(chain_default), rho=1.0, rho_prime=0.0, x=base.reference_node,
+        y_sequence=centers,
     )
     devs = np.asarray(rep.extras["deviations"], dtype=float)
     assert rep.extras["final_deviation"] <= 0.10
