@@ -47,11 +47,9 @@ from .cylinder import (
 from .spectral import (
     DegenerateGroundStateError,
     EigensolverError,
-    ExponentLadder,
     NotPositiveDefiniteError,
     SpectralData,
     decompose,
-    exponent_ladder,
     heat_kernel,
     heat_kernel_matrix,
 )

@@ -35,7 +35,7 @@ from .convolution import (
     tail_mass,
 )
 from .cylinder import CylinderPoint, GreenEvaluator, NumericalLossError, fit_exponent
-from .spectral import SpectralError, decompose, exponent_ladder
+from .spectral import SpectralError, decompose
 from .verify import (
     UnknownSuiteError,
     check_ratio_limit,
@@ -102,17 +102,16 @@ def _load_evaluator(args):
 
 
 def _base_metadata(base, spec) -> dict:
-    ladder = exponent_ladder(spec)
     return {
         "kind": base.kind,
         "n": base.n,
         "d": base.d,
         "b": base.b,
         "reference_node": base.reference_node,
-        "lambda1": ladder.lambda1,
-        "alpha_min": ladder.alpha_min,
-        "alpha_zero": ladder.alpha_zero,
-        "alpha_max": ladder.alpha_max,
+        "lambda1": spec.lambda1,
+        "alpha_min": spec.alpha_min,
+        "alpha_zero": spec.alpha_zero,
+        "alpha_max": spec.alpha_max,
         "mass_total": float(np.sum(base.mass)),
     }
 
@@ -227,13 +226,11 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    config = {
-        "count": args.count,
-        "tol_exact": args.tol_exact,
-        "collect_samples": args.per_sample,
-    }
     try:
-        reports = run_suite(ev, suites or ("all",), config=config, seed=args.seed)
+        reports = run_suite(
+            ev, suites or ("all",), seed=args.seed, count=args.count,
+            tolerance=args.tol_exact, collect_samples=args.per_sample,
+        )
     except UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -456,7 +453,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BaseSpecError, SpectralError, OSError, ValueError) as exc:
+    except (BaseSpecError, SpectralError, NumericalLossError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

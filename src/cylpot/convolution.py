@@ -36,6 +36,9 @@ ENUMERATION_LIMIT = 25
 _MERGE_TOL = 1e-12
 _GRID_DENOMINATOR_CAP = 10_000
 _GRID_POINT_CAP = 5_000_000
+# The beta grid of chernoff_threshold_details: step, step + step, ..., max.
+_BETA_STEP = 1e-3
+_BETA_MAX = 5.0
 
 
 class ConvolutionCapacityError(ValueError):
@@ -188,10 +191,9 @@ class ChernoffThreshold(NamedTuple):
     beta: float
 
 
-def chernoff_threshold_details(
-    L: float, eps: float, beta_grid_step: float = 1e-3, beta_max: float = 5.0
-) -> ChernoffThreshold:
-    """Threshold A(L, eps) with the grid-optimal beta that certified it.
+def chernoff_threshold_details(L: float, eps: float) -> ChernoffThreshold:
+    """Threshold A(L, eps) with the beta that certified it, the best on a
+    grid of step 1e-3 up to 5.
 
     Uses the simplified bound e^{beta L} exp(-(beta/2) e^{-beta} sum a_k),
     valid for delays a_k <= 1: the bound drops below eps once
@@ -201,7 +203,7 @@ def chernoff_threshold_details(
         raise ValueError("eps must lie in (0, 1)")
     if L <= 0.0:
         raise ValueError("L must be positive")
-    betas = np.arange(beta_grid_step, beta_max + 0.5 * beta_grid_step, beta_grid_step)
+    betas = np.arange(_BETA_STEP, _BETA_MAX + 0.5 * _BETA_STEP, _BETA_STEP)
     need = (math.log(1.0 / eps) + betas * L) * 2.0 * np.exp(betas) / betas
     best = int(np.argmin(need))
     return ChernoffThreshold(threshold=float(need[best]), beta=float(betas[best]))

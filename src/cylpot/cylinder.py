@@ -231,77 +231,49 @@ class _Modes(NamedTuple):
     sqrt_mu1: float
 
 
-@dataclass(frozen=True)
 class GreenEvaluator:
-    """Immutable evaluator of G, Martin kernels and the canonical solutions.
+    """Evaluator of G, Martin kernels and the canonical solutions.
 
     The reference point (0, reference node of the base) normalizes every
-    Martin kernel.  Safe for unlimited concurrent evaluation.
+    Martin kernel.
     """
 
-    spec: SpectralData
-    base: BaseOperator
-    reference: CylinderPoint = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.reference is None:
-            object.__setattr__(
-                self, "reference", CylinderPoint(0.0, self.base.reference_node)
-            )
-        ref = CylinderPoint(float(self.reference[0]), int(self.reference[1]))
-        object.__setattr__(self, "reference", ref)
-        if not 0 <= ref.node < self.spec.n:
+    def __init__(self, spec: SpectralData, base: BaseOperator,
+                 reference: Optional[CylinderPoint] = None):
+        if reference is None:
+            reference = CylinderPoint(0.0, base.reference_node)
+        self.spec = spec
+        self.base = base
+        self.reference = CylinderPoint(float(reference[0]), int(reference[1]))
+        if not 0 <= self.reference.node < spec.n:
             raise ValueError("reference node out of range")
-        if np.any(self.spec.mu <= 0.0):
+        if np.any(spec.mu <= 0.0):
             raise ValueError("all shifted rates mu_k must be positive")
-        object.__setattr__(self, "_sqrt_mu", np.sqrt(self.spec.mu))
-        stable = None
-        if self.base.is_tridiagonal and self.base.n >= 2:
-            stable = StableAxialEvaluator(self.base, self.spec.b)
-        object.__setattr__(self, "_stable", stable)
+        sm = np.sqrt(spec.mu)
+        self.sqrt_mu = sm
+        self._stable = None
+        if base.is_tridiagonal and base.n >= 2:
+            self._stable = StableAxialEvaluator(base, spec.b)
+        # Mode tables of the two working precisions: the float64 screen (the
+        # eigendata itself on float64 bases, a copy on refined chains), and
+        # the 80-bit sums, which accumulate the decays in longdouble (on
+        # refined chains that is the eigendata as stored).
+        delta = sm - sm[0]
+        self._float64_modes = _Modes(
+            np.asarray(spec.eigenvectors, dtype=float), (2.0 * sm).astype(float),
+            delta.astype(float), float(sm[0]),
+        )
+        self._extended_modes = _Modes(
+            spec.eigenvectors, 2.0 * sm, delta.astype(np.longdouble), sm[0]
+        )
+        self._screen_is_exact = spec.eigenvectors.dtype == np.float64
         # Truncation data of the batched mode sums (see _mode_counts): the
         # quarter-octave ladder of mode counts, and g_i = -log(phi_1(i) sqrt(m_i)).
-        n = self.spec.n
+        n = spec.n
         ladder = np.minimum(n, np.ceil(2.0 ** (np.arange(4 * n.bit_length() + 1) / 4.0)))
-        phi1 = np.asarray(self.spec.ground_state, dtype=float)
-        object.__setattr__(self, "_ladder", np.unique(ladder).astype(int))
-        object.__setattr__(self, "_ground_depth", -np.log(phi1 * np.sqrt(self.spec.mass)))
-
-    @property
-    def sqrt_mu(self) -> np.ndarray:
-        return self._sqrt_mu
-
-    def _modes(self, precision: str) -> _Modes:
-        """Mode data of one working precision, built on first use.
-
-        ``native`` is the eigendata as stored; ``float64`` is its float64
-        view (the data itself for float64 eigendata, a copy for refined
-        chains); ``extended`` accumulates the decays in 80-bit floats.
-        """
-        cache = self.__dict__.setdefault("_mode_cache", {})
-        if precision not in cache:
-            native = _Modes(
-                self.spec.eigenvectors,
-                2.0 * self._sqrt_mu,
-                self._sqrt_mu - self._sqrt_mu[0],
-                self._sqrt_mu[0],
-            )
-            if precision == "native":
-                cache[precision] = native
-            elif precision == "extended":
-                cache[precision] = native._replace(delta=native.delta.astype(np.longdouble))
-            else:
-                cache[precision] = _Modes(
-                    np.asarray(native.phi, dtype=float),
-                    native.two_sqrt_mu.astype(float),
-                    native.delta.astype(float),
-                    float(native.sqrt_mu1),
-                )
-        return cache[precision]
-
-    @property
-    def _screen_is_native(self) -> bool:
-        return self.spec.eigenvectors.dtype == np.float64
+        self._ladder = np.unique(ladder).astype(int)
+        phi1 = np.asarray(spec.ground_state, dtype=float)
+        self._ground_depth = -np.log(phi1 * np.sqrt(spec.mass))
 
     def _pairs(self, pu, pnode, qu, qnode):
         """Flat (w, s, i, j, keep) of broadcast pair arrays, and their shape."""
@@ -338,7 +310,7 @@ class GreenEvaluator:
         g = self._ground_depth
         with np.errstate(divide="ignore"):
             reach = (math.log(1.01 / (_EPS * _HEALTH_SWITCH)) + g[i] + g[j]) / s
-        keep = np.searchsorted(self._modes("float64").delta, reach, side="right")
+        keep = np.searchsorted(self._float64_modes.delta, reach, side="right")
         keep = np.repeat(keep.reshape(-1, group).max(axis=1), group)
         return self._ladder[np.searchsorted(self._ladder, keep)]
 
@@ -385,7 +357,7 @@ class GreenEvaluator:
         a few per term for the weight, exp and product, and s delta eps for
         the rounded exp argument.
         """
-        modes = self._modes("float64")
+        modes = self._float64_modes
         tail, mag = self._mode_sums(modes, s, i, j, keep)
         logs, lost = self._log_values(modes, w, s, tail, mag)
         if exact:
@@ -412,7 +384,7 @@ class GreenEvaluator:
         with a finite bound are certainly lost at eigendata precision.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
-        out = self._screen(w, s, i, j, keep, exact=self._screen_is_native)
+        out = self._screen(w, s, i, j, keep, exact=self._screen_is_exact)
         return tuple(a.reshape(shape) for a in out)
 
     def log_green_many(self, pu, pnode, qu, qnode, extended: bool = False,
@@ -430,12 +402,12 @@ class GreenEvaluator:
         sums.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
-        exact = self._screen_is_native and not extended
+        exact = self._screen_is_exact and not extended
         logs, bound, lost = self._screen(w, s, i, j, keep, exact)
         if not exact:
-            modes = self._modes("extended" if extended else "native")
+            modes = self._extended_modes
             todo = ~(lost & np.isfinite(bound))
-            logs = np.full(s.size, np.nan, dtype=self._sqrt_mu.dtype)
+            logs = np.full(s.size, np.nan, dtype=self.sqrt_mu.dtype)
             tail, mag = self._mode_sums(modes, s[todo], i[todo], j[todo], keep[todo])
             logs[todo], lost[todo] = self._log_values(modes, w[todo], s[todo], tail, mag)
         if allow_stable and self._stable is not None and lost.any():
@@ -508,7 +480,7 @@ class GreenEvaluator:
         def integrand(t: float) -> float:
             return gaussian_density(t, w, b) * float(np.dot(c, np.exp(-lam * t)))
 
-        t_split = max(abs(w) / (2.0 * self._sqrt_mu[0]), 1e-2)
+        t_split = max(abs(w) / (2.0 * self.sqrt_mu[0]), 1e-2)
         # quad cannot be asked for less than ~50 eps; the requested rel_tol
         # is still enforced on the achieved error estimate below.
         quad_eps = max(rel_tol / 4.0, 1e-13)
@@ -575,7 +547,7 @@ class GreenEvaluator:
         if np.any(u_grid > v):
             raise ValueError("probe grid must stay on the near side of the pole")
         i0 = self.reference.node
-        sm = self._sqrt_mu
+        sm = self.sqrt_mu
         delta = sm - sm[0]
         phi = self.spec.eigenvectors
         c_pole = phi[jp] / (2.0 * sm)            # (n_modes,)

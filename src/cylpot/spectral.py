@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -27,16 +27,17 @@ __all__ = [
     "DegenerateGroundStateError",
     "NotPositiveDefiniteError",
     "SpectralData",
-    "ExponentLadder",
     "decompose",
     "mass_scaled_bands",
     "heat_kernel",
     "heat_kernel_matrix",
-    "exponent_ladder",
 ]
 
 # Relative spectral gap below which lam_1 is treated as degenerate.
 _PERRON_GAP_TOL = 1e-12
+
+# Largest accepted eigenpair residual, relative to |lam|.
+_RESIDUAL_TOL = 1e-6
 
 
 class SpectralError(RuntimeError):
@@ -105,13 +106,6 @@ class SpectralData:
     def alpha_minus(self) -> np.ndarray:
         """Per-mode decaying axial rate -b/2 - sqrt(mu_k)."""
         return -0.5 * self.b - np.sqrt(self.mu)
-
-
-class ExponentLadder(NamedTuple):
-    alpha_min: float
-    alpha_zero: float
-    alpha_max: float
-    lambda1: float
 
 
 def mass_scaled_bands(base: BaseOperator):
@@ -228,7 +222,6 @@ def _refine_low_band(diag, off, vals, psi, cutoff: float):
 
 def decompose(
     base: BaseOperator,
-    residual_tol: float = 1e-6,
     refine_low_band: Optional[bool] = None,
     refine_cutoff: float = 50.0,
 ) -> SpectralData:
@@ -250,7 +243,7 @@ def decompose(
     Raises
     ------
     EigensolverError
-        if any eigenpair residual exceeds ``residual_tol`` relative to |lam|
+        if any eigenpair residual exceeds 1e-6 relative to |lam|
         (the worst relative residual is reported).
     DegenerateGroundStateError
         if lam_2 - lam_1 <= 1e-12 * max(1, lam_1).
@@ -280,7 +273,7 @@ def decompose(
     a_psi -= psi * vals[None, :]
     worst = np.max(np.linalg.norm(a_psi, axis=0) / np.maximum(np.abs(vals), 1e-300))
     del a_psi
-    if not np.isfinite(worst) or worst > residual_tol:
+    if not np.isfinite(worst) or worst > _RESIDUAL_TOL:
         raise EigensolverError(
             f"eigensolver residuals too large: worst relative residual {worst:.3e}"
         )
@@ -327,12 +320,3 @@ def heat_kernel_matrix(spec: SpectralData, t: float) -> np.ndarray:
     w = np.exp(-spec.eigenvalues * t)
     return (spec.eigenvectors * w[None, :]) @ spec.eigenvectors.T
 
-
-def exponent_ladder(spec: SpectralData) -> ExponentLadder:
-    """The three admissible axial exponents and the ground eigenvalue."""
-    return ExponentLadder(
-        alpha_min=spec.alpha_min,
-        alpha_zero=spec.alpha_zero,
-        alpha_max=spec.alpha_max,
-        lambda1=spec.lambda1,
-    )

@@ -157,14 +157,14 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     ``pairs`` holds (pu, pnode, qu, qnode) arrays of shape (samples, r): the
     r Green values one sample compares.  ``metric(logs, k)`` maps the (len(k),
     r) log values of samples k to their measured values; it must move by at
-    most 1 per unit change of any one log value.  A sample is measured in
-    eigendata precision and re-measured in 80-bit arithmetic when its value
-    exceeds ``slack``; a sample with a lost mode sum is skipped.  The float64
-    screen settles a sample when its certified bound cannot change that
-    outcome (certainly lost, or certainly healthy with value + bound <=
-    slack); every other sample takes the full route.  A sweep that resolves
-    no sample measured nothing and is ``insufficient``.  ``table`` holds the
-    per-sample rows (``columns`` without the measured value), or None.
+    most 1 per unit change of any one log value.  The float64 screen settles
+    a sample when its certified bound cannot change the outcome (certainly
+    lost, or certainly healthy with value + bound <= slack); every other
+    sample is measured once in 80-bit arithmetic (the eigendata precision of
+    refined chains), and skipped if a mode sum is lost there.  A sweep that
+    resolves no sample measured nothing and is ``insufficient``.  ``table``
+    holds the per-sample rows (``columns`` without the measured value), or
+    None.
     """
     logs, bound, lost = ev.screen_many(*pairs)
     count = logs.shape[0]
@@ -177,17 +177,11 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     settled = skipped | np.isfinite(bound).all(axis=1) & (
         values + np.where(exact, 0.0, err) <= slack
     )
-
-    def remeasure(k, extended):
-        lg, gone = ev.log_green_many(*(a[k] for a in pairs), extended=extended,
-                                     allow_stable=False)
-        gone = gone.any(axis=1)
-        skipped[k[gone]] = True
-        values[k[~gone]] = metric(lg[~gone], k[~gone])
-
-    # An exact screen value is the eigendata-precision measurement itself.
-    remeasure(np.flatnonzero(~settled & ~exact), False)
-    remeasure(np.flatnonzero(~settled & ~skipped & (values > slack)), True)
+    k = np.flatnonzero(~settled)
+    lg, gone = ev.log_green_many(*(a[k] for a in pairs), extended=True, allow_stable=False)
+    gone = gone.any(axis=1)
+    skipped[k[gone]] = True
+    values[k[~gone]] = metric(lg[~gone], k[~gone])
     resolved = ~skipped
     extras = {
         "skipped_unresolvable": int(np.count_nonzero(skipped)),
@@ -506,11 +500,18 @@ def check_ratio_limit(
     exp(log G(rho, y; 0, x) - log G(rho', y; 0, x)), measured by the
     evaluator (resolvent quadrature where a mode sum lost its digits); the
     report tracks its deviation from the limit along y_sequence.
-    Informational: max_violation is 0.
+    Informational: max_violation is 0.  Raises NumericalLossError when a
+    Green value has no positive value on any route.
     """
     b = ev.spec.b
     nodes = np.asarray(y_sequence, dtype=int)
-    logs, _ = ev.log_green_many([rho, rho_prime], nodes[:, None], 0.0, x)
+    logs, lost = ev.log_green_many([rho, rho_prime], nodes[:, None], 0.0, x)
+    if lost.any():
+        row, col = np.argwhere(lost)[0]
+        raise NumericalLossError(
+            f"no positive value for G(({(rho, rho_prime)[col]}, {nodes[row]}); "
+            f"(0.0, {x})) on any route"
+        )
     ratios = np.exp((logs[:, 0] - logs[:, 1]).astype(float))
     limit = math.exp(-0.5 * b * (rho - rho_prime))
     devs = np.abs(ratios / limit - 1.0)
@@ -602,26 +603,38 @@ def check_reflection(
     )
 
 
-SUITE_NAMES = (
-    "monotonicity",
-    "symmetry",
-    "normalization",
-    "harnack",
-    "iu_ratio",
-    "small_time",
-    "ratio_limit",
-    "reflection",
-)
+# run_suite's suites by name.  The lambdas look the check functions up in
+# this module when a suite runs, so a replaced module global is the one run.
+_SUITES = {
+    "monotonicity": lambda ev, sweep, y_seq: check_green_monotonicity(ev, **sweep),
+    "symmetry": lambda ev, sweep, y_seq: check_symmetry_identity(ev, **sweep),
+    "normalization": lambda ev, sweep, y_seq: check_normalization(ev),
+    "harnack": lambda ev, sweep, y_seq: check_boundary_harnack(ev),
+    "iu_ratio": lambda ev, sweep, y_seq: check_iu_ratio(ev.spec, _iu_probe_node(ev)),
+    "small_time": lambda ev, sweep, y_seq: check_small_time_ratio(
+        ev.spec, lam=0.0, t0=1.0, x=ev.reference.node, y_sequence=y_seq
+    ),
+    "ratio_limit": lambda ev, sweep, y_seq: check_ratio_limit(
+        ev, rho=1.0, rho_prime=0.0, x=ev.reference.node, y_sequence=y_seq
+    ),
+    "reflection": lambda ev, sweep, y_seq: check_reflection(ev, **sweep),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
     ev: GreenEvaluator,
     suites: Sequence[str] = ("all",),
-    config: Optional[dict] = None,
     seed: int = 0,
+    count: int = 10_000,
+    tolerance: float = EXACT_TOL,
+    collect_samples: bool = False,
 ) -> Dict[str, VerificationReport]:
-    """Run the selected suites; one suite's failure does not abort the rest."""
-    cfg = dict(config or {})
+    """Run the selected suites; one suite's failure does not abort the rest.
+
+    ``count``, ``tolerance`` and ``collect_samples`` go to the three
+    exactness sweeps (monotonicity, symmetry, reflection).
+    """
     names: list = []
     for name in suites:
         if name == "all":
@@ -630,56 +643,17 @@ def run_suite(
             names.append(name)
         else:
             raise UnknownSuiteError(f"unknown verification suite {name!r}")
-    count = int(cfg.get("count", 10_000))
-    tol_exact = float(cfg.get("tol_exact", EXACT_TOL))
-    collect = bool(cfg.get("collect_samples", False))
-
+    sweep = {"count": count, "seed": seed, "tolerance": tolerance,
+             "collect_samples": collect_samples}
     if ev.base.kind == "chain":
         y_seq = chain_bead_centers(ev.base)
     else:
-        band_lo, band_hi = _node_band(ev.spec.n)
-        y_seq = np.arange(band_lo, band_hi)
+        y_seq = np.arange(*_node_band(ev.spec.n))
 
     reports: Dict[str, VerificationReport] = {}
     for name in names:
         try:
-            if name == "monotonicity":
-                rep = check_green_monotonicity(
-                    ev, count=count, seed=seed, tolerance=tol_exact,
-                    collect_samples=collect,
-                )
-            elif name == "symmetry":
-                rep = check_symmetry_identity(
-                    ev, count=count, seed=seed, tolerance=tol_exact,
-                    collect_samples=collect,
-                )
-            elif name == "normalization":
-                rep = check_normalization(ev)
-            elif name == "harnack":
-                rep = check_boundary_harnack(ev, grid_max=int(cfg.get("grid_max", 10)))
-            elif name == "iu_ratio":
-                rep = check_iu_ratio(spec=ev.spec, probe_node=_iu_probe_node(ev))
-            elif name == "small_time":
-                rep = check_small_time_ratio(
-                    ev.spec,
-                    lam=float(cfg.get("lam", 0.0)),
-                    t0=float(cfg.get("t0", 1.0)),
-                    x=ev.reference.node,
-                    y_sequence=y_seq,
-                )
-            elif name == "ratio_limit":
-                rep = check_ratio_limit(
-                    ev,
-                    rho=float(cfg.get("rho", 1.0)),
-                    rho_prime=float(cfg.get("rho_prime", 0.0)),
-                    x=ev.reference.node,
-                    y_sequence=y_seq,
-                )
-            elif name == "reflection":
-                rep = check_reflection(
-                    ev, count=count, seed=seed, tolerance=tol_exact,
-                    collect_samples=collect,
-                )
+            rep = _SUITES[name](ev, sweep, y_seq)
         except Exception as exc:  # noqa: BLE001 - suite isolation is the contract
             rep = VerificationReport(
                 suite=name,

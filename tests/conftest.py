@@ -64,3 +64,20 @@ def one_node():
 def one_node_drift():
     base = cp.build_graph(edges=[], mass=[1.0], dirichlet_leak=[3.0], d=4, b=2.0)
     return base, cp.decompose(base)
+
+
+@pytest.fixture(scope="session")
+def chain_shortcut():
+    """A 12-bead chain and its edges, mass and a leak at node 0 re-entered
+    as a graph document with one extra edge (0, 2): not a path, so it has
+    no resolvent route, and its deepest mode sums lose their digits."""
+    chain = cp.build_chain(cp.default_chain_spec(bead_count=12), d=4)
+    edges = [[int(i), int(j), float(c)] for (i, j), c in zip(chain.edges, chain.conductance)]
+    doc = {
+        "type": "graph",
+        "d": 4,
+        "edges": edges + [[0, 2, 1e-3]],
+        "mass": chain.mass.tolist(),
+        "dirichlet_leak": [8.0] + [0.0] * (chain.n - 1),
+    }
+    return chain, doc

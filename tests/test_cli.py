@@ -65,6 +65,19 @@ def test_green_command(arc_doc, tmp_path):
     assert value > 0.0
 
 
+def test_green_loss_exits_2_without_traceback(chain_shortcut, tmp_path, capsys):
+    doc = tmp_path / "graph.json"
+    doc.write_text(json.dumps(chain_shortcut[1]))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,node\n0.0,103\n3.0,103\n")
+    code = main(
+        ["green", "--base", str(doc), "--points", str(pts),
+         "--pole-u", "0.0", "--pole-node", "0", "--out", str(tmp_path / "green")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: NumericalLossError: ")
+
+
 def test_converge_command(arc_doc, tmp_path):
     out = tmp_path / "conv"
     code = main(

@@ -510,7 +510,7 @@ def test_log_green_many_matches_per_pair_oracle(fixture, extended, request):
 def test_identity_sides_share_mode_count_and_order(chain_default):
     base, spec = chain_default
     ev = GreenEvaluator(spec=spec, base=base)
-    delta, ladder, g = ev._modes("float64").delta, ev._ladder, ev._ground_depth
+    delta, ladder, g = ev._float64_modes.delta, ev._ladder, ev._ground_depth
     i, j = 3, 6
     # The separation at which the count of pair (i, j) steps down to a ladder
     # rung: two sides a hair apart on either side of it keep different

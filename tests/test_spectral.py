@@ -7,7 +7,6 @@ import cylpot as cp
 from cylpot import (
     DegenerateGroundStateError,
     NotPositiveDefiniteError,
-    exponent_ladder,
     heat_kernel,
     heat_kernel_matrix,
 )
@@ -114,22 +113,25 @@ def test_heat_kernel_ground_state_domination(arc_small):
         assert lhs <= bound
 
 
+def _ladder(spec):
+    return (spec.alpha_min, spec.alpha_zero, spec.alpha_max, spec.lambda1)
+
+
 def test_exponent_ladder_closed_forms():
     flat = cp.decompose(
         cp.build_graph(edges=[], mass=[1.0], dirichlet_leak=[1.0], d=2, b=0.0)
     )
-    assert exponent_ladder(flat) == pytest.approx((-1.0, 0.0, 1.0, 1.0))
+    assert _ladder(flat) == pytest.approx((-1.0, 0.0, 1.0, 1.0))
     drift = cp.decompose(
         cp.build_graph(edges=[], mass=[1.0], dirichlet_leak=[3.0], d=4, b=2.0)
     )
-    assert exponent_ladder(drift) == pytest.approx((-3.0, -1.0, 1.0, 3.0))
+    assert _ladder(drift) == pytest.approx((-3.0, -1.0, 1.0, 3.0))
 
 
 def test_exponent_ladder_hemisphere(cap_hemi4):
     _, spec = cap_hemi4
-    ladder = exponent_ladder(spec)
-    assert abs(ladder.alpha_max - 1.0) <= 1e-4
-    assert ladder.alpha_min < ladder.alpha_zero < ladder.alpha_max
+    assert abs(spec.alpha_max - 1.0) <= 1e-4
+    assert spec.alpha_min < spec.alpha_zero < spec.alpha_max
 
 
 @pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])

@@ -162,9 +162,22 @@ def test_reflection_constant_stable_under_refinement(arc_sym):
     assert abs(c2 / c1 - 1.0) <= 0.10
 
 
+def test_ratio_limit_with_a_lost_pair_is_an_error(chain_shortcut):
+    chain, doc = chain_shortcut
+    base = cp.load_base(doc)
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    centers = cp.chain_bead_centers(chain)
+    # The deepest rho' = 0 pair has no positive value on any route.
+    with pytest.raises(cp.NumericalLossError, match=rf"G\(\(0.0, {centers[-1]}\); \(0.0, 0\)\)"):
+        check_ratio_limit(ev, 1.0, 0.0, 0, centers)
+    rep = run_suite(ev, ("ratio_limit",))["ratio_limit"]
+    assert rep.status == "error" and not rep.passed
+    assert rep.note.startswith("NumericalLossError")
+
+
 def test_run_suite_all_on_arc(arc_small):
     ev = _evaluator(arc_small)
-    reports = run_suite(ev, ("all",), config={"count": 1500}, seed=21)
+    reports = run_suite(ev, ("all",), count=1500, seed=21)
     assert set(reports) == set(
         ("monotonicity", "symmetry", "normalization", "harnack",
          "iu_ratio", "small_time", "ratio_limit", "reflection")
@@ -178,7 +191,7 @@ def test_run_suite_all_on_arc(arc_small):
 
 def test_run_suite_all_on_chain(chain_default):
     ev = _evaluator(chain_default)
-    reports = run_suite(ev, ("all",), config={"count": 800}, seed=13)
+    reports = run_suite(ev, ("all",), count=800, seed=13)
     for name, rep in reports.items():
         assert rep.passed, f"{name}: {rep.max_violation} vs {rep.tolerance}"
     # Deep pairs are skipped by the exactness sweeps, not asserted blindly.
@@ -196,8 +209,8 @@ def test_run_suite_empty_and_unknown(arc_small):
 
 def test_run_suite_deterministic(arc_small):
     ev = _evaluator(arc_small)
-    a = run_suite(ev, ("monotonicity", "symmetry"), config={"count": 800}, seed=9)
-    b = run_suite(ev, ("monotonicity", "symmetry"), config={"count": 800}, seed=9)
+    a = run_suite(ev, ("monotonicity", "symmetry"), count=800, seed=9)
+    b = run_suite(ev, ("monotonicity", "symmetry"), count=800, seed=9)
     for name in a:
         assert a[name].max_violation == b[name].max_violation
         assert a[name].to_dict() == b[name].to_dict()
@@ -284,3 +297,20 @@ def test_deep_pair_near_the_slack_is_remeasured(chain_default):
     native, gone = ev.log_green_many(np.array([[u0, u0 + rho]]), i0, v0, j0, allow_stable=False)
     assert not gone.any()
     assert rep.max_violation == native[0, 0] - (0.5 * b * rho + native[0, 1])
+
+
+def test_unsettled_sample_is_measured_in_80_bit_on_float64_base(arc_small):
+    """On float64 eigendata the screen is exact, and a sample it leaves
+    unsettled is measured once in 80-bit: the report carries that value."""
+    ev = _evaluator(arc_small)
+    u, v, rho, i, j = -0.57038289364972, -0.24275770748896, 1.545134676685524e-10, 81, 20
+    pu = np.array([[u, u + rho]])
+    # v >= u + rho/2 and b = 0: the violation is log G(u) - log G(u + rho).
+    lg64, _ = ev.log_green_many(pu, i, v, j, allow_stable=False)
+    lg80, gone = ev.log_green_many(pu, i, v, j, extended=True, allow_stable=False)
+    assert ev.spec.b == 0.0 and not gone.any()
+    v64, v80 = lg64[0, 0] - lg64[0, 1], lg80[0, 0] - lg80[0, 1]
+    assert v64 > -1e-8 and v64 != v80
+    rep = check_green_monotonicity(ev, samples=[(u, v, rho, i, j)])
+    assert rep.extras["escalated"] == 1 and rep.extras["screened"] == 0
+    assert rep.max_violation == v80
