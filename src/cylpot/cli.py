@@ -41,28 +41,60 @@ from .verify import (
     check_ratio_limit,
     check_small_time_ratio,
     run_suite,
+    validate_sweep_options,
 )
 
 _ALPHA_FIT_WINDOW = (2.0, 6.0)
 _ALPHA_FIT_POINTS = 9
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+# Rows formatted and written per block of write_csv.
+_WRITE_BLOCK = 16384
 
 
-def write_csv(path: Path, header, rows) -> None:
+def _csv_field(text: str) -> str:
+    """A field as csv.writer's QUOTE_MINIMAL writes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_text(col: np.ndarray) -> list:
+    """Text of every cell of a column: true/false, str of ints, repr of
+    floats (longdouble rounded to float64 first), else str, CSV-quoted."""
+    kind = col.dtype.kind
+    if kind == "b":
+        return ["true" if x else "false" for x in col.tolist()]
+    if kind in "iu":
+        return list(map(str, col.tolist()))
+    if kind == "f":
+        return list(map(repr, col.astype(float, copy=False).tolist()))
+    return [_csv_field(str(x)) for x in col.tolist()]
+
+
+def _csv_lines(cells) -> str:
+    """CSV lines, each ended by \\r\\n, of rows given as per-column texts."""
+    if len(cells) == 1:  # csv.writer writes a lone empty field as ""
+        cells = [[text or '""' for text in cells[0]]]
+    return "".join(line + "\r\n" for line in map(",".join, zip(*cells)))
+
+
+def write_csv(path: Path, header, columns) -> None:
+    """Write a CSV table given column by column, with csv.writer's bytes.
+
+    Every column holds one value per row; the lines are formatted and
+    written _WRITE_BLOCK rows at a time.
+    """
+    columns = [np.asarray(col) for col in columns]
+    rows = len(columns[0]) if columns else 0
+    if any(col.shape != (rows,) for col in columns):
+        raise ValueError("CSV columns must be 1-D and of equal length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(_csv_lines([[_csv_field(str(h))] for h in header]) or "\r\n")
+        for start in range(0, rows, _WRITE_BLOCK):
+            fh.write(_csv_lines(
+                [_column_text(col[start:start + _WRITE_BLOCK]) for col in columns]
+            ))
 
 
 def write_summary(path: Path, payload: dict) -> None:
@@ -120,16 +152,17 @@ def cmd_spectrum(args) -> int:
     base, spec, _ = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mu = spec.mu
-    rows = [(k + 1, spec.eigenvalues[k], mu[k]) for k in range(spec.n)]
-    write_csv(out / "spectrum.csv", ("k", "lambda", "mu"), rows)
-    n_modes = spec.n if args.modes in (None, 0) else min(args.modes, spec.n)
-    vec_rows = [
-        (i, k + 1, spec.eigenvectors[i, k])
-        for k in range(n_modes)
-        for i in range(spec.n)
-    ]
-    write_csv(out / "eigenvectors.csv", ("node", "k", "value"), vec_rows)
+    n = spec.n
+    write_csv(
+        out / "spectrum.csv", ("k", "lambda", "mu"),
+        (np.arange(1, n + 1), spec.eigenvalues, spec.mu),
+    )
+    n_modes = n if args.modes in (None, 0) else max(0, min(args.modes, n))
+    write_csv(
+        out / "eigenvectors.csv", ("node", "k", "value"),
+        (np.tile(np.arange(n), n_modes), np.repeat(np.arange(1, n_modes + 1), n),
+         spec.eigenvectors[:, :n_modes].T.ravel()),
+    )
     write_summary(
         out / "spectrum.json",
         {"command": "spectrum", "seed": args.seed, "base": _base_metadata(base, spec)},
@@ -154,13 +187,12 @@ def cmd_green(args) -> int:
     if lost.any():
         p = points[int(np.argmax(lost))]
         raise NumericalLossError(f"no positive value for G({p}; {pole}) on any route")
-    rows = [
-        (p.u, p.node, pole.u, pole.node, np.exp(lg), lg) for p, lg in zip(points, logs)
-    ]
+    count = len(points)
     write_csv(
         out / "green.csv",
         ("u", "node", "v", "nodePole", "value", "logValue"),
-        rows,
+        ([p.u for p in points], [p.node for p in points], np.full(count, pole.u),
+         np.full(count, pole.node), np.exp(logs), logs),
     )
     write_summary(
         out / "green.json",
@@ -192,7 +224,7 @@ def cmd_converge(args) -> int:
         dev = ev.martin_deviation_from_f_plus(pole, u_grid, nodes)
         sups.append(float(np.max(np.abs(dev))))
     sups = np.asarray(sups)
-    write_csv(out / "converge.csv", ("v", "sup_deviation"), list(zip(poles_v, sups)))
+    write_csv(out / "converge.csv", ("v", "sup_deviation"), (poles_v, sups))
     sm = np.sqrt(np.asarray(spec.mu, dtype=float))
     expected = -(sm[1] - sm[0])
     # Fit where the next-order mode's predicted contamination is below 1%.
@@ -222,6 +254,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    validate_sweep_options(args.count, args.seed)
     base, spec, ev = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,17 +276,16 @@ def cmd_verify(args) -> int:
     write_summary(out / "verify.json", payload)
     if args.per_sample:
         for name, rep in reports.items():
-            if rep.samples:
-                cols = rep.extras.get("sample_columns", ())
+            if rep.samples is not None and rep.sample_count:
+                cols = rep.extras["sample_columns"]
                 write_csv(out / f"samples_{name}.csv", cols, rep.samples)
-    rows = [
-        (name, rep.status, rep.passed, rep.sample_count, rep.max_violation, rep.tolerance)
-        for name, rep in reports.items()
-    ]
+    reps = list(reports.values())
     write_csv(
         out / "verify.csv",
         ("suite", "status", "passed", "samples", "max_violation", "tolerance"),
-        rows,
+        (list(reports), [r.status for r in reps], [r.passed for r in reps],
+         [r.sample_count for r in reps], [r.max_violation for r in reps],
+         [r.tolerance for r in reps]),
     )
     for name, rep in reports.items():
         line = "PASS" if rep.passed else "FAIL"
@@ -295,14 +327,10 @@ def cmd_chain_demo(args) -> int:
 
     ratios = small.extras["ratios"]
     devs = ratio.extras["deviations"]
-    rows = [
-        (j + 1, int(centers[j]), ratios[j], devs[j], alpha_hats[j])
-        for j in range(len(centers))
-    ]
     write_csv(
         out / "chain_demo.csv",
         ("bead", "node", "small_time_ratio", "ratio_limit_deviation", "alpha_hat"),
-        rows,
+        (np.arange(1, len(centers) + 1), centers, ratios, devs, alpha_hats),
     )
     alpha_target = spec.alpha_zero
     checks = {
@@ -354,11 +382,7 @@ def cmd_chernoff(args) -> int:
     bounds = [chernoff_bound(delays, args.tail_len, b) for b in betas]
     best = int(np.argmin(bounds))
     thr = chernoff_threshold_details(args.tail_len, args.eps)
-    write_csv(
-        out / "distribution.csv",
-        ("support", "mass"),
-        dist.as_rows(),
-    )
+    write_csv(out / "distribution.csv", ("support", "mass"), (dist.support, dist.probabilities))
     sound = bool(bounds[best] >= exact - 1e-12)
     write_summary(
         out / "chernoff.json",

@@ -76,9 +76,6 @@ class DiscreteDistribution:
     def atom_count(self) -> int:
         return self.support.size
 
-    def as_rows(self):
-        return list(zip(self.support.tolist(), self.probabilities.tolist()))
-
 
 def _merge_atoms(support: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
     order = np.argsort(support)

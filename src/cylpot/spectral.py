@@ -39,6 +39,9 @@ _PERRON_GAP_TOL = 1e-12
 # Largest accepted eigenpair residual, relative to |lam|.
 _RESIDUAL_TOL = 1e-6
 
+# Eigenvector columns per block of the residual check and the sign flips.
+_RESIDUAL_BLOCK = 256
+
 
 class SpectralError(RuntimeError):
     """Base class for eigendecomposition failures."""
@@ -260,33 +263,52 @@ def decompose(
         if refine_low_band:
             vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
             s = s.astype(np.longdouble)
-        a_psi = _tridiagonal_matvec(diag, off, psi)
+
+        def apply(x):
+            return _tridiagonal_matvec(diag, off, x)
     else:
         if refine_low_band:
             raise EigensolverError("low-band refinement requires a tridiagonal base")
         s = 1.0 / np.sqrt(m)
         # eigh reads a single triangle, so exact symmetry of the scaled
         # matrix is not load-bearing.
-        A = (base.stiffness * s[None, :]) * s[:, None]
+        A = base.stiffness  # a fresh array, scaled in place
+        A *= s[None, :]
+        A *= s[:, None]
         vals, psi = scipy.linalg.eigh(A)
-        a_psi = A @ psi
-    a_psi -= psi * vals[None, :]
-    worst = np.max(np.linalg.norm(a_psi, axis=0) / np.maximum(np.abs(vals), 1e-300))
-    del a_psi
+        apply = A.__matmul__
+        del A  # the residual check holds the last reference
+    blocks = [slice(k, k + _RESIDUAL_BLOCK) for k in range(0, vals.size, _RESIDUAL_BLOCK)]
+    worst = []
+    for blk in blocks:
+        resid = apply(psi[:, blk])
+        resid -= psi[:, blk] * vals[blk]
+        worst.append(np.max(
+            np.linalg.norm(resid, axis=0) / np.maximum(np.abs(vals[blk]), 1e-300)
+        ))
+    worst = np.max(worst)
+    del apply
     if not np.isfinite(worst) or worst > _RESIDUAL_TOL:
         raise EigensolverError(
             f"eigensolver residuals too large: worst relative residual {worst:.3e}"
         )
 
     order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    phi = s[:, None] * psi[:, order]
+    if np.array_equal(order, np.arange(vals.size)) and s.dtype == psi.dtype:
+        phi = psi  # already in order: scale in place
+        phi *= s[:, None]
+    else:
+        vals = vals[order]
+        phi = s[:, None] * psi[:, order]
+    del psi
 
     # Deterministic sign convention: largest-magnitude entry positive.
-    idx = np.argmax(np.abs(phi), axis=0)
-    signs = np.sign(phi[idx, np.arange(phi.shape[1])])
-    signs[signs == 0] = 1.0
-    phi = phi * signs[None, :]
+    for blk in blocks:
+        cols = phi[:, blk]
+        idx = np.argmax(np.abs(cols), axis=0)
+        signs = np.sign(cols[idx, np.arange(cols.shape[1])])
+        signs[signs == 0] = 1.0
+        cols *= signs[None, :]
 
     if vals[0] <= 0.0:
         raise NotPositiveDefiniteError(

@@ -10,13 +10,16 @@ never from constants baked into the code.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import chain_bead_centers
+from .base import ParameterError, chain_bead_centers
 from .cylinder import CylinderPoint, GreenEvaluator, NumericalLossError, fit_exponent
 from .spectral import SpectralData
 
@@ -35,6 +38,7 @@ __all__ = [
     "check_reflection",
     "symmetry_halves",
     "run_suite",
+    "validate_sweep_options",
     "SUITE_NAMES",
 ]
 
@@ -82,7 +86,7 @@ class VerificationReport:
     seed: Optional[int] = None
     config: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    samples: Optional[list] = None
+    samples: Optional[list] = None  # per-sample columns, extras["sample_columns"]
     note: str = ""
 
     @property
@@ -122,14 +126,62 @@ def _node_band(n: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def _sobol(dims: int, count: int, seed: int) -> np.ndarray:
-    """First `count` points of a scrambled Sobol sequence (drawn in a
-    power-of-two block to keep its balance properties)."""
-    from scipy.stats import qmc  # deferred: importing scipy.stats is slow
+_SOBOL_BITS = 30
 
-    sob = qmc.Sobol(d=dims, scramble=True, seed=seed)
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(dims: int) -> np.ndarray:
+    """(dims, 30) unscrambled Sobol direction numbers, from scipy's
+    direction-number file by the primitive-polynomial recursion (Bratley and
+    Fox, ACM TOMS 14, 1988).  The file is found without importing
+    scipy.stats."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as dn:
+        poly, vinit = dn["poly"][:dims].tolist(), dn["vinit"][:dims].tolist()
+    bits = _SOBOL_BITS
+    v = [[1] * bits]
+    for p, init in zip(poly[1:], vinit[1:]):
+        m = p.bit_length() - 1
+        row = init[:m]
+        for j in range(m, bits):
+            new = row[j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v.append(row)
+    v = np.asarray(v, dtype=np.int64) << np.arange(bits - 1, -1, -1)
+    v.flags.writeable = False  # shared by every caller through the cache
+    return v
+
+
+def _sobol(dims: int, count: int, seed: int) -> np.ndarray:
+    """First `count` points of scipy's scrambled Sobol sequence, drawn in a
+    power-of-two block to keep its balance properties: bit for bit
+    ``qmc.Sobol(d=dims, scramble=True, seed=seed).random(block)[:count]``.
+
+    The scrambling is scipy's: a random digital shift, then a random lower
+    unit-triangular (LMS) matrix per dimension applied to the direction
+    numbers over GF(2), the shift drawn first from ``default_rng(seed)``.
+    Point k is the shift XORed with the direction numbers of the lowest zero
+    bit of 0, ..., k-1 (Gray-code order).
+    """
+    bits = _SOBOL_BITS
     block = 1 << max(0, (count - 1).bit_length())
-    return sob.random(block)[:count]
+    if block > 1 << bits:
+        raise ValueError(f"at most 2**{bits} Sobol points can be drawn, got {count}")
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dims, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    lsm = np.tril(rng.integers(2, size=(dims, bits, bits), dtype=np.uint32)).astype(np.int64)
+    lsm[:, np.arange(bits), np.arange(bits)] = 1
+    msb = np.arange(bits - 1, -1, -1)  # weight exponent of bit column i
+    digits = _sobol_directions(dims)[:, :, None] >> msb & 1  # (dims, j, i)
+    # Row p of the LMS matrix against direction j: parity of their common bits.
+    sv = ((lsm @ digits.transpose(0, 2, 1) & 1) << msb[:, None]).sum(axis=1)
+    k = np.arange(1, block)
+    lowest_zero = np.frexp(k & -k)[1] - 1  # of k - 1: the lowest set bit of k
+    steps = np.concatenate([shift[None, :], sv.T[lowest_zero]])
+    return (np.bitwise_xor.accumulate(steps, axis=0) * 2.0**-bits)[:count]
 
 
 def sample_axial_tuples(
@@ -163,8 +215,9 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     sample is measured once in 80-bit arithmetic (the eigendata precision of
     refined chains), and skipped if a mode sum is lost there.  A sweep that
     resolves no sample measured nothing and is ``insufficient``.  ``table``
-    holds the per-sample rows (``columns`` without the measured value), or
-    None.
+    holds the per-sample columns (``columns`` without the measured value),
+    or None; their resolved rows and the values become the report's
+    ``samples``.
     """
     logs, bound, lost = ev.screen_many(*pairs)
     count = logs.shape[0]
@@ -191,8 +244,7 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     }
     if table is not None:
         extras["sample_columns"] = columns + ("violation",)
-        table = [tuple(row) + (float(val),)
-                 for row, val, ok in zip(table, values, resolved) if ok]
+        table = [col[resolved] for col in table] + [values[resolved]]
     return VerificationReport(
         suite=suite,
         sample_count=int(np.count_nonzero(resolved)),
@@ -241,7 +293,7 @@ def check_green_monotonicity(
 
     pairs = (np.stack([u, u + rho], 1), np.stack([i, i], 1),
              np.stack([v, v], 1), np.stack([j, j], 1))
-    table = list(zip(u, v, rho, i.tolist(), j.tolist())) if collect_samples else None
+    table = (u, v, rho, i, j) if collect_samples else None
     return _sweep(
         "monotonicity", ev, pairs, violation, -1e-8, table, ("u", "v", "rho", "i", "j"),
         tolerance=tolerance, seed=seed, config={"count": len(u)},
@@ -267,7 +319,7 @@ def check_symmetry_identity(
 
     pairs = (np.stack([v0 - u, v1 + u], 1), np.stack([i, i], 1),
              np.stack([v0 - v, v1 + v], 1), np.stack([j, j], 1))
-    table = list(zip(u, v, v0, v1, i.tolist(), j.tolist())) if collect_samples else None
+    table = (u, v, v0, v1, i, j) if collect_samples else None
     return _sweep(
         "symmetry", ev, pairs, gap, 1e-13, table, ("u", "v", "v0", "v1", "i", "j"),
         tolerance=tolerance, seed=seed, config={"count": count},
@@ -593,9 +645,7 @@ def check_reflection(
 
     pairs = (np.stack([w_ax, w_ax], 1), np.stack([z_nodes, sigma[z_nodes]], 1),
              np.stack([v_ax, v_ax], 1), np.stack([y_nodes, y_nodes], 1))
-    table = (
-        list(zip(w_ax, z_nodes.tolist(), v_ax, y_nodes.tolist())) if collect_samples else None
-    )
+    table = (w_ax, z_nodes, v_ax, y_nodes) if collect_samples else None
     return _sweep(
         "reflection", ev, pairs, gap, -1e-8, table, ("w", "z", "v", "y"),
         tolerance=tolerance, seed=seed, empirical_constant=math.exp(dom),
@@ -622,6 +672,14 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def validate_sweep_options(count: int, seed: int) -> None:
+    """Reject a sweep sample count below 1 or a negative sample seed."""
+    if count < 1:
+        raise ParameterError(f"sample count must be at least 1, got {count}")
+    if seed < 0:
+        raise ParameterError(f"sample seed must be non-negative, got {seed}")
+
+
 def run_suite(
     ev: GreenEvaluator,
     suites: Sequence[str] = ("all",),
@@ -633,8 +691,10 @@ def run_suite(
     """Run the selected suites; one suite's failure does not abort the rest.
 
     ``count``, ``tolerance`` and ``collect_samples`` go to the three
-    exactness sweeps (monotonicity, symmetry, reflection).
+    exactness sweeps (monotonicity, symmetry, reflection).  Raises
+    ParameterError for a ``count`` below 1 or a negative ``seed``.
     """
+    validate_sweep_options(count, seed)
     names: list = []
     for name in suites:
         if name == "all":

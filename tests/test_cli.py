@@ -1,15 +1,18 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cylpot
 from cylpot.base import DEFAULT_NECK_RATIO
-from cylpot.cli import build_parser, main
+from cylpot.cli import build_parser, main, write_csv
 
 
 @pytest.fixture()
@@ -141,6 +144,22 @@ def test_verify_all_skipped_writes_strict_json(arc_doc, tmp_path, monkeypatch):
         assert rep["max_violation"] is None
         assert rep["extras"]["resolved_fraction"] == 0.0
 
+@pytest.mark.parametrize(
+    "flags", [["--count", "-5"], ["--count", "0"], ["--seed", "-1"]]
+)
+def test_verify_rejects_bad_count_and_seed(flags, arc_doc, tmp_path, capsys):
+    out = tmp_path / "v"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--base", str(arc_doc), "--suite", "all",
+                     "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ParameterError: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite(arc_doc, tmp_path):
     code = main(
         ["verify", "--base", str(arc_doc), "--suite", "nope",
@@ -206,11 +225,8 @@ def test_chain_demo_neck_ratio_default():
     assert args.neck_ratio == DEFAULT_NECK_RATIO
 
 
-def test_cli_import_defers_slow_scipy_modules():
-    code = (
-        "import sys, cylpot.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
-    )
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this cylpot."""
     env = dict(os.environ)
     src = str(Path(cylpot.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -218,4 +234,82 @@ def test_cli_import_defers_slow_scipy_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_defers_slow_scipy_modules():
+    code = (
+        "import sys, cylpot.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    )
+    assert _run_python(code) == "[]"
+
+
+def test_verify_run_does_not_import_scipy_stats(arc_doc, tmp_path):
+    # The sweeps draw scipy's Sobol points without loading scipy.stats.
+    code = (
+        "import sys, cylpot.cli; "
+        f"code = cylpot.cli.main(['verify', '--base', {str(arc_doc)!r}, '--suite', 'all', "
+        f"'--count', '256', '--out', {str(tmp_path / 'v')!r}]); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "0 False"
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _write_rows(path, header, rows) -> None:
+    """The row-by-row writer the columnar one replaced: the bytes it must keep."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+
+
+def _assert_same_bytes(tmp_path, header, columns):
+    write_csv(tmp_path / "cols.csv", header, columns)
+    _write_rows(tmp_path / "rows.csv", header, list(zip(*columns)))
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_columnar_csv_matches_row_writer(tmp_path):
+    ld = np.longdouble
+    columns = (
+        [True, np.bool_(False), np.True_],
+        [3, np.int64(-7), 2**62],
+        [1.0 / 3.0, np.float64(-0.0), np.float64(5e-324)],
+        np.array([math.inf, -math.inf, math.nan]),
+        np.array([ld(1) / ld(3), ld(2) ** 70 + 1, -ld(1) / ld(7)]),
+        np.array([0.1, 2.5, -3e38], dtype=np.float32),
+        ["plain", "a,b", 'say "hi"'],
+        ["x", "", "line\nbreak"],
+    )
+    header = ("flag", "n", "x", "edge", "wide", "single", "text", 'odd,"name"')
+    _assert_same_bytes(tmp_path, header, columns)
+
+
+def test_columnar_csv_header_only_and_single_column(tmp_path):
+    _assert_same_bytes(tmp_path, ("a", "b"), (np.zeros(0), np.zeros(0, dtype=int)))
+    _assert_same_bytes(tmp_path, ("only",), (["", "x", ""],))
+
+
+def test_columnar_csv_spans_write_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr("cylpot.cli._WRITE_BLOCK", 7)
+    rng = np.random.default_rng(0)
+    count = 7 * 5 + 3
+    columns = (np.arange(count), rng.standard_normal(count) * 1e5, rng.random(count) < 0.5)
+    _assert_same_bytes(tmp_path, ("i", "x", "b"), columns)
+
+
+def test_columnar_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), ([1, 2], [1.0]))

@@ -283,3 +283,54 @@ def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monk
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
     with pytest.raises(EigensolverError, match="residual"):
         cp.decompose(base)
+
+
+def _eigendata_by_copies(base):
+    """decompose's eigendata built the way it was before the in-place
+    reorder and sign flips: a reordered, scaled and signed copy each."""
+    import scipy.linalg
+
+    from cylpot.spectral import _refine_low_band, mass_scaled_bands
+
+    if base.is_tridiagonal:
+        s, diag, off = mass_scaled_bands(base)
+        vals, psi = scipy.linalg.eigh_tridiagonal(diag, off)
+        if base.kind == "chain":
+            vals, psi = _refine_low_band(diag, off, vals, psi, 50.0)
+            s = s.astype(np.longdouble)
+    else:
+        s = 1.0 / np.sqrt(base.mass)
+        vals, psi = scipy.linalg.eigh((base.stiffness * s[None, :]) * s[:, None])
+    order = np.argsort(vals, kind="stable")
+    phi = s[:, None] * psi[:, order]
+    idx = np.argmax(np.abs(phi), axis=0)
+    signs = np.sign(phi[idx, np.arange(phi.shape[1])])
+    signs[signs == 0] = 1.0
+    return vals[order], phi * signs[None, :]
+
+
+@pytest.mark.parametrize("fixture", ["arc_sym", "cap_small", "chain_default", "chain_shortcut"])
+def test_in_place_eigendata_bit_identical_to_copies(fixture, request):
+    if fixture == "chain_shortcut":  # its graph document: the dense solve
+        base = cp.load_base(request.getfixturevalue(fixture)[1])
+        spec = cp.decompose(base)
+    else:
+        base, spec = request.getfixturevalue(fixture)
+    vals, phi = _eigendata_by_copies(base)
+    assert spec.eigenvalues.dtype == vals.dtype and spec.eigenvectors.dtype == phi.dtype
+    assert np.array_equal(spec.eigenvalues, vals)
+    assert np.array_equal(spec.eigenvectors, phi)
+
+
+def test_decompose_peak_memory_stays_near_one_eigenvector_matrix():
+    import tracemalloc
+
+    n = 1500
+    base = cp.build_cap(4, math.pi / 2, n)
+    tracemalloc.start()
+    try:
+        cp.decompose(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * n * n * 8

@@ -314,3 +314,29 @@ def test_unsettled_sample_is_measured_in_80_bit_on_float64_base(arc_small):
     rep = check_green_monotonicity(ev, samples=[(u, v, rho, i, j)])
     assert rep.extras["escalated"] == 1 and rep.extras["screened"] == 0
     assert rep.max_violation == v80
+
+
+def test_run_suite_rejects_bad_count_and_seed(arc_small):
+    ev = _evaluator(arc_small)
+    for kwargs in ({"count": 0}, {"count": -5}, {"seed": -1}):
+        with pytest.raises(cp.ParameterError):
+            run_suite(ev, ("monotonicity",), **kwargs)
+
+
+@pytest.mark.parametrize("dims", [3, 4, 5, 6])
+def test_sobol_port_matches_scipy(dims):
+    # The sweeps' sample sets are scipy's scrambled Sobol points; the numpy
+    # port must reproduce them bit for bit on every shape the suites draw.
+    from scipy.stats import qmc
+
+    from cylpot.verify import _sobol
+
+    for count in (1, 2, 200, 4000, 10000, 10001):
+        block = 1 << max(0, (count - 1).bit_length())
+        for seed in (0, 1234, 2**31 - 1, 2**63 + 5):
+            want = qmc.Sobol(d=dims, scramble=True, seed=seed).random(block)[:count]
+            got = _sobol(dims, count, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (dims, count, seed)
+    with pytest.raises(ValueError, match="2\\*\\*30"):  # scipy's limit, checked first
+        _sobol(dims, 2**30 + 1, 0)
