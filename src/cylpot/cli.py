@@ -41,7 +41,6 @@ from .verify import (
     check_ratio_limit,
     check_small_time_ratio,
     run_suite,
-    validate_sweep_options,
 )
 
 _ALPHA_FIT_WINDOW = (2.0, 6.0)
@@ -74,23 +73,21 @@ def _column_text(col: np.ndarray) -> list:
 
 def _csv_lines(cells) -> str:
     """CSV lines, each ended by \\r\\n, of rows given as per-column texts."""
-    if len(cells) == 1:  # csv.writer writes a lone empty field as ""
-        cells = [[text or '""' for text in cells[0]]]
     return "".join(line + "\r\n" for line in map(",".join, zip(*cells)))
 
 
 def write_csv(path: Path, header, columns) -> None:
     """Write a CSV table given column by column, with csv.writer's bytes.
 
-    Every column holds one value per row; the lines are formatted and
-    written _WRITE_BLOCK rows at a time.
+    There are at least two columns, each holding one value per row; the
+    lines are formatted and written _WRITE_BLOCK rows at a time.
     """
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0
-    if any(col.shape != (rows,) for col in columns):
-        raise ValueError("CSV columns must be 1-D and of equal length")
+    if len(columns) < 2 or any(col.shape != (rows,) for col in columns):
+        raise ValueError("CSV needs two or more 1-D columns of equal length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_lines([[_csv_field(str(h))] for h in header]) or "\r\n")
+        fh.write(_csv_lines([[_csv_field(str(h))] for h in header]))
         for start in range(0, rows, _WRITE_BLOCK):
             fh.write(_csv_lines(
                 [_column_text(col[start:start + _WRITE_BLOCK]) for col in columns]
@@ -254,10 +251,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    validate_sweep_options(args.count, args.seed)
     base, spec, ev = _load_evaluator(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     try:
         reports = run_suite(
@@ -267,6 +262,7 @@ def cmd_verify(args) -> int:
     except UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": "verify",
         "seed": args.seed,

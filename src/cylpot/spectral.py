@@ -294,12 +294,10 @@ def decompose(
         )
 
     order = np.argsort(vals, kind="stable")
-    if np.array_equal(order, np.arange(vals.size)) and s.dtype == psi.dtype:
-        phi = psi  # already in order: scale in place
-        phi *= s[:, None]
-    else:
-        vals = vals[order]
-        phi = s[:, None] * psi[:, order]
+    if not np.array_equal(order, np.arange(vals.size)):
+        vals, psi = vals[order], psi[:, order]
+    phi = psi  # scaled in place
+    phi *= s[:, None]
     del psi
 
     # Deterministic sign convention: largest-magnitude entry positive.

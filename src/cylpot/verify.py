@@ -38,7 +38,6 @@ __all__ = [
     "check_reflection",
     "symmetry_halves",
     "run_suite",
-    "validate_sweep_options",
     "SUITE_NAMES",
 ]
 
@@ -672,14 +671,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def validate_sweep_options(count: int, seed: int) -> None:
-    """Reject a sweep sample count below 1 or a negative sample seed."""
-    if count < 1:
-        raise ParameterError(f"sample count must be at least 1, got {count}")
-    if seed < 0:
-        raise ParameterError(f"sample seed must be non-negative, got {seed}")
-
-
 def run_suite(
     ev: GreenEvaluator,
     suites: Sequence[str] = ("all",),
@@ -694,7 +685,10 @@ def run_suite(
     exactness sweeps (monotonicity, symmetry, reflection).  Raises
     ParameterError for a ``count`` below 1 or a negative ``seed``.
     """
-    validate_sweep_options(count, seed)
+    if count < 1:
+        raise ParameterError(f"sample count must be at least 1, got {count}")
+    if seed < 0:
+        raise ParameterError(f"sample seed must be non-negative, got {seed}")
     names: list = []
     for name in suites:
         if name == "all":
