@@ -23,6 +23,7 @@ from . import __version__
 from .base import (
     DEFAULT_NECK_RATIO,
     BaseSpecError,
+    ParameterError,
     chain_bead_centers,
     default_chain_spec,
     build_chain,
@@ -142,10 +143,13 @@ def _base_metadata(base, spec) -> dict:
         "alpha_zero": spec.alpha_zero,
         "alpha_max": spec.alpha_max,
         "mass_total": float(np.sum(base.mass)),
+        "eig_residual": spec.eig_residual,
     }
 
 
 def cmd_spectrum(args) -> int:
+    if args.modes is not None and args.modes < 0:
+        raise ParameterError(f"mode count must be non-negative, got {args.modes}")
     base, spec, _ = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,7 +158,7 @@ def cmd_spectrum(args) -> int:
         out / "spectrum.csv", ("k", "lambda", "mu"),
         (np.arange(1, n + 1), spec.eigenvalues, spec.mu),
     )
-    n_modes = n if args.modes in (None, 0) else max(0, min(args.modes, n))
+    n_modes = min(args.modes, n) if args.modes else n
     write_csv(
         out / "eigenvectors.csv", ("node", "k", "value"),
         (np.tile(np.arange(n), n_modes), np.repeat(np.arange(1, n_modes + 1), n),

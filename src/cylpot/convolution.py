@@ -80,6 +80,8 @@ class DiscreteDistribution:
 def _merge_atoms(support: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
     order = np.argsort(support)
     s, p = support[order], probs[order]
+    if np.all(np.diff(s) > _MERGE_TOL):  # nothing to merge
+        return DiscreteDistribution(s + 0.0, p)
     merged_s = [s[0]]
     merged_p = [p[0]]
     for x, q in zip(s[1:], p[1:]):
@@ -140,9 +142,10 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
         for k in ticks:
             if k == 0:
                 continue
-            shifted = np.zeros_like(pmf)
-            shifted[k : top + k + 1] = pmf[: top + 1]
-            pmf[: top + k + 1] = 0.5 * pmf[: top + k + 1] + 0.5 * shifted[: top + k + 1]
+            # In place: the right side is formed before it is stored, and
+            # the k lowest ticks only halve (their shifted mass is zero).
+            pmf[k : top + k + 1] = 0.5 * pmf[k : top + k + 1] + 0.5 * pmf[: top + 1]
+            pmf[:k] *= 0.5
             top += k
         keep = pmf > 0.0
         support = -step * np.arange(total + 1)[keep]

@@ -35,6 +35,32 @@ def test_spectrum_command(arc_doc, tmp_path):
     assert len(vec_lines) == 1 + 12 * 400  # first 12 modes by default
 
 
+def test_spectrum_rejects_negative_modes(arc_doc, tmp_path, capsys):
+    out = tmp_path / "spec"
+    code = main(["spectrum", "--base", str(arc_doc), "--modes", "-3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ParameterError: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_summaries_record_eig_residual(arc_doc, tmp_path):
+    want = cylpot.decompose(cylpot.load_base(arc_doc)).eig_residual
+    assert 0.0 < want <= 1e-6
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,node\n0.0,100\n")
+    runs = {
+        "spectrum.json": ["spectrum"],
+        "green.json": ["green", "--points", str(pts), "--pole-u", "1.0", "--pole-node", "200"],
+        "verify.json": ["verify", "--suite", "monotonicity", "--count", "8"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        main(argv + ["--base", str(arc_doc), "--out", str(out)])
+        assert json.loads((out / name).read_text())["base"]["eig_residual"] == want
+
+
 def test_spectrum_fine_arc_metadata_oracle(tmp_path):
     doc = tmp_path / "arc2000.json"
     doc.write_text(json.dumps({"type": "arc", "L": math.pi, "n": 2000}))

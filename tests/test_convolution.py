@@ -130,3 +130,30 @@ def test_threshold_pins_exact_tail():
         while sum(delays) < A:
             delays.append(int(rng.integers(1, 9)) / 8.0)
         assert tail_mass(exact_convolution(delays), 2.0) <= 0.01
+
+
+def _convolve_by_copies(a, step):
+    """The grid DP with a zeroed shifted copy of the pmf per delay."""
+    ticks = np.rint(np.asarray(a) / step).astype(np.int64)
+    pmf = np.zeros(int(ticks.sum()) + 1)
+    pmf[0] = 1.0
+    top = 0
+    for k in ticks:
+        if k == 0:
+            continue
+        shifted = np.zeros_like(pmf)
+        shifted[k : top + k + 1] = pmf[: top + 1]
+        pmf[: top + k + 1] = 0.5 * pmf[: top + k + 1] + 0.5 * shifted[: top + k + 1]
+        top += k
+    keep = pmf > 0.0
+    return -step * np.arange(pmf.size)[keep][::-1], pmf[keep][::-1]
+
+
+def test_in_place_grid_dp_bit_identical_to_copies():
+    rng = np.random.default_rng(11)
+    for grid, count in ((1000, 60), (40, 200), (7, 30)):
+        delays = rng.integers(0, grid + 1, size=count) / grid
+        dist = exact_convolution(delays)
+        support, probs = _convolve_by_copies(delays, 1.0 / grid)
+        assert np.array_equal(dist.support, support)
+        assert np.array_equal(dist.probabilities, probs)

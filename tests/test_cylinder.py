@@ -556,3 +556,30 @@ def test_log_green_many_shapes_and_loss(chain_default):
         ev.log_green_many(0.0, 0, 0.0, base.n)
     empty, none_lost = ev.log_green_many([], [], 0.0, 0)
     assert empty.shape == none_lost.shape == (0,)
+
+
+def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule():
+    # The benchmark's deep chain at axial separation s = 0.2269..., where the
+    # 80-bit mode sum is healthy: the eigenmode log G at nodes 80-87 (pole
+    # at node 0) against resolvent quadrature on rules far finer than the
+    # default panels.  Eigendata from divide and conquer is 4.4e-8 off here.
+    from cylpot.cylinder import _gauss_panel_rule
+
+    base = cp.load_base({
+        "type": "chain", "d": 4, "J": 40, "beadNodes": 8, "neckRatio": 0.004,
+        "anchorNodes": 8, "radiiRule": "uniform",
+    })
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    u, nodes = -0.22691860165038974, np.arange(80, 88)
+    modes, lost = ev.log_green_many(u, nodes, 0.0, 0, allow_stable=False)
+    assert not lost.any()
+
+    def reference(edges, order):
+        stable = StableAxialEvaluator(base, base.b)
+        stable._w, stable._qw = _gauss_panel_rule(edges, order)
+        return -0.5 * base.b * u + np.log(stable.values(abs(u), 0, nodes))
+
+    fine = reference(np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(40.0, 200.5, 1.0)]), 16)
+    finer = reference(np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)]), 20)
+    assert np.max(np.abs(fine - finer)) <= 1e-12  # the reference has converged
+    assert np.max(np.abs(np.asarray(modes, dtype=float) - fine)) <= 5e-9

@@ -28,7 +28,8 @@ def test_arc_fine_ground_state(arc_fine):
     assert np.max(rel) <= 1e-4
 
 
-@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
+# MRRR keeps orthogonality only to ~1e-12 on large bases (5.3e-13 on cap_hemi4).
+@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "cap_hemi4", "chain_default"])
 def test_mass_orthonormality(fixture, request):
     base, spec = request.getfixturevalue(fixture)
     phi = np.asarray(spec.eigenvectors, dtype=float)
@@ -237,7 +238,7 @@ def test_batched_refinement_bit_identical_to_per_mode(spec):
     from cylpot.spectral import _refine_low_band, mass_scaled_bands
 
     _, diag, off = mass_scaled_bands(cp.build_chain(spec, d=4))
-    vals, psi = scipy.linalg.eigh_tridiagonal(diag, off)
+    vals, psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
     assert np.count_nonzero(vals <= 50.0) >= 5
     want = _refine_reference(diag, off, vals, psi, 50.0)
     got = _refine_low_band(diag, off, vals, psi, 50.0)
@@ -274,8 +275,8 @@ def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monk
     solver = scipy.linalg.eigh_tridiagonal
     assert cp.decompose(base).eigenvectors.dtype == (np.longdouble if refined else float)
 
-    def perturbed(diag, off):
-        vals, psi = solver(diag, off)
+    def perturbed(diag, off, lapack_driver="auto"):
+        vals, psi = solver(diag, off, lapack_driver=lapack_driver)
         # The top mode sits above every refinement cutoff.
         psi[base.n // 2, -1] += 1e-3
         return vals, psi
@@ -294,7 +295,7 @@ def _eigendata_by_copies(base):
 
     if base.is_tridiagonal:
         s, diag, off = mass_scaled_bands(base)
-        vals, psi = scipy.linalg.eigh_tridiagonal(diag, off)
+        vals, psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
         if base.kind == "chain":
             vals, psi = _refine_low_band(diag, off, vals, psi, 50.0)
             s = s.astype(np.longdouble)
@@ -333,4 +334,40 @@ def test_decompose_peak_memory_stays_near_one_eigenvector_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * n * n * 8
+    assert peak < 1.7 * n * n * 8
+
+
+def test_path_solve_low_band_matches_exact_arc_eigenvalues(arc_sym):
+    # The uniform arc's bands are constant, so the stored matrix has the
+    # eigenvalues (d + 2e) - 4e sin^2(k pi / (2(n + 1))), evaluated here in
+    # longdouble without cancellation.  Divide and conquer is 1.1e-10 off.
+    from cylpot.spectral import mass_scaled_bands
+
+    base, spec = arc_sym
+    _, diag, off = mass_scaled_bands(base)
+    assert np.ptp(diag) == 0.0 and np.ptp(off) == 0.0
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    k = np.arange(1, 65, dtype=ld)
+    half = np.sin(k * pi / (2 * (base.n + 1)))
+    exact = (ld(diag[0]) + 2 * ld(off[0])) - 4 * ld(off[0]) * half * half
+    rel = np.abs(spec.eigenvalues[:64].astype(ld) / exact - 1)
+    assert np.max(rel) <= 2e-11
+
+
+@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
+def test_eig_residual_is_the_worst_relative_residual(fixture, request):
+    # Recomputed from the returned eigendata, in its own precision (80-bit
+    # on the refined chain), so it matches up to the unscaling round trip.
+    from cylpot.spectral import mass_scaled_bands
+
+    base, spec = request.getfixturevalue(fixture)
+    s, diag, off = mass_scaled_bands(base)
+    psi = spec.eigenvectors / s[:, None].astype(spec.eigenvectors.dtype)
+    psi /= np.sqrt(np.sum(psi * psi, axis=0))
+    resid = diag[:, None] * psi - psi * spec.eigenvalues
+    resid[:-1] += off[:, None] * psi[1:]
+    resid[1:] += off[:, None] * psi[:-1]
+    worst = float(np.max(np.sqrt(np.sum(resid * resid, axis=0)) / spec.eigenvalues))
+    assert 0.0 < spec.eig_residual <= 1e-6
+    assert spec.eig_residual == pytest.approx(worst, rel=0.2)
