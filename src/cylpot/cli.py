@@ -182,12 +182,7 @@ def cmd_green(args) -> int:
             if not row or row[0].strip().lower() in ("u", ""):
                 continue
             points.append(CylinderPoint(float(row[0]), int(row[1])))
-    logs, lost = ev.log_green_many(
-        [p.u for p in points], [p.node for p in points], pole.u, pole.node
-    )
-    if lost.any():
-        p = points[int(np.argmax(lost))]
-        raise NumericalLossError(f"no positive value for G({p}; {pole}) on any route")
+    logs = ev.log_green_many([p.u for p in points], [p.node for p in points], pole.u, pole.node)
     count = len(points)
     write_csv(
         out / "green.csv",
@@ -316,11 +311,9 @@ def cmd_chain_demo(args) -> int:
     # Martin kernels K_pole(u, x0) = G((u, x0); pole) / G(reference; pole)
     # with poles (0, center), the reference value in column 0.
     ref = ev.reference
-    logs, lost = ev.log_green_many(
+    logs = ev.log_green_many(
         np.concatenate(([ref.u], u_fit))[None, :], ref.node, 0.0, centers[:, None]
     )
-    if lost.any():
-        raise NumericalLossError("no positive Martin kernel value on any route")
     alpha_hats = np.asarray([
         fit_exponent(list(zip(u_fit, np.exp(row[1:] - row[0])))).alpha_hat for row in logs
     ])

@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 # Witness threshold of the positivity scanner, relative to the local
-# sum-of-magnitudes scale of the evaluated combination.
+# sum-of-magnitudes scale of the evaluated combination, and its axial step.
 _NEGATIVITY_TOL = 1e-12
+_SCAN_STEP = 0.05
 
 # Below this signed-sum/magnitude-sum ratio the eigenmode route has lost too
 # many digits to cancellation and evaluation switches to resolvent
@@ -63,7 +64,7 @@ class CylinderPoint(NamedTuple):
 
 
 class NumericalLossError(ArithmeticError):
-    """A mode sum lost all significant digits to cancellation."""
+    """A Green value has no positive value on the routes allowed."""
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -231,6 +232,16 @@ class _Modes(NamedTuple):
     sqrt_mu1: float
 
 
+def _raise_if_lost(logs, pairs, routes: str) -> None:
+    """Raise NumericalLossError naming the first lost (nan) pair of the
+    broadcast ``pairs`` (pu, pnode, qu, qnode), whose flat values are ``logs``."""
+    lost = np.flatnonzero(np.isnan(logs))
+    if lost.size:
+        pu, pnode, qu, qnode = (a.ravel()[lost[0]] for a in np.broadcast_arrays(*pairs))
+        raise NumericalLossError(f"no positive value for G(({float(pu)}, {int(pnode)}); "
+                                 f"({float(qu)}, {int(qnode)})) on {routes}")
+
+
 class GreenEvaluator:
     """Evaluator of G, Martin kernels and the canonical solutions.
 
@@ -338,16 +349,15 @@ class GreenEvaluator:
         return tail, mag
 
     def _log_values(self, modes: _Modes, w, s, tail, mag):
-        """(log G, lost): the factored mode-1 decay times the tail; pairs
-        whose signed sum fell to _HEALTH_SWITCH of its magnitude are lost."""
-        lost = ~(tail > _HEALTH_SWITCH * mag)
+        """log G: the factored mode-1 decay times the tail; nan for pairs
+        whose signed sum fell to _HEALTH_SWITCH of its magnitude (lost)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = -0.5 * self.spec.b * w - s * modes.sqrt_mu1 + np.log(tail)
-        logs[lost] = np.nan
-        return logs, lost
+        logs[~(tail > _HEALTH_SWITCH * mag)] = np.nan
+        return logs
 
     def _screen(self, w, s, i, j, keep, exact: bool):
-        """Float64 pass: (log values, bound, lost).
+        """Float64 pass: (log values, bound); lost pairs hold nan.
 
         ``bound`` certifies |log value - log value at the target precision|:
         0 when ``exact`` (the target is this float64 pass itself), inf where
@@ -359,9 +369,10 @@ class GreenEvaluator:
         """
         modes = self._float64_modes
         tail, mag = self._mode_sums(modes, s, i, j, keep)
-        logs, lost = self._log_values(modes, w, s, tail, mag)
+        logs = self._log_values(modes, w, s, tail, mag)
         if exact:
-            return logs, np.zeros(s.size), lost
+            return logs, np.zeros(s.size)
+        lost = np.isnan(logs)
         err = (keep + 6 + s * modes.delta[keep - 1]) * _EPS * mag
         sure = (tail - err > _HEALTH_SWITCH * (mag + err)) | lost & (
             tail + err <= _HEALTH_SWITCH * (mag - err)
@@ -371,17 +382,17 @@ class GreenEvaluator:
                 np.abs(0.5 * self.spec.b * w) + s * modes.sqrt_mu1 + np.abs(np.log(tail))
             )
             bound = np.where(lost, 0.0, err / (tail - err) + rounding)
-        return logs, np.where(sure, bound, np.inf), lost
+        return logs, np.where(sure, bound, np.inf)
 
     def screen_many(self, pu, pnode, qu, qnode):
         """Float64 preview of log_green_many at eigendata precision.
 
-        Returns (log_values, bound, lost_mask) in the broadcast shape of the
-        inputs: ``bound`` is a certified bound on the distance of each log
-        value from the eigendata-precision value (0 when the eigendata is
-        float64, so the preview is that value), and inf where the preview
-        cannot certify whether the pair passes the health switch; lost pairs
-        with a finite bound are certainly lost at eigendata precision.
+        Returns (log_values, bound) in the broadcast shape of the inputs,
+        lost pairs nan: ``bound`` certifies the distance of each log value
+        from the eigendata-precision value (0 when the eigendata is float64,
+        so the preview is that value), and is inf where the preview cannot
+        certify whether the pair passes the health switch; lost pairs with a
+        finite bound are certainly lost at eigendata precision.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
         out = self._screen(w, s, i, j, keep, exact=self._screen_is_exact)
@@ -391,40 +402,45 @@ class GreenEvaluator:
                        allow_stable: bool = True):
         """log G((pu, pnode); (qu, qnode)) for broadcast arrays of pairs.
 
-        Returns (log_values, lost_mask) in the broadcast shape; lost pairs
-        hold nan.  Each pair is measured as ``log_green`` measures it: the
-        mode sum in eigendata precision (80-bit with ``extended=True``),
-        and, where the signed sum has lost its digits and ``allow_stable``
-        is set, resolvent quadrature (tridiagonal bases).  Trailing modes
-        below one ulp of the sum are dropped (see _mode_counts); pairs along
-        the last axis of a 2-D input share their mode count.  A float64
-        screen runs first, and pairs it certifies as lost skip the 80-bit
-        sums.
+        Returns the log values in the broadcast shape: the mode sum in
+        eigendata precision (80-bit with ``extended=True``), and where the
+        signed sum has lost its digits and ``allow_stable`` is set,
+        resolvent quadrature (tridiagonal bases).  A lost pair holds nan
+        with ``allow_stable=False``; with ``allow_stable=True`` a pair with
+        no positive value on any route raises NumericalLossError.  Trailing
+        modes below one ulp of the sum are dropped (see _mode_counts); pairs
+        along the last axis of a 2-D input share their mode count.  A
+        float64 screen runs first, and pairs it certifies as lost skip the
+        80-bit sums.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
         exact = self._screen_is_exact and not extended
-        logs, bound, lost = self._screen(w, s, i, j, keep, exact)
+        logs, bound = self._screen(w, s, i, j, keep, exact)
         if not exact:
             modes = self._extended_modes
-            todo = ~(lost & np.isfinite(bound))
+            todo = ~(np.isnan(logs) & np.isfinite(bound))
             logs = np.full(s.size, np.nan, dtype=self.sqrt_mu.dtype)
             tail, mag = self._mode_sums(modes, s[todo], i[todo], j[todo], keep[todo])
-            logs[todo], lost[todo] = self._log_values(modes, w[todo], s[todo], tail, mag)
-        if allow_stable and self._stable is not None and lost.any():
-            self._resolvent_logs(logs, lost, w, s, i, j)
-        return logs.reshape(shape), lost.reshape(shape)
+            logs[todo] = self._log_values(modes, w[todo], s[todo], tail, mag)
+        if allow_stable:
+            if self._stable is not None:
+                self._resolvent_logs(logs, w, s, i, j)
+            _raise_if_lost(logs, (pu, pnode, qu, qnode), "any route")
+        return logs.reshape(shape)
 
-    def _resolvent_logs(self, logs, lost, w, s, i, j) -> None:
-        """Fill lost pairs in place from resolvent quadrature, one
-        StableAxialEvaluator.values call per (separation, pole node)."""
-        idx = np.flatnonzero(lost)
+    def _resolvent_logs(self, logs, w, s, i, j) -> None:
+        """Fill lost (nan) pairs in place from resolvent quadrature, one
+        StableAxialEvaluator.values call per (separation, pole node); a pair
+        whose quadrature value is not positive stays nan."""
+        idx = np.flatnonzero(np.isnan(logs))
+        if not idx.size:
+            return
         idx = idx[np.lexsort((j[idx], s[idx]))]
         cuts = np.flatnonzero((np.diff(s[idx]) != 0) | (np.diff(j[idx]) != 0)) + 1
         for group in np.split(idx, cuts):
             vals = self._stable.values(float(s[group[0]]), int(j[group[0]]), i[group])
             ok = vals > 0.0
             logs[group[ok]] = -0.5 * self.spec.b * w[group[ok]] + np.log(vals[ok])
-            lost[group[ok]] = False
 
     def log_green(
         self,
@@ -441,17 +457,11 @@ class GreenEvaluator:
         signed sum has lost its digits and ``allow_stable`` is set, the value
         is recomputed by resolvent quadrature (tridiagonal bases); with
         ``allow_stable=False`` such evaluations raise NumericalLossError
-        instead, which the 1e-12 exactness sweeps use to skip pairs they
-        cannot measure at that precision.  One-pair form of log_green_many.
+        instead.  One-pair form of log_green_many.
         """
-        logs, lost = self.log_green_many(p[0], p[1], q[0], q[1], extended, allow_stable)
-        if lost:
-            if allow_stable and self._stable is not None:
-                raise NumericalLossError(f"resolvent value for G({p}; {q}) is not positive")
-            raise NumericalLossError(
-                f"mode sum for G({p}; {q}) lost its digits to cancellation"
-                + ("; no stable route for this base" if self._stable is None else "")
-            )
+        pair = (p[0], p[1], q[0], q[1])
+        logs = self.log_green_many(*pair, extended, allow_stable)
+        _raise_if_lost(logs, pair, "the eigenmode route")
         return logs[()]
 
     def green(self, p: CylinderPoint, q: CylinderPoint) -> float:
@@ -680,21 +690,18 @@ def truncated_dirichlet_solve(
     return ModeSolution(spec=spec, a_scaled=a_scaled, b_scaled=b_scaled, anchor=T)
 
 
-def positivity_scan(
-    sol: ModeSolution,
-    u_range: Tuple[float, float],
-    u_step: float = 0.05,
-) -> Optional[CylinderPoint]:
-    """Scan for a point where the solution dips below -1e-12 * local scale.
+def positivity_scan(sol: ModeSolution, u_range: Tuple[float, float]) -> Optional[CylinderPoint]:
+    """Scan for a point where the solution dips below -1e-12 * local scale,
+    on a grid of step _SCAN_STEP over ``u_range``.
 
     Returns the first witness in increasing-u order, or None.  A None result
     falsifies nothing; the scanner is a falsifier, not a decision procedure.
     """
     lo, hi = u_range
-    if not (hi >= lo and u_step > 0.0):
+    if not hi >= lo:
         raise ValueError("invalid scan range")
-    count = int(math.floor((hi - lo) / u_step + 1e-9)) + 1
-    grid = lo + u_step * np.arange(count)
+    count = int(math.floor((hi - lo) / _SCAN_STEP + 1e-9)) + 1
+    grid = lo + _SCAN_STEP * np.arange(count)
     for start in range(0, count, 256):
         chunk = grid[start : start + 256]
         _, vals, scale = sol.evaluate_scaled(chunk)

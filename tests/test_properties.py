@@ -1,0 +1,94 @@
+"""Property tests of the Green routes on random chains and random graphs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cylpot as cp
+from cylpot import CylinderPoint as P, GreenEvaluator
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=3)
+GRAPHS = settings(PROPERTY, max_examples=12)
+
+# |log G(p;q) - log G(q;p) + b(pu - qu)| on resolvent values: the two sides
+# come from different roots' prefix products, so rounding separates them.
+# Seen: 1.7e-13 at most over 3 x 3000 pairs.
+RESOLVENT_SWAP_TOL = 1e-12
+
+
+@PROPERTY
+@given(
+    beads=st.integers(20, 40),
+    neck=st.floats(1e-3, 4e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resolvent_values_swap_with_the_drift_factor(beads, neck, seed):
+    """On d=4 chains (b = 2), pairs whose mode sum is lost are measured by
+    resolvent quadrature, once with the pole at q and once at p; the two
+    values must differ by exactly the drift factor e^{-b(pu - qu)}."""
+    base = cp.build_chain(cp.default_chain_spec(bead_count=beads, neck_ratio=neck), d=4)
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    rng = np.random.default_rng(seed)
+    m = 3000
+    pu, qu = rng.uniform(-6.0, 6.0, m), rng.uniform(-6.0, 6.0, m)
+    i, j = rng.integers(0, base.n, m), rng.integers(0, base.n, m)
+    lost = np.isnan(ev.log_green_many(pu, i, qu, j, allow_stable=False))
+    assert lost.sum() >= 100  # the property reaches the resolvent route
+    pu, qu, i, j = pu[lost], qu[lost], i[lost], j[lost]
+    forward = ev.log_green_many(pu, i, qu, j)
+    backward = ev.log_green_many(qu, j, pu, i)
+    err = np.abs(forward - backward + base.b * (pu - qu))
+    assert err.max() <= RESOLVENT_SWAP_TOL
+
+
+@st.composite
+def non_path_graphs(draw):
+    """Connected weighted graphs that are not paths: a deep random spanning
+    tree (node k hangs off one of the three nodes before it), a few random
+    chords and a weak chord (0, n-1), conductances over five decades,
+    random masses and one leak, at node 0.  Far from the leak, mode sums of
+    such graphs lose their digits, as on the chains."""
+    n = draw(st.integers(12, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {(int(rng.integers(max(0, k - 3), k)), k) for k in range(1, n)}
+    edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+              for _ in range(draw(st.integers(0, 3)))}
+    edges.discard((0, n - 1))
+    edges = sorted(edges) + [(0, n - 1)]
+    cond = 10.0 ** rng.uniform(-4.0, 1.0, len(edges))
+    cond[-1] *= 1e-6
+    leak = np.zeros(n)
+    leak[0] = 10.0 ** rng.uniform(-1.0, 1.0)
+    base = cp.build_graph(
+        edges=[[a, c, w] for (a, c), w in zip(edges, cond)],
+        mass=10.0 ** rng.uniform(-1.0, 1.0, n), dirichlet_leak=leak,
+        d=draw(st.integers(2, 5)),
+    )
+    assert not base.is_tridiagonal
+    return base, rng
+
+
+@GRAPHS
+@given(graph=non_path_graphs())
+def test_non_path_graph_values_are_finite_or_the_evaluator_raises(graph):
+    base, rng = graph
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    m = 400
+    pu, qu = rng.uniform(-30.0, 30.0, m), rng.uniform(-30.0, 30.0, m)
+    i, j = rng.integers(0, base.n, m), rng.integers(0, base.n, m)
+    modes = ev.log_green_many(pu, i, qu, j, allow_stable=False)
+    lost = np.isnan(modes)
+    # nan marks exactly the pairs log_green refuses.
+    for k in range(m):
+        p, q = P(pu[k], int(i[k])), P(qu[k], int(j[k]))
+        if lost[k]:
+            with pytest.raises(cp.NumericalLossError):
+                ev.log_green(p, q, allow_stable=False)
+        else:
+            assert ev.log_green(p, q, allow_stable=False) == modes[k]
+    # With no resolvent route on these bases, a lost pair is an error.
+    if lost.any():
+        with pytest.raises(cp.NumericalLossError, match=r"G\(\(\S+, \d+\); \(\S+, \d+\)\)"):
+            ev.log_green_many(pu, i, qu, j)
+    else:
+        assert np.all(np.isfinite(ev.log_green_many(pu, i, qu, j)))
