@@ -144,19 +144,21 @@ def _base_metadata(base, spec) -> dict:
         "alpha_max": spec.alpha_max,
         "mass_total": float(np.sum(base.mass)),
         "eig_residual": spec.eig_residual,
+        "eigenvector_modes": spec.modes,
     }
 
 
 def cmd_spectrum(args) -> int:
     if args.modes is not None and args.modes < 0:
         raise ParameterError(f"mode count must be non-negative, got {args.modes}")
-    base, spec, _ = _load_evaluator(args)
+    base = load_base(args.base)
+    spec = decompose(base, modes=args.modes or None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = spec.n
     write_csv(
         out / "spectrum.csv", ("k", "lambda", "mu"),
-        (np.arange(1, n + 1), spec.eigenvalues, spec.mu),
+        (np.arange(1, n + 1), spec.all_eigenvalues, spec.mu),
     )
     n_modes = min(args.modes, n) if args.modes else n
     write_csv(
@@ -204,11 +206,14 @@ def cmd_green(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    base, spec, ev = _load_evaluator(args)
+    if not (math.isfinite(args.v_step) and args.v_step > 0.0):
+        raise ParameterError(f"pole step must be positive and finite, got {args.v_step}")
+    if not math.isfinite(args.v_max):
+        raise ParameterError(f"last pole must be finite, got {args.v_max}")
     poles_v = np.arange(2.0, args.v_max + 1e-9, args.v_step)
     if poles_v.size == 0:
-        print("error: pole grid is empty (v-max below the first pole)", file=sys.stderr)
-        return 2
+        raise ParameterError(f"pole grid is empty: v-max {args.v_max} is below the first pole 2.0")
+    base, spec, ev = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     u_grid = np.arange(-2.0, 2.0 + 1e-9, 0.5)
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigendecomposition, exponent ladder, CSV export")
     common(p)
     p.add_argument("--base", required=True, help="base-spec JSON path")
-    p.add_argument("--modes", type=int, default=12, help="eigenvector modes to export (0 = all)")
+    p.add_argument("--modes", type=int, default=12, help="eigenvector modes to form and export (0 = all)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("green", help="batch Green's function evaluation at a fixed pole")

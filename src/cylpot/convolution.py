@@ -123,6 +123,11 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
     Delays on a common rational grid are convolved by dynamic programming
     over that grid (any length); otherwise plain atom enumeration handles up
     to ENUMERATION_LIMIT factors.  Atoms within 1e-12 of each other merge.
+
+    Each grid step halves the sum (p + q) where the textbook step adds the
+    halves 0.5 p + 0.5 q; halving is exact above the subnormal range, so
+    the two agree bit for bit until masses go subnormal (from about 1070
+    delays on), where this form rounds once and the textbook form twice.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
@@ -142,10 +147,11 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
         for k in ticks:
             if k == 0:
                 continue
-            # In place: the right side is formed before it is stored, and
-            # the k lowest ticks only halve (their shifted mass is zero).
-            pmf[k : top + k + 1] = 0.5 * pmf[k : top + k + 1] + 0.5 * pmf[: top + 1]
-            pmf[:k] *= 0.5
+            # Add the shifted mass, then halve the touched range (the k
+            # lowest ticks only halve: their shifted mass is zero).  numpy
+            # buffers the overlapping in-place add.
+            pmf[k : top + k + 1] += pmf[: top + 1]
+            pmf[: top + k + 1] *= 0.5
             top += k
         keep = pmf > 0.0
         support = -step * np.arange(total + 1)[keep]

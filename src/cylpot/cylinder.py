@@ -251,6 +251,7 @@ class GreenEvaluator:
 
     def __init__(self, spec: SpectralData, base: BaseOperator,
                  reference: Optional[CylinderPoint] = None):
+        spec.require_all_modes("GreenEvaluator")
         if reference is None:
             reference = CylinderPoint(0.0, base.reference_node)
         self.spec = spec
@@ -605,6 +606,9 @@ class ModeSolution:
     a_scaled: np.ndarray
     b_scaled: np.ndarray
     anchor: float
+
+    def __post_init__(self):
+        self.spec.require_all_modes("ModeSolution")
 
     @property
     def coeff_plus(self) -> np.ndarray:

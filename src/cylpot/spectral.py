@@ -61,12 +61,16 @@ class NotPositiveDefiniteError(SpectralError):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Full generalized eigensystem of a base operator.
+    """Generalized eigensystem of a base operator: every eigenvalue and a
+    leading block of modes.
 
-    eigenvalues are ascending, eigenvectors[:, k] is the k-th mode, and
-    sum_i mass[i] * phi_k[i] * phi_l[i] = delta_kl.  The ground state
-    eigenvectors[:, 0] is entrywise positive.  eig_residual is the worst
-    relative eigenpair residual the solve achieved (see ``decompose``).
+    all_eigenvalues holds all n eigenvalues, ascending.  eigenvectors[:, k]
+    is the k-th mode for the first ``modes`` of them, paired with
+    eigenvalues = all_eigenvalues[:modes] (the same array when every mode
+    was formed), and sum_i mass[i] * phi_k[i] * phi_l[i] = delta_kl.  The
+    ground state eigenvectors[:, 0] is entrywise positive.  eig_residual is
+    the worst relative residual of the formed eigenpairs (see
+    ``decompose``).
     """
 
     eigenvalues: np.ndarray
@@ -74,14 +78,29 @@ class SpectralData:
     mass: np.ndarray
     b: float
     eig_residual: float
+    all_eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.all_eigenvalues.shape[0]
+
+    @property
+    def modes(self) -> int:
+        """Number of formed eigenvectors."""
+        return self.eigenvectors.shape[1]
+
+    def require_all_modes(self, consumer: str) -> None:
+        """Raise ValueError unless every mode was formed: ``consumer`` sums
+        over all of them, and a leading block would truncate it silently."""
+        if self.modes < self.n:
+            raise ValueError(
+                f"{consumer} sums over all {self.n} modes, but only {self.modes} "
+                "were formed; decompose with modes=None"
+            )
 
     @property
     def lambda1(self) -> float:
-        return float(self.eigenvalues[0])
+        return float(self.all_eigenvalues[0])
 
     @property
     def ground_state(self) -> np.ndarray:
@@ -89,8 +108,8 @@ class SpectralData:
 
     @property
     def mu(self) -> np.ndarray:
-        """Shifted rates mu_k = lam_k + b**2/4 (all positive here)."""
-        return self.eigenvalues + 0.25 * self.b * self.b
+        """Shifted rates mu_k = lam_k + b**2/4 of all n modes (all positive here)."""
+        return self.all_eigenvalues + 0.25 * self.b * self.b
 
     @property
     def alpha_max(self) -> float:
@@ -225,29 +244,74 @@ def _refine_low_band(diag, off, vals, psi, cutoff: float):
     return vals_out, psi_out
 
 
+def _path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Every eigenvalue, ascending, of the symmetric tridiagonal (diag, off),
+    which must be positive definite.
+
+    LAPACK's ?pteqr factors it as L D L^T and runs dqds on the bidiagonal
+    factor (Fernando & Parlett 1994), which keeps high relative accuracy in
+    the low band, where values-only MRRR and QR lose digits.
+    """
+    if diag.size == 1:  # scipy's wrapper rejects an empty off-diagonal
+        vals, info = diag.copy(), 0 if diag[0] > 0.0 else 1
+    else:
+        vals, _, _, info = scipy.linalg.lapack.dpteqr(
+            diag, off, np.zeros((1, 1)), compute_z=0
+        )
+    if 0 < info <= diag.size:
+        raise NotPositiveDefiniteError(
+            f"the leading minor of order {info} is not positive: the base's form "
+            "is not positive definite, violating the standing non-polarity assumption"
+        )
+    if info != 0:
+        raise EigensolverError(f"dpteqr failed with info={info}")
+    return vals[::-1]  # dpteqr sorts descending
+
+
+def _check_ground_eigenvalue(vals: np.ndarray) -> None:
+    """lam_1 > 0 and simple, read off the ascending list of all eigenvalues."""
+    if vals[0] <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"smallest generalized eigenvalue {vals[0]:.6e} is not positive; "
+            "the base violates the standing non-polarity assumption"
+        )
+    if len(vals) > 1 and vals[1] - vals[0] <= _PERRON_GAP_TOL * max(1.0, vals[0]):
+        raise DegenerateGroundStateError(
+            f"spectral gap {vals[1] - vals[0]:.3e} below tolerance: the ground "
+            "eigenvalue must be simple (Perron simplicity violated)"
+        )
+
+
 def decompose(
     base: BaseOperator,
     refine_low_band: Optional[bool] = None,
     refine_cutoff: float = 50.0,
+    modes: Optional[int] = None,
 ) -> SpectralData:
-    """Solve the full generalized eigensystem of (stiffness, diag(mass)).
+    """Solve the generalized eigensystem of (stiffness, diag(mass)): every
+    eigenvalue, and the eigenvectors of the ``modes`` lowest (all of them
+    when None).
 
     Uses the symmetric similarity A = M^(-1/2) K M^(-1/2), which stays
-    tridiagonal for the path-structured builders and is then solved by
-    LAPACK's MRRR driver (stemr): its O(n) workspace keeps the eigenvector
-    matrix the only n x n array, and its low-band eigenvalues are more
-    accurate than those of divide and conquer (stevd, scipy's default),
-    at the price of orthogonality near 1e-12 instead of 1e-14.  Other
-    bases take a dense solve.
+    tridiagonal for the path-structured builders.  There every eigenvalue
+    comes from one positive-definite dqds solve (``_path_eigenvalues``),
+    and the eigenvectors from LAPACK's MRRR driver (stemr): all of them, or
+    only the ``modes`` lowest (select='i').  stemr's O(n) workspace keeps
+    the eigenvector matrix the only n x n array; its own eigenvalues are
+    discarded, since dqds is more accurate in the low band.  Other bases
+    take a dense solve, which forms every mode, so there ``modes`` is a
+    lower bound.
 
     ``refine_low_band`` reruns the eigenpairs below ``refine_cutoff``
     through extended-precision Rayleigh-quotient iteration; the default
     (None) turns this on exactly for chain bases, whose deep-separation
-    Green sums need the extra digits.
+    Green sums need the extra digits.  A refined solve also forms every
+    mode, so the eigenvalues it reports do not depend on ``modes``.
 
-    The residual of each eigenpair is measured in the solver's frame,
-    ||A psi - lam psi||_2 = ||K phi - lam M phi||_{M^-1}, relative to |lam|
-    (psi has unit norm); the worst one is kept as ``eig_residual``.
+    The residual of each formed eigenpair is measured in the solver's
+    frame, ||A psi - lam psi||_2 = ||K phi - lam M phi||_{M^-1}, relative to
+    |lam| (psi has unit norm), against the reported eigenvalue; the worst
+    one is kept as ``eig_residual``.
 
     Raises
     ------
@@ -258,14 +322,28 @@ def decompose(
         if lam_2 - lam_1 <= 1e-12 * max(1, lam_1).
     NotPositiveDefiniteError
         if lam_1 <= 0, i.e. the complement of the base is effectively polar.
+    ValueError
+        if ``modes`` is below 1.
     """
+    if modes is not None and modes < 1:
+        raise ValueError(f"need at least one mode, got {modes}")
     m = base.mass
     tridiagonal = base.is_tridiagonal
     if refine_low_band is None:
         refine_low_band = tridiagonal and base.kind == "chain"
     if tridiagonal:
         s, diag, off = mass_scaled_bands(base)
-        vals, psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        vals = _path_eigenvalues(diag, off)
+        _check_ground_eigenvalue(vals)
+        # stemr returns its eigenvalues ascending, so its columns pair with
+        # the dqds list by index (the residual check would catch a mismatch).
+        if modes is None or modes >= base.n or refine_low_band:
+            psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")[1]
+        else:
+            # Copied: a view would keep the solver's n x n output alive.
+            psi = scipy.linalg.eigh_tridiagonal(
+                diag, off, select="i", select_range=(0, modes - 1), lapack_driver="stemr"
+            )[1].copy()
         if refine_low_band:
             vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
             s = s.astype(np.longdouble)
@@ -281,16 +359,19 @@ def decompose(
         A = base.stiffness  # a fresh array, scaled in place
         A *= s[None, :]
         A *= s[:, None]
-        vals, psi = scipy.linalg.eigh(A)
+        vals, psi = scipy.linalg.eigh(A)  # ascending
         apply = A.__matmul__
         del A  # the residual check holds the last reference
-    blocks = [slice(k, k + _RESIDUAL_BLOCK) for k in range(0, vals.size, _RESIDUAL_BLOCK)]
+        _check_ground_eigenvalue(vals)
+    formed = psi.shape[1]
+    lam = vals if formed == vals.size else vals[:formed]  # paired with psi
+    blocks = [slice(k, k + _RESIDUAL_BLOCK) for k in range(0, formed, _RESIDUAL_BLOCK)]
     worst = []
     for blk in blocks:
         resid = apply(psi[:, blk])
-        resid -= psi[:, blk] * vals[blk]
+        resid -= psi[:, blk] * lam[blk]
         worst.append(np.max(
-            np.linalg.norm(resid, axis=0) / np.maximum(np.abs(vals[blk]), 1e-300)
+            np.linalg.norm(resid, axis=0) / np.maximum(np.abs(lam[blk]), 1e-300)
         ))
     worst = np.max(worst)
     del apply
@@ -299,9 +380,6 @@ def decompose(
             f"eigensolver residuals too large: worst relative residual {worst:.3e}"
         )
 
-    order = np.argsort(vals, kind="stable")
-    if not np.array_equal(order, np.arange(vals.size)):
-        vals, psi = vals[order], psi[:, order]
     phi = psi  # scaled in place
     phi *= s[:, None]
     del psi
@@ -314,22 +392,13 @@ def decompose(
         signs[signs == 0] = 1.0
         cols *= signs[None, :]
 
-    if vals[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"smallest generalized eigenvalue {vals[0]:.6e} is not positive; "
-            "the base violates the standing non-polarity assumption"
-        )
-    if len(vals) > 1 and vals[1] - vals[0] <= _PERRON_GAP_TOL * max(1.0, vals[0]):
-        raise DegenerateGroundStateError(
-            f"spectral gap {vals[1] - vals[0]:.3e} below tolerance: the ground "
-            "eigenvalue must be simple (Perron simplicity violated)"
-        )
     if np.min(phi[:, 0]) <= 0.0:
         # Perron theory forbids this for connected bases; fail loudly.
         raise EigensolverError("ground state is not entrywise positive")
 
     return SpectralData(
-        eigenvalues=vals, eigenvectors=phi, mass=m.copy(), b=base.b, eig_residual=float(worst)
+        eigenvalues=lam, eigenvectors=phi, mass=m.copy(), b=base.b,
+        eig_residual=float(worst), all_eigenvalues=vals,
     )
 
 
@@ -337,6 +406,7 @@ def heat_kernel(spec: SpectralData, t: float, i: int, j: int) -> float:
     """Dirichlet heat kernel density pi_t(i, j) against the mass weights."""
     if t <= 0.0:
         raise ValueError("heat kernel requires t > 0")
+    spec.require_all_modes("heat_kernel")
     w = np.exp(-spec.eigenvalues * t)
     return float(np.dot(spec.eigenvectors[i] * spec.eigenvectors[j], w))
 
@@ -345,6 +415,7 @@ def heat_kernel_matrix(spec: SpectralData, t: float) -> np.ndarray:
     """All-pairs heat kernel pi_t as an (n, n) matrix."""
     if t <= 0.0:
         raise ValueError("heat kernel requires t > 0")
+    spec.require_all_modes("heat_kernel_matrix")
     w = np.exp(-spec.eigenvalues * t)
     return (spec.eigenvectors * w[None, :]) @ spec.eigenvectors.T
 

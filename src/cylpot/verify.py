@@ -447,6 +447,7 @@ def check_iu_ratio(
     and window live on the gap timescale tau = 3/(lam2 - lam1), which is 1
     on the length-pi arc.
     """
+    spec.require_all_modes("check_iu_ratio")
     if spec.n < 2:
         raise ValueError("sharpness rate needs at least two modes")
     tau = 3.0 / float(spec.eigenvalues[1] - spec.eigenvalues[0])
@@ -515,6 +516,7 @@ def check_small_time_ratio(
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
+    spec.require_all_modes("check_small_time_ratio")
     rates = spec.eigenvalues + lam
     if np.any(rates <= 0.0):
         raise ValueError("need lam + lam_1 > 0")

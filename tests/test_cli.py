@@ -45,20 +45,58 @@ def test_spectrum_rejects_negative_modes(arc_doc, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_eigenvalues_do_not_depend_on_modes(tmp_path):
+    doc = tmp_path / "cap.json"
+    doc.write_text(json.dumps({"type": "cap", "d": 4, "theta0": 1.2, "n": 300}))
+    outs = {}
+    for modes in ("12", "0"):
+        outs[modes] = tmp_path / f"m{modes}"
+        argv = ["spectrum", "--base", str(doc), "--modes", modes, "--out", str(outs[modes])]
+        assert main(argv) == 0
+    assert (outs["12"] / "spectrum.csv").read_bytes() == (outs["0"] / "spectrum.csv").read_bytes()
+    lead, full = (np.loadtxt(outs[m] / "eigenvectors.csv", delimiter=",", skiprows=1)
+                  for m in ("12", "0"))
+    assert lead.shape == (12 * 300, 3) and full.shape == (300 * 300, 3)
+    assert np.array_equal(lead[:, :2], full[: 12 * 300, :2])
+    assert np.max(np.abs(lead[:, 2] - full[: 12 * 300, 2])) <= 1e-9
+    metas = [json.loads((outs[m] / "spectrum.json").read_text())["base"] for m in ("12", "0")]
+    assert metas[0]["lambda1"] == metas[1]["lambda1"]
+
+
+@pytest.mark.parametrize("flags", [["--v-step", "0"], ["--v-step", "nan"], ["--v-step", "-2"],
+                                   ["--v-max", "1.0"], ["--v-max", "inf"]])
+def test_converge_rejects_bad_pole_grid_before_loading(flags, tmp_path, capsys):
+    # The base file does not exist: the grid is checked before it is read.
+    out = tmp_path / "c"
+    code = main(["converge", "--base", str(tmp_path / "missing.json"), "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ParameterError: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_summaries_record_eig_residual(arc_doc, tmp_path):
-    want = cylpot.decompose(cylpot.load_base(arc_doc)).eig_residual
-    assert 0.0 < want <= 1e-6
+    # spectrum forms its 12 exported modes, the others every mode; the
+    # residual covers the modes formed, and the summary counts them.
+    base = cylpot.load_base(arc_doc)
+    full = cylpot.decompose(base).eig_residual
+    lead = cylpot.decompose(base, modes=12).eig_residual
+    assert 0.0 < lead <= 1e-6 and 0.0 < full <= 1e-6
     pts = tmp_path / "pts.csv"
     pts.write_text("u,node\n0.0,100\n")
     runs = {
-        "spectrum.json": ["spectrum"],
-        "green.json": ["green", "--points", str(pts), "--pole-u", "1.0", "--pole-node", "200"],
-        "verify.json": ["verify", "--suite", "monotonicity", "--count", "8"],
+        "spectrum.json": (["spectrum"], lead, 12),
+        "green.json": (["green", "--points", str(pts), "--pole-u", "1.0", "--pole-node", "200"],
+                       full, 400),
+        "verify.json": (["verify", "--suite", "monotonicity", "--count", "8"], full, 400),
     }
-    for name, argv in runs.items():
+    for name, (argv, want, modes) in runs.items():
         out = tmp_path / name
         main(argv + ["--base", str(arc_doc), "--out", str(out)])
-        assert json.loads((out / name).read_text())["base"]["eig_residual"] == want
+        meta = json.loads((out / name).read_text())["base"]
+        assert meta["eig_residual"] == want
+        assert meta["eigenvector_modes"] == modes
 
 
 def test_spectrum_fine_arc_metadata_oracle(tmp_path):

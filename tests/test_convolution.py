@@ -157,3 +157,30 @@ def test_in_place_grid_dp_bit_identical_to_copies():
         support, probs = _convolve_by_copies(delays, 1.0 / grid)
         assert np.array_equal(dist.support, support)
         assert np.array_equal(dist.probabilities, probs)
+
+
+def _convolve_two_products(a, step):
+    """The grid DP as it was before it halved the sum: each half rounded
+    on its own, then added."""
+    ticks = np.rint(np.asarray(a) / step).astype(np.int64)
+    pmf = np.zeros(int(ticks.sum()) + 1)
+    pmf[0] = 1.0
+    top = 0
+    for k in ticks:
+        if k == 0:
+            continue
+        pmf[k : top + k + 1] = 0.5 * pmf[k : top + k + 1] + 0.5 * pmf[: top + 1]
+        pmf[:k] *= 0.5
+        top += k
+    keep = pmf > 0.0
+    return -step * np.arange(pmf.size)[keep][::-1], pmf[keep][::-1]
+
+
+def test_halved_sum_bit_identical_to_two_products():
+    # 400 delays keep every mass above 2**-400, far from the subnormals.
+    delays = np.random.default_rng(5).integers(0, 41, size=400) / 40
+    dist = exact_convolution(delays)
+    support, probs = _convolve_two_products(delays, 1.0 / 40)
+    assert np.min(probs) > np.finfo(float).tiny
+    assert np.array_equal(dist.support, support)
+    assert np.array_equal(dist.probabilities, probs)

