@@ -122,7 +122,8 @@ class StableAxialEvaluator:
         V(s) = (1/pi) * int_0^inf cos(s w) [(A + b^2/4 + w^2)^{-1}]_{xy} dw
 
     in the mass-symmetrized frame.  Each resolvent T_w = A + b^2/4 + w^2 is
-    a positive-definite tridiagonal matrix with non-positive off-diagonals.
+    a positive-definite tridiagonal matrix with negative off-diagonals: the
+    base must be a connected path.
     One twisted factorization per quadrature node gives its forward and
     backward pivots d+ and d-; then [T_w^{-1}]_{xx} = 1/gamma_x and every
     other entry of column x is 1/gamma_x times a product of the positive
@@ -145,9 +146,9 @@ class StableAxialEvaluator:
             raise ValueError("stable axial evaluation needs a tridiagonal base")
         self._scale, self._diag, self._off = mass_scaled_bands(base)
         self._shift = 0.25 * b * b
+        if np.any(self._off == 0.0):
+            raise ValueError("stable axial evaluation needs a connected path")
         self._w, self._qw = _gauss_panel_rule(self._EDGES)
-        # A zero coupling splits the path into blocks that do not interact.
-        self._block = np.concatenate(([0], np.cumsum(self._off == 0.0)))
         self._factors = None
 
     def _factorize(self):
@@ -160,9 +161,7 @@ class StableAxialEvaluator:
         ``last`` hold the prefix products F_y = prod_{j<y} f_j and
         L_y = prod_{j<y} l_j as (mantissa, exponent) pairs, which cannot
         underflow, so any entry is one quotient of two of them.  Every array
-        has one column per quadrature node.  A ratio across a zero coupling
-        is 0; it enters the products as 1, and entries between different
-        blocks are set to 0 instead.
+        has one column per quadrature node.
         """
         if self._factors is None:
             t = self._diag[:, None] + (self._shift + self._w * self._w)[None, :]
@@ -179,10 +178,9 @@ class StableAxialEvaluator:
                 bwd[i] = t[i] - e2[i] / bwd[i + 1]
             gamma = fwd.copy()
             gamma[:-1] -= e2 / bwd[1:]
-            coupled = e != 0.0
             self._factors = (
-                _prefix_products(np.where(coupled, -e / fwd[:-1], 1.0)),
-                _prefix_products(np.where(coupled, -e / bwd[1:], 1.0)),
+                _prefix_products(-e / fwd[:-1]),
+                _prefix_products(-e / bwd[1:]),
                 1.0 / gamma,
             )
         return self._factors
@@ -198,8 +196,7 @@ class StableAxialEvaluator:
         num_exp = np.where(below, f_exp[root], l_exp[nodes])
         den_man = np.where(below, f_man[nodes], l_man[root])
         den_exp = np.where(below, f_exp[nodes], l_exp[root])
-        same = (self._block[nodes] == self._block[root])[:, None]
-        return np.ldexp(num_man / den_man, num_exp - den_exp) * inv_gamma[root] * same
+        return np.ldexp(num_man / den_man, num_exp - den_exp) * inv_gamma[root]
 
     def values(self, s: float, root: int, nodes) -> np.ndarray:
         """V(s; root, nodes) for axial separation s >= 0."""
@@ -300,11 +297,9 @@ class GreenEvaluator:
             raise ValueError(f"node index out of range with n={n}")
         w = (pu - qu).ravel()
         s = np.abs(w)
-        group = pu.shape[-1] if pu.ndim >= 2 else 1
-        keep = self._mode_counts(s, i, j, group) if s.size else np.zeros(0, dtype=int)
-        return pu.shape, w, s, i, j, keep
+        return pu.shape, w, s, i, j, self._mode_counts(s, i, j)
 
-    def _mode_counts(self, s, i, j, group: int = 1) -> np.ndarray:
+    def _mode_counts(self, s, i, j) -> np.ndarray:
         """Number of leading modes each pair keeps.
 
         Mass-orthonormal modes satisfy sum_k phi_k(i)^2 = 1/m_i, so by
@@ -315,15 +310,14 @@ class GreenEvaluator:
         log(1.01 / (eps * _HEALTH_SWITCH)) + g_i + g_j with
         g_i = -log(phi_1(i) sqrt(m_i)) >= 0 (1% slack for rounding): the
         dropped part then stays under one ulp of any tail that passes the
-        health switch.  K is rounded up to a quarter-octave ladder, and the
-        ``group`` consecutive pairs that one sample compares keep the largest
-        K among them, so they share their mode count and summation order.
+        health switch.  K is rounded up to a quarter-octave ladder.  The
+        count depends on the pair alone, so a pair's eigenmode value does not
+        depend on the batch it arrives in.
         """
         g = self._ground_depth
         with np.errstate(divide="ignore"):
             reach = (math.log(1.01 / (_EPS * _HEALTH_SWITCH)) + g[i] + g[j]) / s
         keep = np.searchsorted(self._float64_modes.delta, reach, side="right")
-        keep = np.repeat(keep.reshape(-1, group).max(axis=1), group)
         return self._ladder[np.searchsorted(self._ladder, keep)]
 
     @staticmethod
@@ -409,10 +403,10 @@ class GreenEvaluator:
         resolvent quadrature (tridiagonal bases).  A lost pair holds nan
         with ``allow_stable=False``; with ``allow_stable=True`` a pair with
         no positive value on any route raises NumericalLossError.  Trailing
-        modes below one ulp of the sum are dropped (see _mode_counts); pairs
-        along the last axis of a 2-D input share their mode count.  A
-        float64 screen runs first, and pairs it certifies as lost skip the
-        80-bit sums.
+        modes below one ulp of the sum are dropped (see _mode_counts); a
+        pair's eigenmode value does not depend on its batch.  A float64
+        screen runs first, and pairs it certifies as lost skip the 80-bit
+        sums.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
         exact = self._screen_is_exact and not extended

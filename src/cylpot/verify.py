@@ -15,7 +15,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +45,15 @@ EXACT_TOL = 1e-12
 RATE_TOL = 0.10
 # Fixed suite settings: the Harnack constant's largest relative drift under
 # grid doubling, the eigen-sum noise floor below which small-time ratios are
-# not held to ordering, the sweeps' axial range, and the least axial distance
-# of the reflection suite's domination profiles below their pole.
+# not held to ordering, the sweeps' axial range, the least axial distance
+# of the reflection suite's domination profiles below their pole, and the
+# normalization suite's tolerance and axial pole offsets.
 _HARNACK_DRIFT_TOL = 0.05
 _DECREASE_FLOOR = 1e-9
 _AXIAL_RANGE = (-6.0, 6.0)
 _DOMINATION_GAP = 2.0
+_NORMALIZATION_TOL = 0.0
+_NORMALIZATION_POLE_U = (-12.0, -3.0, 1.5, 8.0, 25.0)
 
 # Node sampling stays inside the central band of the index range: the couple
 # of cells hugging the eliminated boundary carry ground-state values of order
@@ -93,7 +96,7 @@ class VerificationReport:
     seed: Optional[int] = None
     config: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    samples: Optional[list] = None  # per-sample columns, extras["sample_columns"]
+    samples: Optional[dict] = None  # resolved per-sample columns by name
     note: str = ""
 
     @property
@@ -209,7 +212,7 @@ def sample_axial_tuples(
 
 
 def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
-           table, columns, **report) -> VerificationReport:
+           table: dict, **report) -> VerificationReport:
     """Screen -> re-measure -> classify, shared by the exactness sweeps.
 
     ``pairs`` holds (pu, pnode, qu, qnode) arrays of shape (samples, r): the
@@ -221,9 +224,8 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     sample is measured once in 80-bit arithmetic (the eigendata precision of
     refined chains), and skipped if a mode sum is lost there.  A sweep that
     resolves no sample measured nothing and is ``insufficient``.  ``table``
-    holds the per-sample columns (``columns`` without the measured value),
-    or None; their resolved rows and the values become the report's
-    ``samples``.
+    maps names to per-sample columns; their resolved rows and the measured
+    values, as ``"violation"``, become the report's ``samples``.
     """
     logs, bound = ev.screen_many(*pairs)
     count = logs.shape[0]
@@ -248,15 +250,14 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
         "screened": int(np.count_nonzero(settled)),
         "escalated": int(count - np.count_nonzero(settled)),
     }
-    if table is not None:
-        extras["sample_columns"] = columns + ("violation",)
-        table = [col[resolved] for col in table] + [values[resolved]]
+    samples = {name: col[resolved] for name, col in table.items()}
+    samples["violation"] = values[resolved]
     return VerificationReport(
         suite=suite,
         sample_count=int(np.count_nonzero(resolved)),
         max_violation=np.max(values[resolved]) if resolved.any() else -math.inf,
         status="ok" if resolved.any() else "insufficient",
-        samples=table,
+        samples=samples,
         extras=extras,
         **report,
     )
@@ -268,7 +269,6 @@ def check_green_monotonicity(
     count: int = 10_000,
     seed: int = 0,
     tolerance: float = EXACT_TOL,
-    collect_samples: bool = False,
 ) -> VerificationReport:
     """Axial shift inequalities of G under e^{+-b rho/2} factors.
 
@@ -299,9 +299,9 @@ def check_green_monotonicity(
 
     pairs = (np.stack([u, u + rho], 1), np.stack([i, i], 1),
              np.stack([v, v], 1), np.stack([j, j], 1))
-    table = (u, v, rho, i, j) if collect_samples else None
+    table = {"u": u, "v": v, "rho": rho, "i": i, "j": j}
     return _sweep(
-        "monotonicity", ev, pairs, violation, -1e-8, table, ("u", "v", "rho", "i", "j"),
+        "monotonicity", ev, pairs, violation, -1e-8, table,
         tolerance=tolerance, seed=seed, config={"count": len(u)},
     )
 
@@ -311,7 +311,6 @@ def check_symmetry_identity(
     count: int = 10_000,
     seed: int = 0,
     tolerance: float = EXACT_TOL,
-    collect_samples: bool = False,
 ) -> VerificationReport:
     """Reflection/translation identity
     G(v0-u, x; v0-v, y) = e^{b(u-v)} G(v1+u, x; v1+v, y).
@@ -331,29 +330,25 @@ def check_symmetry_identity(
 
     pairs = (np.stack([v0 - u, v1 + u], 1), np.stack([i, i], 1),
              np.stack([v0 - v, v1 + v], 1), np.stack([j, j], 1))
-    table = (u, v, v0, v1, i, j) if collect_samples else None
+    table = {"u": u, "v": v, "v0": v0, "v1": v1, "i": i, "j": j}
     rep = _sweep(
-        "symmetry", ev, pairs, gap, math.inf, table, ("u", "v", "v0", "v1", "i", "j"),
+        "symmetry", ev, pairs, gap, math.inf, table,
         tolerance=tolerance, seed=seed, config={"count": count},
     )
     rep.extras["structural"] = True
     return rep
 
 
-def check_normalization(
-    ev: GreenEvaluator,
-    poles: Optional[Iterable[CylinderPoint]] = None,
-    tolerance: float = 0.0,
-) -> VerificationReport:
-    """K_pole(reference) == 1 exactly, for a spread of poles."""
-    if poles is None:
-        n = ev.spec.n
-        poles = [
-            CylinderPoint(du, node)
-            for du in (-12.0, -3.0, 1.5, 8.0, 25.0)
-            for node in {0, n // 3, n - 1}
-            if (du, node) != ev.reference
-        ]
+def check_normalization(ev: GreenEvaluator) -> VerificationReport:
+    """K_pole(reference) == 1 exactly, for a spread of poles: the axial
+    offsets _NORMALIZATION_POLE_U at nodes 0, n // 3 and n - 1."""
+    n = ev.spec.n
+    poles = [
+        CylinderPoint(du, node)
+        for du in _NORMALIZATION_POLE_U
+        for node in {0, n // 3, n - 1}
+        if (du, node) != ev.reference
+    ]
     worst = -math.inf
     count = 0
     for pole in poles:
@@ -364,7 +359,7 @@ def check_normalization(
         suite="normalization",
         sample_count=count,
         max_violation=worst,
-        tolerance=tolerance,
+        tolerance=_NORMALIZATION_TOL,
         config={"poles": count},
     )
 
@@ -598,7 +593,6 @@ def check_reflection(
     count: int = 10_000,
     seed: int = 0,
     tolerance: float = EXACT_TOL,
-    collect_samples: bool = False,
 ) -> VerificationReport:
     """Reflection inequality G_{(v,y)}(w,z) <= G_{(v,y)}(w,sigma(z)).
 
@@ -644,9 +638,9 @@ def check_reflection(
 
     pairs = (np.stack([w_ax, w_ax], 1), np.stack([z_nodes, sigma[z_nodes]], 1),
              np.stack([v_ax, v_ax], 1), np.stack([y_nodes, y_nodes], 1))
-    table = (w_ax, z_nodes, v_ax, y_nodes) if collect_samples else None
+    table = {"w": w_ax, "z": z_nodes, "v": v_ax, "y": y_nodes}
     return _sweep(
-        "reflection", ev, pairs, gap, -1e-8, table, ("w", "z", "v", "y"),
+        "reflection", ev, pairs, gap, -1e-8, table,
         tolerance=tolerance, seed=seed, empirical_constant=math.exp(dom),
         config={"count": count, "domination_gap": _DOMINATION_GAP},
     )
@@ -677,12 +671,11 @@ def run_suite(
     seed: int = 0,
     count: int = 10_000,
     tolerance: float = EXACT_TOL,
-    collect_samples: bool = False,
 ) -> Dict[str, VerificationReport]:
     """Run the selected suites; one suite's failure does not abort the rest.
 
-    ``count``, ``tolerance`` and ``collect_samples`` go to the three
-    exactness sweeps (monotonicity, symmetry, reflection).  Raises
+    ``count`` and ``tolerance`` go to the three exactness sweeps
+    (monotonicity, symmetry, reflection).  Raises
     ParameterError for a ``count`` below 1 or a negative ``seed``.
     """
     if count < 1:
@@ -697,8 +690,7 @@ def run_suite(
             names.append(name)
         else:
             raise UnknownSuiteError(f"unknown verification suite {name!r}")
-    sweep = {"count": count, "seed": seed, "tolerance": tolerance,
-             "collect_samples": collect_samples}
+    sweep = {"count": count, "seed": seed, "tolerance": tolerance}
     if ev.base.kind == "chain":
         y_seq = chain_bead_centers(ev.base)
     else:

@@ -165,6 +165,17 @@ def test_converge_rejects_empty_pole_grid(arc_doc, tmp_path):
     assert code == 2
 
 
+def test_converge_fits_every_pole_when_few_pass_the_cutoff(arc_doc, tmp_path):
+    # On this arc the contamination cutoff sits near v = 6.6, past the last
+    # pole: every pole is fitted, and the window says so.
+    out = tmp_path / "conv"
+    main(["converge", "--base", str(arc_doc), "--out", str(out), "--v-max", "6"])
+    meta = json.loads((out / "converge.json").read_text())
+    assert meta["fit_window"] == [2.0, 6.0]
+    rows = np.loadtxt(out / "converge.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == [2.0, 4.0, 6.0]
+
+
 def test_verify_per_sample_tables(arc_doc, tmp_path):
     out = tmp_path / "ps"
     code = main(
@@ -175,6 +186,9 @@ def test_verify_per_sample_tables(arc_doc, tmp_path):
     lines = (out / "samples_symmetry.csv").read_text().splitlines()
     assert lines[0] == "u,v,v0,v1,i,j,violation"
     assert len(lines) == 201
+    # The CSV header names the columns; the summary does not repeat them.
+    extras = json.loads((out / "verify.json").read_text())["suites"]["symmetry"]["extras"]
+    assert "sample_columns" not in extras
 
 
 def test_verify_command_and_determinism(arc_doc, tmp_path):
@@ -224,12 +238,13 @@ def test_verify_rejects_bad_count_and_seed(flags, arc_doc, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_unknown_suite(arc_doc, tmp_path):
-    code = main(
-        ["verify", "--base", str(arc_doc), "--suite", "nope",
-         "--out", str(tmp_path / "x")]
-    )
+def test_verify_unknown_suite(arc_doc, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["verify", "--base", str(arc_doc), "--suite", "nosuch", "--out", str(out)])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: UnknownSuiteError: ") and "'nosuch'" in err
+    assert not out.exists()
 
 
 def test_chain_demo_command(tmp_path):

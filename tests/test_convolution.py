@@ -30,14 +30,19 @@ def test_unit_delays_give_shifted_binomial():
 
 
 def test_grid_dp_matches_enumeration():
-    delays = [0.5] * 10
-    grid = exact_convolution(delays)
-    # Force the enumeration route by making the values grid-hostile copies.
-    eps = 1e-13  # inside the atom-merge tolerance
-    enum = exact_convolution([0.5 + eps * ((-1) ** k) for k in range(10)])
+    from cylpot.convolution import _common_grid
+
+    grid = exact_convolution([0.5] * 10)
+    # sqrt(2)/3 has no rational step, so ten copies take the enumeration
+    # route, whose equal partial sums merge into 11 binomial atoms.
+    a = math.sqrt(2.0) / 3.0
+    assert _common_grid(np.full(10, a)) is None
+    enum = exact_convolution([a] * 10)
     assert grid.atom_count == enum.atom_count == 11
-    assert np.allclose(grid.support, enum.support, atol=1e-11)
-    assert np.allclose(grid.probabilities, enum.probabilities, rtol=1e-12)
+    binomial = np.array([math.comb(10, k) for k in range(10, -1, -1)]) / 2**10
+    assert np.allclose(enum.probabilities, binomial, rtol=0.0, atol=1e-12)
+    assert np.allclose(grid.probabilities, binomial, rtol=0.0, atol=1e-12)
+    assert np.allclose(enum.support / a, grid.support / 0.5, rtol=0.0, atol=1e-12)
     assert abs(float(np.sum(grid.probabilities)) - 1.0) <= 1e-12
 
 

@@ -424,8 +424,10 @@ def test_resolvent_matches_banded_cholesky_reference(fixture, request):
     _assert_resolvent_matches_cholesky(base, spec.b)
 
 
-def test_resolvent_splits_at_zero_coupling():
-    # A zero-conductance edge cuts the path into two blocks.
+def test_resolvent_rejects_zero_coupling():
+    # A zero-conductance edge cuts the path into two blocks.  The resolvent
+    # route needs a connected path; decompose rejects the split base too,
+    # so no GreenEvaluator ever builds a resolvent for one.
     base = cp.build_graph(
         edges=[[0, 1, 1.0], [1, 2, 0.0], [2, 3, 2.0], [3, 4, 1.0], [4, 5, 0.5]],
         mass=[1.0, 0.5, 1.0, 2.0, 1.0, 1.5],
@@ -433,10 +435,10 @@ def test_resolvent_splits_at_zero_coupling():
         d=3,
     )
     assert base.is_tridiagonal
-    _assert_resolvent_matches_cholesky(base, base.b)
-    stable = StableAxialEvaluator(base, base.b)
-    assert np.all(stable.resolvent(4, [0, 1]) == 0.0)
-    assert np.all(stable.resolvent(4, [2, 3, 5]) > 0.0)
+    with pytest.raises(ValueError, match="connected path"):
+        StableAxialEvaluator(base, base.b)
+    with pytest.raises(cp.EigensolverError, match="entrywise positive"):
+        cp.decompose(base)
 
 
 @pytest.fixture(scope="module")
@@ -508,31 +510,52 @@ def test_log_green_many_matches_per_pair_oracle(fixture, extended, request):
         assert abs(float(logs[k]) - float(want)) <= bound
 
 
-def test_identity_sides_share_mode_count_and_order(chain_default):
+def test_sides_across_a_rung_sum_their_own_mode_counts(chain_default):
     base, spec = chain_default
     ev = GreenEvaluator(spec=spec, base=base)
     delta, ladder, g = ev._float64_modes.delta, ev._ladder, ev._ground_depth
     i, j = 3, 6
     # The separation at which the count of pair (i, j) steps down to a ladder
-    # rung: two sides a hair apart on either side of it keep different
-    # counts alone, and one shared count as one sample.
+    # rung: two sides a hair apart on either side of it keep different counts.
     rung = int(ladder[np.searchsorted(ladder, 16)])
     reach = math.log(1.01 / (np.finfo(float).eps * 1e-8)) + g[i] + g[j]
     s_pair = reach / delta[rung] * np.array([1.0 - 1e-9, 1.0 + 1e-9])
-    nodes_i, nodes_j = np.array([i, i]), np.array([j, j])
-    alone = ev._mode_counts(s_pair, nodes_i, nodes_j)
-    assert alone[0] > alone[1] == rung
-    shared = ev._mode_counts(s_pair, nodes_i, nodes_j, group=2)
-    assert shared[0] == shared[1] == alone[0]
+    counts = ev._mode_counts(s_pair, np.array([i, i]), np.array([j, j]))
+    assert counts[0] > counts[1] == rung
     logs = ev.log_green_many(np.zeros((1, 2)), i, s_pair[None, :], j)
     assert not np.isnan(logs).any()
-    # Both sides sum the same leading modes in index order.
-    K = int(shared[0])
+    # Each side sums its own leading modes in index order.
     phi, sm = spec.eigenvectors, ev.sqrt_mu
     for side, s in enumerate(s_pair):
+        K = int(counts[side])
         terms = phi[i, :K] * phi[j, :K] / (2.0 * sm[:K]) * np.exp(-s * (sm - sm[0])[:K])
         tail = np.float64(np.cumsum(terms)[-1])
         assert logs[0, side] == -0.5 * spec.b * -s - s * sm[0] + np.log(tail)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("fixture", ["chain_default", "arc_small", "cap_small", "graph_small"])
+def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, extended, request):
+    # A pair's eigenmode value is the same in an (m, 3) batch, in the flat
+    # batch and alone; the resolvent route is left out (allow_stable=False).
+    base, spec = request.getfixturevalue(fixture)
+    ev = GreenEvaluator(spec=spec, base=base)
+    rng = np.random.default_rng(23)
+    m = 60
+    pu, qu = rng.uniform(-6.0, 6.0, (m, 3)), rng.uniform(-6.0, 6.0, (m, 3))
+    pu[:5] = qu[:5]  # s = 0 keeps every mode
+    pn, qn = rng.integers(0, base.n, (m, 3)), rng.integers(0, base.n, (m, 3))
+    grid = ev.log_green_many(pu, pn, qu, qn, extended=extended, allow_stable=False)
+    flat = ev.log_green_many(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel(),
+                             extended=extended, allow_stable=False)
+    assert grid.shape == (m, 3)
+    assert np.array_equal(grid.ravel(), flat, equal_nan=True)
+    for k, (a, b, c, d) in enumerate(zip(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel())):
+        try:
+            one = ev.log_green(P(a, int(b)), P(c, int(d)), extended, allow_stable=False)
+        except cp.NumericalLossError:
+            one = np.nan
+        assert np.array_equal(flat[k], one, equal_nan=True)
 
 
 def test_log_green_many_shapes_and_loss(chain_default):

@@ -374,7 +374,7 @@ def test_deep_pair_near_the_slack_is_remeasured(chain_default):
     # Independent floor of the certified bound: (K + 4) eps magnitude/|tail|
     # for each side, from the sums over every mode.
     keep = ev._mode_counts(np.abs(pu - v0).ravel(), np.full(pu.size, i0),
-                           np.full(pu.size, j0), group=2).reshape(pu.shape)
+                           np.full(pu.size, j0)).reshape(pu.shape)
     weights = phi[i0] * phi[j0] / (2.0 * sm)
     terms = weights[None, :] * np.exp(-np.abs(pu - v0).ravel()[:, None] * (sm - sm[0]))
     ratio = (np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))).reshape(pu.shape)
