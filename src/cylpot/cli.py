@@ -24,6 +24,7 @@ from .base import (
     DEFAULT_NECK_RATIO,
     BaseSpecError,
     ParameterError,
+    SchemaError,
     chain_bead_centers,
     default_chain_spec,
     build_chain,
@@ -37,7 +38,7 @@ from .convolution import (
 )
 from .cylinder import CylinderPoint, GreenEvaluator, NumericalLossError, fit_exponent
 from .spectral import SpectralError, decompose
-from .verify import check_ratio_limit, check_small_time_ratio, run_suite
+from .verify import check_ratio_limit, check_small_time_ratio, run_suite, select_suites
 
 _ALPHA_FIT_WINDOW = (2.0, 6.0)
 _ALPHA_FIT_POINTS = 9
@@ -168,24 +169,42 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _read_points(path) -> tuple:
+    """(u, node) columns of a points CSV; empty rows and a header row whose
+    first field is "u" are skipped.  SchemaError for a row that is not two
+    fields of a number and an integer, ParameterError for a non-finite u."""
+    us, nodes = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line, row in enumerate(csv.reader(fh), 1):
+            if not row or row[0].strip().lower() in ("u", ""):
+                continue
+            if len(row) != 2:
+                raise SchemaError(f"points row {line} has {len(row)} fields, not 2 (u, node)")
+            try:
+                u, node = float(row[0]), int(row[1])
+            except ValueError as exc:
+                raise SchemaError(f"points row {line} is not (u, node): {exc}") from None
+            if not math.isfinite(u):
+                raise ParameterError(f"points row {line}: u must be finite, got {u}")
+            us.append(u)
+            nodes.append(node)
+    return us, nodes
+
+
 def cmd_green(args) -> int:
+    if not math.isfinite(args.pole_u):
+        raise ParameterError(f"pole u must be finite, got {args.pole_u}")
+    us, nodes = _read_points(args.points)
     base, spec, ev = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pole = CylinderPoint(args.pole_u, args.pole_node)
-    points = []
-    with open(args.points, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("u", ""):
-                continue
-            points.append(CylinderPoint(float(row[0]), int(row[1])))
-    logs = ev.log_green_many([p.u for p in points], [p.node for p in points], pole.u, pole.node)
-    count = len(points)
+    logs = ev.log_green_many(us, nodes, pole.u, pole.node)
+    count = len(us)
     write_csv(
         out / "green.csv",
         ("u", "node", "v", "nodePole", "value", "logValue"),
-        ([p.u for p in points], [p.node for p in points], np.full(count, pole.u),
-         np.full(count, pole.node), np.exp(logs), logs),
+        (us, nodes, np.full(count, pole.u), np.full(count, pole.node), np.exp(logs), logs),
     )
     write_summary(
         out / "green.json",
@@ -193,7 +212,7 @@ def cmd_green(args) -> int:
             "command": "green",
             "seed": args.seed,
             "pole": {"u": pole.u, "node": pole.node},
-            "points": len(points),
+            "points": count,
             "base": _base_metadata(base, spec),
         },
     )
@@ -205,9 +224,12 @@ def cmd_converge(args) -> int:
         raise ParameterError(f"pole step must be positive and finite, got {args.v_step}")
     if not math.isfinite(args.v_max):
         raise ParameterError(f"last pole must be finite, got {args.v_max}")
+    if not (math.isfinite(args.tol_rate) and args.tol_rate >= 0.0):
+        raise ParameterError(f"rate tolerance must be finite and non-negative, got {args.tol_rate}")
     poles_v = np.arange(2.0, args.v_max + 1e-9, args.v_step)
-    if poles_v.size == 0:
-        raise ParameterError(f"pole grid is empty: v-max {args.v_max} is below the first pole 2.0")
+    if poles_v.size < 3:
+        raise ParameterError(f"the rate fit needs at least 3 poles from 2.0 to v-max "
+                             f"{args.v_max}, got {poles_v.size}")
     base, spec, ev = _load_evaluator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,12 +274,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Names and options are checked before the base is decomposed.
+    suites = [s.strip() for s in args.suite.split(",") if s.strip()] or ["all"]
+    select_suites(suites, seed=args.seed, count=args.count, tolerance=args.tol_exact)
     base, spec, ev = _load_evaluator(args)
     out = Path(args.out)
-    suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    reports = run_suite(
-        ev, suites or ("all",), seed=args.seed, count=args.count, tolerance=args.tol_exact,
-    )
+    reports = run_suite(ev, suites, seed=args.seed, count=args.count, tolerance=args.tol_exact)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": "verify",

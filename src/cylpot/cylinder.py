@@ -89,11 +89,11 @@ def gaussian_density(t: float, w: float, b: float) -> float:
 
 
 def _prefix_products(ratios: np.ndarray):
-    """Prefix products P_y = prod_{j<y} ratios[j] down the rows of a positive
-    (n-1, W) array, as (mantissa, exponent) arrays of shape (n, W) with
-    P = mantissa * 2**exponent; one rounding per factor, as in a running
-    product, but no underflow."""
-    man = np.empty((ratios.shape[0] + 1, ratios.shape[1]))
+    """Prefix products P_y = prod_{j<y} ratios[j] down the first axis of a
+    positive (n-1, ...) array, as (mantissa, exponent) arrays of shape
+    (n, ...) with P = mantissa * 2**exponent; one rounding per factor, as in
+    a running product, but no underflow."""
+    man = np.empty((ratios.shape[0] + 1,) + ratios.shape[1:])
     exp = np.empty(man.shape, dtype=np.int64)
     man[0], exp[0] = 0.5, 1
     for j in range(ratios.shape[0]):
@@ -154,14 +154,13 @@ class StableAxialEvaluator:
     def _factorize(self):
         """Twisted factorization of T_w at every quadrature node w.
 
-        Returns (first, last, inv_gamma).  With the positive ratios
+        Returns (man, exp, inv_gamma).  With the positive ratios
         f_j = -e_j / d+_j and l_j = -e_j / d-_{j+1}, an entry of column x is
         [T_w^{-1}]_{yx} = inv_gamma[x] * prod_{j=y}^{x-1} f_j for y < x and
-        inv_gamma[x] * prod_{j=x}^{y-1} l_j for y > x.  ``first`` and
-        ``last`` hold the prefix products F_y = prod_{j<y} f_j and
-        L_y = prod_{j<y} l_j as (mantissa, exponent) pairs, which cannot
-        underflow, so any entry is one quotient of two of them.  Every array
-        has one column per quadrature node.
+        inv_gamma[x] * prod_{j=x}^{y-1} l_j for y > x.  The prefix products
+        F_y = prod_{j<y} f_j and L_y = prod_{j<y} l_j are sides 0 and 1 of
+        the (n, 2, W) mantissas ``man`` and exponents ``exp``, which cannot
+        underflow, so any entry is one quotient of two of them.
         """
         if self._factors is None:
             t = self._diag[:, None] + (self._shift + self._w * self._w)[None, :]
@@ -178,32 +177,34 @@ class StableAxialEvaluator:
                 bwd[i] = t[i] - e2[i] / bwd[i + 1]
             gamma = fwd.copy()
             gamma[:-1] -= e2 / bwd[1:]
-            self._factors = (
-                _prefix_products(-e / fwd[:-1]),
-                _prefix_products(-e / bwd[1:]),
-                1.0 / gamma,
-            )
+            ratios = np.empty((n - 1, 2, t.shape[1]))
+            np.divide(-e, fwd[:-1], out=ratios[:, 0])
+            np.divide(-e, bwd[1:], out=ratios[:, 1])
+            del t, fwd, bwd  # freed before the (n, 2, W) prefix tables are built
+            self._factors = (*_prefix_products(ratios), 1.0 / gamma)
         return self._factors
 
-    def resolvent(self, root: int, nodes) -> np.ndarray:
-        """[T_w^{-1}]_{nodes, root} for every quadrature node w, shape
-        (len(nodes), W)."""
-        (f_man, f_exp), (l_man, l_exp), inv_gamma = self._factorize()
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-        below = (nodes < root)[:, None]
-        # Towards node 0 the entry is F_root / F_y, otherwise L_y / L_root.
-        num_man = np.where(below, f_man[root], l_man[nodes])
-        num_exp = np.where(below, f_exp[root], l_exp[nodes])
-        den_man = np.where(below, f_man[nodes], l_man[root])
-        den_exp = np.where(below, f_exp[nodes], l_exp[root])
-        return np.ldexp(num_man / den_man, num_exp - den_exp) * inv_gamma[root]
+    def resolvent(self, y, x) -> np.ndarray:
+        """[T_w^{-1}]_{yx} of each pair of the 1-D node arrays ``y`` and ``x``
+        (the column) at every quadrature node w, shape (pairs, W)."""
+        man, exp, inv_gamma = self._factorize()
+        y, x = np.atleast_1d(y), np.asarray(x)
+        # Towards node 0 (y < x) the entry is F_x / F_y, otherwise L_y / L_x.
+        side, hi, lo = (y >= x).astype(int), np.maximum(y, x), np.minimum(y, x)
+        return np.ldexp(man[hi, side] / man[lo, side], exp[hi, side] - exp[lo, side]) * inv_gamma[x]
 
-    def values(self, s: float, root: int, nodes) -> np.ndarray:
-        """V(s; root, nodes) for axial separation s >= 0."""
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-        integrand = self.resolvent(root, nodes) * np.cos(s * self._w)[None, :]
-        vals = integrand @ self._qw / math.pi
-        return vals * self._scale[nodes] * self._scale[root]
+    def values(self, s, y, x) -> np.ndarray:
+        """V(s; y, x) of each pair of the 1-D arrays s >= 0, y and x (scalars
+        broadcast), in blocks of _CHUNK_TERMS // W pairs; each pair sums its
+        own row in order, so its value does not depend on its batch."""
+        s, y, x = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), y, x)
+        vals = np.empty(s.shape)
+        step = max(1, _CHUNK_TERMS // self._w.size)
+        for lo in range(0, s.size, step):
+            blk = slice(lo, lo + step)
+            terms = self.resolvent(y[blk], x[blk]) * np.cos(s[blk, None] * self._w) * self._qw
+            vals[blk] = np.cumsum(terms, axis=1)[:, -1]
+        return vals / math.pi * self._scale[y] * self._scale[x]
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,8 @@ class GreenEvaluator:
         self._ground_depth = -np.log(phi1 * np.sqrt(spec.mass))
 
     def _pairs(self, pu, pnode, qu, qnode):
-        """Flat (w, s, i, j, keep) of broadcast pair arrays, and their shape."""
+        """Flat (w, s, i, j, keep) of broadcast pair arrays, and their shape;
+        ValueError for a node out of range or a non-finite axial coordinate."""
         pu, pnode, qu, qnode = np.broadcast_arrays(
             np.asarray(pu, dtype=float), np.asarray(pnode),
             np.asarray(qu, dtype=float), np.asarray(qnode),
@@ -295,6 +297,8 @@ class GreenEvaluator:
         n = self.spec.n
         if i.size and not (0 <= min(i.min(), j.min()) and max(i.max(), j.max()) < n):
             raise ValueError(f"node index out of range with n={n}")
+        if not (np.isfinite(pu).all() and np.isfinite(qu).all()):
+            raise ValueError("axial coordinates must be finite")
         w = (pu - qu).ravel()
         s = np.abs(w)
         return pu.shape, w, s, i, j, self._mode_counts(s, i, j)
@@ -424,18 +428,14 @@ class GreenEvaluator:
         return logs.reshape(shape)
 
     def _resolvent_logs(self, logs, w, s, i, j) -> None:
-        """Fill lost (nan) pairs in place from resolvent quadrature, one
-        StableAxialEvaluator.values call per (separation, pole node); a pair
-        whose quadrature value is not positive stays nan."""
+        """Fill lost (nan) pairs in place from one StableAxialEvaluator.values
+        call, with the pole node j as the resolvent column; a pair whose
+        quadrature value is not positive stays nan."""
         idx = np.flatnonzero(np.isnan(logs))
-        if not idx.size:
-            return
-        idx = idx[np.lexsort((j[idx], s[idx]))]
-        cuts = np.flatnonzero((np.diff(s[idx]) != 0) | (np.diff(j[idx]) != 0)) + 1
-        for group in np.split(idx, cuts):
-            vals = self._stable.values(float(s[group[0]]), int(j[group[0]]), i[group])
+        if idx.size:
+            vals = self._stable.values(s[idx], i[idx], j[idx])
             ok = vals > 0.0
-            logs[group[ok]] = -0.5 * self.spec.b * w[group[ok]] + np.log(vals[ok])
+            logs[idx[ok]] = -0.5 * self.spec.b * w[idx[ok]] + np.log(vals[ok])
 
     def log_green(
         self,

@@ -37,6 +37,7 @@ __all__ = [
     "check_ratio_limit",
     "check_reflection",
     "symmetry_halves",
+    "select_suites",
     "run_suite",
     "SUITE_NAMES",
 ]
@@ -84,7 +85,8 @@ class RateFit:
 @dataclass
 class VerificationReport:
     """Outcome of one suite.  passed follows from status and max_violation;
-    an exactness sweep that resolved no sample is ``insufficient``."""
+    an exactness sweep that resolved no sample, or a rate fit with fewer
+    than three samples in its window, is ``insufficient``."""
 
     suite: str
     sample_count: int
@@ -440,7 +442,9 @@ def check_iu_ratio(
     rate.  The fitted rate is compared against -(lam2 - lam1) within
     RATE_TOL relative.  Default grid
     and window live on the gap timescale tau = 3/(lam2 - lam1), which is 1
-    on the length-pi arc.
+    on the length-pi arc.  A window that keeps fewer than three times after
+    the contamination cutoff fits nothing: the report is ``insufficient``,
+    and its note gives the window and lam3 - lam2.
     """
     spec.require_all_modes("check_iu_ratio")
     if spec.n < 2:
@@ -469,21 +473,17 @@ def check_iu_ratio(
         else:
             cvals[idx] = max(np.max(r), np.max(1.0 / r))
     lo, hi = fit_window
+    gap = float(lam[2] - lam[1]) if spec.n >= 3 else math.nan
     if spec.n >= 3:
         # Push the window start past the point where the third mode's
         # predicted contamination of the two-mode model drops below 1%.
-        lo = max(lo, math.log(100.0) / float(lam[2] - lam[1]))
+        lo = max(lo, math.log(100.0) / gap)
     mask = (t_grid >= lo) & (t_grid <= hi) & np.isfinite(cvals) & (cvals > 1.0)
-    fitted = fit_exponent(list(zip(t_grid[mask], cvals[mask] - 1.0)))
-    expected = -(lam[1] - lam[0])
-    rel_dev = abs(fitted.alpha_hat - expected) / abs(expected)
-    rate = RateFit(fitted.alpha_hat, expected, rel_dev, (lo, hi))
-    return VerificationReport(
+    report = VerificationReport(
         suite="iu_ratio",
         sample_count=len(t_grid),
-        max_violation=rel_dev,
+        max_violation=math.inf,
         tolerance=RATE_TOL,
-        rate=rate,
         config={"probe_node": probe_node},
         extras={
             "t_grid": t_grid,
@@ -492,6 +492,18 @@ def check_iu_ratio(
             "tail_t": float(t_grid[-1]),
         },
     )
+    if np.count_nonzero(mask) < 3:
+        report.status = "insufficient"
+        report.note = (
+            f"fit window [{lo:.6g}, {hi:.6g}] holds {np.count_nonzero(mask)} of the "
+            f"{len(t_grid)} times, fewer than 3 (lam3 - lam2 = {gap:.3g})"
+        )
+        return report
+    fitted = fit_exponent(list(zip(t_grid[mask], cvals[mask] - 1.0)))
+    expected = -(lam[1] - lam[0])
+    report.max_violation = abs(fitted.alpha_hat - expected) / abs(expected)
+    report.rate = RateFit(fitted.alpha_hat, expected, report.max_violation, (lo, hi))
+    return report
 
 
 def check_small_time_ratio(
@@ -506,8 +518,10 @@ def check_small_time_ratio(
     ratio(y) = int_0^t0 e^{-lam s} pi_s(x, y) ds / int_0^inf (same), computed
     mode-exactly with weights (1 - e^{-(lam_k+lam) t0})/(lam_k+lam) against
     1/(lam_k+lam).  Reports the sequence and whether it decreases along
-    y_sequence (values below _DECREASE_FLOOR are not held to ordering).
-    Informational suite: max_violation is always 0.
+    y_sequence.  A ratio below _DECREASE_FLOOR in magnitude is the rounding
+    of the cancelling eigen-sum: it is reported as 0, counted in
+    ``below_floor`` and not held to ordering.  Informational suite:
+    max_violation is always 0.
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
@@ -522,6 +536,8 @@ def check_small_time_ratio(
     for idx, y in enumerate(y_sequence):
         pair = phi[x] * phi[int(y)]
         ratios[idx] = np.dot(pair, w_num) / np.dot(pair, w_den)
+    below = np.abs(ratios) < _DECREASE_FLOOR
+    ratios[below] = 0.0
     sig = np.maximum(ratios, _DECREASE_FLOOR)
     decreasing = bool(np.all(np.diff(sig) <= 1e-12 + 1e-6 * sig[:-1]))
     return VerificationReport(
@@ -532,6 +548,7 @@ def check_small_time_ratio(
         config={"lam": lam, "t0": t0, "x": x},
         extras={
             "ratios": ratios,
+            "below_floor": int(np.count_nonzero(below)),
             "is_decreasing": decreasing,
             "min_ratio": float(np.min(ratios)),
             "final_ratio": float(ratios[-1]),
@@ -665,6 +682,34 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def select_suites(
+    suites: Sequence[str],
+    seed: int = 0,
+    count: int = 10_000,
+    tolerance: float = EXACT_TOL,
+) -> list:
+    """The suite names run_suite runs for ``suites`` ("all" is every suite),
+    after checking its options: UnknownSuiteError for an unknown name, and
+    ParameterError for a ``count`` below 1, a negative ``seed`` or a
+    ``tolerance`` that is negative or not finite.  It needs no evaluator, so
+    callers can check their options before decomposing a base."""
+    if count < 1:
+        raise ParameterError(f"sample count must be at least 1, got {count}")
+    if seed < 0:
+        raise ParameterError(f"sample seed must be non-negative, got {seed}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ParameterError(f"tolerance must be finite and non-negative, got {tolerance}")
+    names: list = []
+    for name in suites:
+        if name == "all":
+            names.extend(SUITE_NAMES)
+        elif name in SUITE_NAMES:
+            names.append(name)
+        else:
+            raise UnknownSuiteError(f"unknown verification suite {name!r}")
+    return names
+
+
 def run_suite(
     ev: GreenEvaluator,
     suites: Sequence[str] = ("all",),
@@ -675,21 +720,10 @@ def run_suite(
     """Run the selected suites; one suite's failure does not abort the rest.
 
     ``count`` and ``tolerance`` go to the three exactness sweeps
-    (monotonicity, symmetry, reflection).  Raises
-    ParameterError for a ``count`` below 1 or a negative ``seed``.
+    (monotonicity, symmetry, reflection).  The names and options are
+    checked by select_suites first.
     """
-    if count < 1:
-        raise ParameterError(f"sample count must be at least 1, got {count}")
-    if seed < 0:
-        raise ParameterError(f"sample seed must be non-negative, got {seed}")
-    names: list = []
-    for name in suites:
-        if name == "all":
-            names.extend(SUITE_NAMES)
-        elif name in SUITE_NAMES:
-            names.append(name)
-        else:
-            raise UnknownSuiteError(f"unknown verification suite {name!r}")
+    names = select_suites(suites, seed, count, tolerance)
     sweep = {"count": count, "seed": seed, "tolerance": tolerance}
     if ev.base.kind == "chain":
         y_seq = chain_bead_centers(ev.base)

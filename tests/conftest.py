@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import cylpot as cp
@@ -81,3 +82,18 @@ def chain_shortcut():
         "dirichlet_leak": [8.0] + [0.0] * (chain.n - 1),
     }
     return chain, doc
+
+
+@pytest.fixture(scope="session")
+def cyclic_graph():
+    """Base document of an 80-node cycle: conductances 1 + 0.5 sin k on
+    edge (k, k + 1), mass 1 + 0.3 cos k and leak 0.2 at every node, d = 3.
+    Its eigenvalues 2 and 3 lie 5.6e-4 apart."""
+    k = np.arange(80)
+    return {
+        "type": "graph",
+        "d": 3,
+        "edges": [[int(a), int((a + 1) % 80), 1.0 + 0.5 * math.sin(a)] for a in k],
+        "mass": (1.0 + 0.3 * np.cos(k)).tolist(),
+        "dirichlet_leak": [0.2] * 80,
+    }

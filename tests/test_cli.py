@@ -64,7 +64,7 @@ def test_spectrum_eigenvalues_do_not_depend_on_modes(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--v-step", "0"], ["--v-step", "nan"], ["--v-step", "-2"],
-                                   ["--v-max", "1.0"], ["--v-max", "inf"]])
+                                   ["--v-max", "1.0"], ["--v-max", "inf"], ["--v-max", "3"]])
 def test_converge_rejects_bad_pole_grid_before_loading(flags, tmp_path, capsys):
     # The base file does not exist: the grid is checked before it is read.
     out = tmp_path / "c"
@@ -238,12 +238,47 @@ def test_verify_rejects_bad_count_and_seed(flags, arc_doc, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_unknown_suite(arc_doc, tmp_path, capsys):
+def _forbid_load_base(monkeypatch):
+    def load_base(path):
+        raise AssertionError("the base was loaded")
+    monkeypatch.setattr("cylpot.cli.load_base", load_base)
+
+
+def test_verify_unknown_suite(arc_doc, tmp_path, capsys, monkeypatch):
+    _forbid_load_base(monkeypatch)  # suite names are checked before the base is read
     out = tmp_path / "x"
     code = main(["verify", "--base", str(arc_doc), "--suite", "nosuch", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: UnknownSuiteError: ") and "'nosuch'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, points, error", [
+    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\n1.0\n", "SchemaError"),
+    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\n1.0,x\n", "SchemaError"),
+    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\nnan,3\n", "ParameterError"),
+    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\n-inf,3\n", "ParameterError"),
+    (["green", "--pole-u", "nan", "--pole-node", "0"], "u,node\n1.0,3\n", "ParameterError"),
+    (["converge", "--tol-rate", "-1"], None, "ParameterError"),
+    (["converge", "--tol-rate", "nan"], None, "ParameterError"),
+    (["verify", "--tol-exact", "nan"], None, "ParameterError"),
+    (["verify", "--tol-exact=-1e-12"], None, "ParameterError"),
+], ids=["one-field", "bad-node", "nan-u", "inf-u", "nan-pole-u", "negative-tol-rate",
+        "nan-tol-rate", "nan-tol-exact", "negative-tol-exact"])
+def test_malformed_input_exits_2_before_loading(argv, points, error, arc_doc, tmp_path,
+                                                capsys, monkeypatch):
+    _forbid_load_base(monkeypatch)
+    out = tmp_path / "o"
+    argv = argv + ["--base", str(arc_doc), "--out", str(out)]
+    if points is not None:
+        pts = tmp_path / "pts.csv"
+        pts.write_text(points)
+        argv += ["--points", str(pts)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
     assert not out.exists()
 
 

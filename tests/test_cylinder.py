@@ -349,7 +349,7 @@ def test_stable_axial_matches_eigensum_on_healthy_base(arc_small):
     nodes = np.array([10, 30, 80])
     for s in (0.0, 0.7, 2.5):
         want = (phi[nodes] * (phi[x] * np.exp(-s * sm) / (2 * sm))[None, :]).sum(axis=1)
-        got = stable.values(s, x, nodes)
+        got = stable.values(s, nodes, x)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-8
 
 
@@ -371,7 +371,7 @@ def test_stable_route_consistent_across_switchover(chain_default):
         health = tail / mag if mag > 0 else 0.0
         if 1e-6 <= health <= 1e-3:  # both routes have digits to compare
             eig = tail * math.exp(-s * float(sm[0]))
-            res = float(stable.values(s, x, [int(node)])[0])
+            res = float(stable.values(s, int(node), x)[0])
             assert res == pytest.approx(eig, rel=2e-4)
             checked += 1
     assert checked >= 1
@@ -407,13 +407,13 @@ def _assert_resolvent_matches_cholesky(base, b):
         for k, wk in enumerate(w):
             ab[1] = diag + 0.25 * b * b + wk * wk
             want[:, k] = scipy.linalg.solveh_banded(ab, rhs)
-        got = stable.resolvent(root, nodes)
+        got = stable.resolvent(nodes, root)
         assert np.array_equal(got > 0.0, want > 0.0)
         nz = want > 0.0
         assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-10
         # At s = 0 the quadrature has no cosine cancellation.
         ref = (want @ qw) / math.pi * scale * scale[root]
-        got_v = stable.values(0.0, root, nodes)
+        got_v = stable.values(0.0, nodes, root)
         assert np.array_equal(got_v > 0.0, ref > 0.0)
         assert np.max(np.abs(got_v[ref > 0] / ref[ref > 0] - 1.0)) <= 1e-10
 
@@ -558,6 +558,32 @@ def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, extended, reques
         assert np.array_equal(flat[k], one, equal_nan=True)
 
 
+def test_resolvent_values_do_not_depend_on_batch(chain_default):
+    # Every pair the eigenmode route loses (656 of 984 here) takes the
+    # resolvent route, and its value is the same in the flat batch, in the
+    # (3, n) batch and alone.
+    base, spec = chain_default
+    ev = GreenEvaluator(spec=spec, base=base)
+    u, nodes = np.array([0.3, 1.3, 4.0]), np.arange(base.n)
+    pu, pn = np.repeat(u, base.n), np.tile(nodes, u.size)
+    lost = np.isnan(ev.log_green_many(pu, pn, 0.0, 0, allow_stable=False))
+    assert np.count_nonzero(lost) == 656
+    flat = ev.log_green_many(pu, pn, 0.0, 0)
+    grid = ev.log_green_many(u[:, None], nodes[None, :], 0.0, 0)
+    alone = [ev.log_green_many(a, b, 0.0, 0) for a, b in zip(pu[lost], pn[lost])]
+    assert np.array_equal(grid.ravel()[lost], flat[lost])
+    assert np.array_equal(np.asarray(alone), flat[lost])
+
+
+@pytest.mark.parametrize("pu, qu", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, -np.inf)])
+def test_pairs_reject_non_finite_axial_coordinates(arc_small, pu, qu):
+    ev = _evaluator(arc_small)
+    with pytest.raises(ValueError, match="finite"):
+        ev.log_green_many([0.0, pu], 5, qu, 7)
+    with pytest.raises(ValueError, match="finite"):
+        ev.screen_many(pu, 5, qu, 7)
+
+
 def test_log_green_many_shapes_and_loss(chain_default):
     base, spec = chain_default
     ev = GreenEvaluator(spec=spec, base=base)
@@ -599,7 +625,7 @@ def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule():
     def reference(edges, order):
         stable = StableAxialEvaluator(base, base.b)
         stable._w, stable._qw = _gauss_panel_rule(edges, order)
-        return -0.5 * base.b * u + np.log(stable.values(abs(u), 0, nodes))
+        return -0.5 * base.b * u + np.log(stable.values(abs(u), nodes, 0))
 
     fine = reference(np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(40.0, 200.5, 1.0)]), 16)
     finer = reference(np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)]), 20)

@@ -169,6 +169,28 @@ def test_small_time_chain_collapses_at_the_end(chain_default):
     assert ratios[-1] <= 0.05 * ratios[4]
 
 
+def test_small_time_ratios_below_the_floor_read_zero(chain_default):
+    # Beads 8-40 of the default chain sit below the floor, where the
+    # cancelling eigen-sum leaves sign-random rounding (down to -7.6e-17).
+    base, spec = chain_default
+    rep = check_small_time_ratio(
+        spec, lam=0.0, t0=1.0, x=base.reference_node, y_sequence=cp.chain_bead_centers(base)
+    )
+    ratios = np.asarray(rep.extras["ratios"])
+    assert rep.extras["below_floor"] == 33
+    assert np.all(ratios[7:] == 0.0) and np.all(ratios[:7] >= 1e-9)
+    assert rep.extras["min_ratio"] == 0.0 and rep.extras["is_decreasing"]
+
+
+def test_iu_ratio_reports_an_empty_fit_window(cyclic_graph):
+    # lam3 - lam2 = 5.6e-4 moves the window start past its end: nothing to fit.
+    spec = cp.decompose(cp.load_base(cyclic_graph))
+    rep = check_iu_ratio(spec, probe_node=spec.n // 3)
+    assert rep.status == "insufficient" and not rep.passed and rep.rate is None
+    assert "fit window [8235.19, 4717.92] holds 0 of the 58 times" in rep.note
+    assert "lam3 - lam2 = 0.000559" in rep.note
+
+
 def test_ratio_limit_trivial_cases(arc_small, cap_small):
     nodes = [10, 40, 90]
     rep = check_ratio_limit(
