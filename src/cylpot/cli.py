@@ -42,6 +42,7 @@ from .verify import check_ratio_limit, check_small_time_ratio, run_suite, select
 
 _ALPHA_FIT_WINDOW = (2.0, 6.0)
 _ALPHA_FIT_POINTS = 9
+_EPS = float(np.finfo(float).eps)
 
 
 # Rows formatted and written per block of write_csv.
@@ -230,18 +231,20 @@ def cmd_converge(args) -> int:
     if poles_v.size < 3:
         raise ParameterError(f"the rate fit needs at least 3 poles from 2.0 to v-max "
                              f"{args.v_max}, got {poles_v.size}")
-    base, spec, ev = _load_evaluator(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     u_grid = np.arange(-2.0, 2.0 + 1e-9, 0.5)
-    stride = max(1, spec.n // 64)
-    nodes = np.arange(0, spec.n, stride)
+    base = load_base(args.base)
+    nodes = np.arange(0, base.n, max(1, base.n // 64))
+    sep = poles_v[:, None] - u_grid[None, :]
+    spec = decompose(base, reach=_converge_reach(base, nodes, float(sep[sep > 0.0].min())))
+    ev = GreenEvaluator(spec=spec, base=base)
     sups = []
     for v in poles_v:
         pole = CylinderPoint(float(v), ev.reference.node)
         dev = ev.martin_deviation_from_f_plus(pole, u_grid, nodes)
         sups.append(float(np.max(np.abs(dev))))
     sups = np.asarray(sups)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "converge.csv", ("v", "sup_deviation"), (poles_v, sups))
     sm = np.sqrt(np.asarray(spec.mu, dtype=float))
     expected = -(sm[1] - sm[0])
@@ -268,9 +271,26 @@ def cmd_converge(args) -> int:
             "fit_window": [v_fit_min, float(poles_v.max())],
             "strictly_decreasing": decreasing,
             "passed": passed,
+            "zero_separation_cells": ev.run_record["zero_separation"],
+            "truncation_bound": ev.run_record["truncation_bound"],
         },
     )
     return 0 if passed else 1
+
+
+def _converge_reach(base, nodes, s_min: float) -> float:
+    """sqrt(mu_k) - sqrt(mu_1) up to which converge forms modes.
+
+    martin_deviation_from_f_plus bounds the dropped modes of a cell at
+    separation s by e^{-s delta} / (2 sqrt(mu) sqrt(m_i m_pole)) against
+    eps times the table's sup.  Before the solve neither mu nor the sup is
+    known, so this takes both factors as 1 at the grid's smallest positive
+    separation ``s_min``; the deviation then re-checks every cell and
+    raises ValueError where the formed modes fall short.
+    """
+    m = base.mass
+    floor = float(np.min(m[nodes])) * float(m[base.reference_node])
+    return (math.log(1.0 / _EPS) - 0.5 * math.log(floor)) / s_min
 
 
 def cmd_verify(args) -> int:

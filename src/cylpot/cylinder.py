@@ -113,6 +113,15 @@ def _gauss_panel_rule(edges: Sequence[float], order: int = 12):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _sech_trapezoid_rule(lo: float, hi: float, step: float, pad: float):
+    """Nodes w = e^tau and weights step * w of the trapezoid rule in tau over
+    [ln(lo)/2 - pad, ln(hi)/2 + pad], for int_0^inf f(w) dw when f is a sum
+    of 1/(w^2 + mu) terms with lo <= mu <= hi."""
+    tau = np.arange(0.5 * math.log(lo) - pad, 0.5 * math.log(hi) + pad + 0.5 * step, step)
+    w = np.exp(tau)
+    return w, step * w
+
+
 class StableAxialEvaluator:
     """Deep-separation axial kernel values through resolvent quadrature.
 
@@ -131,17 +140,34 @@ class StableAxialEvaluator:
     decay multiplicatively through the base without cancellation; the only
     cancellation left is the mild cosine damping.  The factorization costs
     O(n W) time and memory for W quadrature nodes, is built on the first
-    evaluation, and then yields any entry of any column in O(W).
-    Meaningful exactly in the deep regime (resolvent columns concentrated at
-    small w), which is when the eigenmode route degrades.
+    evaluation with its rule, and then yields any entry of any column in
+    O(W).
+
+    Two rules share that code.  ``values`` takes Gauss-Legendre panels up
+    to w = 40, which resolve cos(s w): meaningful exactly in the deep
+    regime (resolvent columns concentrated at small w), which is when the
+    eigenmode route degrades.  ``zero_separation_values`` serves s = 0,
+    where nothing oscillates, at any pair: with w = e^tau each mode's
+    integrand becomes (1/(2 sqrt(mu))) sech(tau - ln(mu)/2), and the
+    trapezoid rule in tau (Trefethen & Weideman 2014, "The exponentially
+    convergent trapezoidal rule") of step h errs by about 2 e^{-pi^2/h}
+    relative to the sum of the mode magnitudes.  Its range runs from
+    ln(mu_1)/2 - P to ln(||A + b^2/4||)/2 + P (a Gershgorin bound), which
+    costs about e^{-P} more; h = 0.25 and P = 40 take about 350 nodes on a
+    3000-node cap.
     """
 
     # Panels follow the resolvent's w-decay: fine where transit-suppressed
     # columns still move, coarse in the dead tail.
     _EDGES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0,
               4.0, 5.0, 6.0, 8.0, 10.0, 14.0, 20.0, 28.0, 40.0)
+    # Step and padding of the s = 0 trapezoid rule in tau = ln w.
+    _TAU_STEP = 0.25
+    _TAU_PAD = 40.0
 
-    def __init__(self, base: BaseOperator, b: float):
+    def __init__(self, base: BaseOperator, b: float, mu1: Optional[float] = None):
+        """``mu1``, the smallest mu_k, sets the low end of the s = 0 rule;
+        without it only ``values`` is available."""
         if not base.is_tridiagonal or base.n < 2:
             raise ValueError("stable axial evaluation needs a tridiagonal base")
         self._scale, self._diag, self._off = mass_scaled_bands(base)
@@ -149,10 +175,27 @@ class StableAxialEvaluator:
         if np.any(self._off == 0.0):
             raise ValueError("stable axial evaluation needs a connected path")
         self._w, self._qw = _gauss_panel_rule(self._EDGES)
-        self._factors = None
+        self._zero_rule = None
+        if mu1 is not None:
+            off = np.abs(self._off)
+            top = self._diag.copy()  # Gershgorin row bounds of A
+            top[:-1] += off
+            top[1:] += off
+            self._zero_rule = _sech_trapezoid_rule(
+                mu1, float(top.max()) + self._shift, self._TAU_STEP, self._TAU_PAD
+            )
+        self._factors = {}
 
-    def _factorize(self):
-        """Twisted factorization of T_w at every quadrature node w.
+    def _rule(self, zero: bool):
+        """(nodes, weights) of the s = 0 rule or of the panel rule."""
+        if not zero:
+            return self._w, self._qw
+        if self._zero_rule is None:
+            raise ValueError("the s = 0 rule needs mu1")
+        return self._zero_rule
+
+    def _factorize(self, zero: bool):
+        """Twisted factorization of T_w at every node w of the rule.
 
         Returns (man, exp, inv_gamma).  With the positive ratios
         f_j = -e_j / d+_j and l_j = -e_j / d-_{j+1}, an entry of column x is
@@ -162,8 +205,9 @@ class StableAxialEvaluator:
         the (n, 2, W) mantissas ``man`` and exponents ``exp``, which cannot
         underflow, so any entry is one quotient of two of them.
         """
-        if self._factors is None:
-            t = self._diag[:, None] + (self._shift + self._w * self._w)[None, :]
+        if zero not in self._factors:
+            w = self._rule(zero)[0]
+            t = self._diag[:, None] + (self._shift + w * w)[None, :]
             e = self._off[:, None]
             e2 = e * e
             n = t.shape[0]
@@ -181,30 +225,50 @@ class StableAxialEvaluator:
             np.divide(-e, fwd[:-1], out=ratios[:, 0])
             np.divide(-e, bwd[1:], out=ratios[:, 1])
             del t, fwd, bwd  # freed before the (n, 2, W) prefix tables are built
-            self._factors = (*_prefix_products(ratios), 1.0 / gamma)
-        return self._factors
+            self._factors[zero] = (*_prefix_products(ratios), 1.0 / gamma)
+        return self._factors[zero]
 
-    def resolvent(self, y, x) -> np.ndarray:
+    def resolvent(self, y, x, zero: bool = False) -> np.ndarray:
         """[T_w^{-1}]_{yx} of each pair of the 1-D node arrays ``y`` and ``x``
-        (the column) at every quadrature node w, shape (pairs, W)."""
-        man, exp, inv_gamma = self._factorize()
+        (the column) at every node w of the panel rule (of the s = 0 rule
+        with ``zero``), shape (pairs, W)."""
+        man, exp, inv_gamma = self._factorize(zero)
         y, x = np.atleast_1d(y), np.asarray(x)
         # Towards node 0 (y < x) the entry is F_x / F_y, otherwise L_y / L_x.
         side, hi, lo = (y >= x).astype(int), np.maximum(y, x), np.minimum(y, x)
         return np.ldexp(man[hi, side] / man[lo, side], exp[hi, side] - exp[lo, side]) * inv_gamma[x]
 
-    def values(self, s, y, x) -> np.ndarray:
-        """V(s; y, x) of each pair of the 1-D arrays s >= 0, y and x (scalars
-        broadcast), in blocks of _CHUNK_TERMS // W pairs; each pair sums its
-        own row in order, so its value does not depend on its batch."""
-        s, y, x = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), y, x)
-        vals = np.empty(s.shape)
-        step = max(1, _CHUNK_TERMS // self._w.size)
-        for lo in range(0, s.size, step):
+    def _quadrature(self, s, y, x) -> np.ndarray:
+        """(1/pi) sum_w qw cos(s w) [T_w^{-1}]_{yx} for each pair of the 1-D
+        arrays, on the panel rule, or on the s = 0 rule with no cosine when
+        ``s`` is None.  Pairs go in blocks of _CHUNK_TERMS // W, and each
+        pair sums its own row in order, so its value does not depend on its
+        batch; a block evaluates one cosine row per distinct separation."""
+        zero = s is None
+        w, qw = self._rule(zero)
+        vals = np.empty(y.shape)
+        step = max(1, _CHUNK_TERMS // w.size)
+        for lo in range(0, y.size, step):
             blk = slice(lo, lo + step)
-            terms = self.resolvent(y[blk], x[blk]) * np.cos(s[blk, None] * self._w) * self._qw
+            terms = self.resolvent(y[blk], x[blk], zero)
+            if not zero:
+                sep, row = np.unique(s[blk], return_inverse=True)
+                terms *= np.cos(sep[:, None] * w)[row]
+            terms *= qw
             vals[blk] = np.cumsum(terms, axis=1)[:, -1]
         return vals / math.pi * self._scale[y] * self._scale[x]
+
+    def values(self, s, y, x) -> np.ndarray:
+        """V(s; y, x) of each pair of the 1-D arrays s >= 0, y and x (scalars
+        broadcast) on the panel rule."""
+        s, y, x = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), y, x)
+        return self._quadrature(s, y, x)
+
+    def zero_separation_values(self, y, x) -> np.ndarray:
+        """V(0; y, x) of each pair of the 1-D node arrays y and x (scalars
+        broadcast) on the s = 0 rule."""
+        y, x = np.broadcast_arrays(np.atleast_1d(y), x)
+        return self._quadrature(None, y, x)
 
 
 @dataclass(frozen=True)
@@ -244,12 +308,17 @@ class GreenEvaluator:
     """Evaluator of G, Martin kernels and the canonical solutions.
 
     The reference point (0, reference node of the base) normalizes every
-    Martin kernel.
+    Martin kernel.  The eigendata may hold a leading block of the modes
+    (``decompose`` with ``modes`` or ``reach``): a pair whose certified
+    mode count (see _mode_counts) fits in the formed modes takes the mode
+    sum, a zero-separation pair on a path base the s = 0 resolvent rule,
+    and any other pair raises ValueError; nothing is truncated silently.
+    ``run_record`` counts the values served by the s = 0 rule and keeps
+    the largest certified truncation bound of martin_deviation_from_f_plus.
     """
 
     def __init__(self, spec: SpectralData, base: BaseOperator,
                  reference: Optional[CylinderPoint] = None):
-        spec.require_all_modes("GreenEvaluator")
         if reference is None:
             reference = CylinderPoint(0.0, base.reference_node)
         self.spec = spec
@@ -263,7 +332,8 @@ class GreenEvaluator:
         self.sqrt_mu = sm
         self._stable = None
         if base.is_tridiagonal and base.n >= 2:
-            self._stable = StableAxialEvaluator(base, spec.b)
+            self._stable = StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))
+        self.run_record = {"zero_separation": 0, "truncation_bound": 0.0}
         # Mode tables of the two working precisions: the float64 screen (the
         # eigendata itself on float64 bases, a copy on refined chains), and
         # the 80-bit sums, which accumulate the decays in longdouble (on
@@ -301,7 +371,15 @@ class GreenEvaluator:
             raise ValueError("axial coordinates must be finite")
         w = (pu - qu).ravel()
         s = np.abs(w)
-        return pu.shape, w, s, i, j, self._mode_counts(s, i, j)
+        keep = self._mode_counts(s, i, j)
+        bad = (keep == 0) & ((s > 0.0) | (self._stable is None))
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise ValueError(
+                f"G(({float(pu.ravel()[k])}, {i[k]}); ({float(qu.ravel()[k])}, {j[k]})) "
+                f"needs more than the {self.spec.modes} formed modes"
+            )
+        return pu.shape, w, s, i, j, keep
 
     def _mode_counts(self, s, i, j) -> np.ndarray:
         """Number of leading modes each pair keeps.
@@ -314,27 +392,31 @@ class GreenEvaluator:
         log(1.01 / (eps * _HEALTH_SWITCH)) + g_i + g_j with
         g_i = -log(phi_1(i) sqrt(m_i)) >= 0 (1% slack for rounding): the
         dropped part then stays under one ulp of any tail that passes the
-        health switch.  K is rounded up to a quarter-octave ladder.  The
-        count depends on the pair alone, so a pair's eigenmode value does not
+        health switch.  K is rounded up to a quarter-octave ladder, clamped
+        to the formed modes; a pair whose K exceeds them gets 0.  The count
+        depends on the pair alone, so a pair's eigenmode value does not
         depend on the batch it arrives in.
         """
         g = self._ground_depth
         with np.errstate(divide="ignore"):
             reach = (math.log(1.01 / (_EPS * _HEALTH_SWITCH)) + g[i] + g[j]) / s
         keep = np.searchsorted(self._float64_modes.delta, reach, side="right")
-        return self._ladder[np.searchsorted(self._ladder, keep)]
+        formed = self.spec.modes
+        rounded = np.minimum(self._ladder[np.searchsorted(self._ladder, keep)], formed)
+        return np.where(keep <= formed, rounded, 0)
 
     @staticmethod
     def _mode_sums(modes: _Modes, s, i, j, keep):
         """Signed and absolute sums of the kept mode terms
         w_k e^{-s delta_k}, w_k = phi_k(i) phi_k(j) / (2 sqrt(mu_k)), of each
         pair, rounded to float64.  Pairs keeping the same number of modes are
-        summed together in chunks of at most _CHUNK_TERMS terms."""
-        tail = np.empty(s.size)
-        mag = np.empty(s.size)
+        summed together in chunks of at most _CHUNK_TERMS terms; pairs that
+        keep none sum to 0."""
+        tail = np.zeros(s.size)
+        mag = np.zeros(s.size)
         order = np.argsort(keep, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
-            if not group.size:
+            if not group.size or not keep[group[0]]:
                 continue
             K = int(keep[group[0]])
             step = max(1, _CHUNK_TERMS // K)
@@ -394,8 +476,9 @@ class GreenEvaluator:
         finite bound are certainly lost at eigendata precision.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
-        out = self._screen(w, s, i, j, keep, exact=self._screen_is_exact)
-        return tuple(a.reshape(shape) for a in out)
+        logs, bound = self._screen(w, s, i, j, keep, exact=self._screen_is_exact)
+        self._zero_separation_logs(logs, i, j, keep)
+        return logs.reshape(shape), bound.reshape(shape)
 
     def log_green_many(self, pu, pnode, qu, qnode, extended: bool = False,
                        allow_stable: bool = True):
@@ -410,7 +493,8 @@ class GreenEvaluator:
         modes below one ulp of the sum are dropped (see _mode_counts); a
         pair's eigenmode value does not depend on its batch.  A float64
         screen runs first, and pairs it certifies as lost skip the 80-bit
-        sums.
+        sums.  Pairs beyond the formed modes take the s = 0 rule on any
+        route setting (see the class docstring).
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
         exact = self._screen_is_exact and not extended
@@ -421,11 +505,23 @@ class GreenEvaluator:
             logs = np.full(s.size, np.nan, dtype=self.sqrt_mu.dtype)
             tail, mag = self._mode_sums(modes, s[todo], i[todo], j[todo], keep[todo])
             logs[todo] = self._log_values(modes, w[todo], s[todo], tail, mag)
+        self._zero_separation_logs(logs, i, j, keep)
         if allow_stable:
             if self._stable is not None:
                 self._resolvent_logs(logs, w, s, i, j)
             _raise_if_lost(logs, (pu, pnode, qu, qnode), "any route")
         return logs.reshape(shape)
+
+    def _zero_separation_logs(self, logs, i, j, keep) -> None:
+        """Fill in place the pairs beyond the formed modes (keep 0; _pairs
+        admits only zero-separation pairs on a path base there) from the
+        s = 0 rule; a value that is not positive stays nan."""
+        idx = np.flatnonzero(keep == 0)
+        if idx.size:
+            vals = self._stable.zero_separation_values(i[idx], j[idx])
+            ok = vals > 0.0
+            logs[idx[ok]] = np.log(vals[ok])
+            self.run_record["zero_separation"] += idx.size
 
     def _resolvent_logs(self, logs, w, s, i, j) -> None:
         """Fill lost (nan) pairs in place from one StableAxialEvaluator.values
@@ -473,6 +569,7 @@ class GreenEvaluator:
         """
         import scipy.integrate  # deferred: only this cross-check needs it
 
+        self.spec.require_all_modes("green_by_quadrature")
         w = p.u - q.u
         if w == 0.0 and p.node == q.node:
             raise ValueError("quadrature route requires p != q")
@@ -544,7 +641,15 @@ class GreenEvaluator:
         precision however deep the pole sits.
 
         Requires pole.u >= max(u_grid).  Returns an array of shape
-        (len(nodes), len(u_grid)).
+        (len(nodes), len(u_grid)).  The sums run over the formed modes.  When
+        they are a leading block (F of n), the cells at the pole's own level
+        take the s = 0 rule, and every cell is certified: mass-orthonormal
+        modes satisfy sum_k phi_k(i)^2 = 1/m_i, so by Cauchy-Schwarz the
+        dropped modes add at most e^{-s delta_F} / (2 sqrt(mu_F) sqrt(m_i m_pole))
+        to a mode sum at separation s (delta_F, mu_F of the first dropped
+        mode).  Where the resulting bound on a cell exceeds eps times the
+        table's largest magnitude, ValueError; run_record keeps the largest
+        ratio of the two.
         """
         u_grid = np.asarray(u_grid, dtype=float)
         nodes = np.asarray(nodes, dtype=int)
@@ -552,7 +657,8 @@ class GreenEvaluator:
         if np.any(u_grid > v):
             raise ValueError("probe grid must stay on the near side of the pole")
         i0 = self.reference.node
-        sm = self.sqrt_mu
+        formed = self.spec.modes
+        sm = self.sqrt_mu[:formed]
         delta = sm - sm[0]
         phi = self.spec.eigenvectors
         c_pole = phi[jp] / (2.0 * sm)            # (n_modes,)
@@ -567,8 +673,42 @@ class GreenEvaluator:
         E = np.exp(-delta[:, None] * (v - u_grid)[None, :])
         const = float(np.dot(C0[1:], decay_ref[1:]))
         N = (C[:, 1:] * m1_ref) @ E[1:, :] - np.outer(m1 * const, np.ones_like(u_grid))
-        alpha = self.spec.alpha_max
-        return np.exp(alpha * u_grid)[None, :] * N / (D0 * m1_ref)
+        partial = formed < self.spec.n
+        zero = partial & (u_grid == v)
+        if zero.any():
+            if self._stable is None:
+                raise ValueError("zero separation on partial eigendata needs a path base")
+            # sum_{k>=2} C_k at s = 0 is the whole sum V(0) less mode 1.
+            v0 = self._stable.zero_separation_values(nodes, jp)
+            N[:, zero] = ((v0 - m1) * m1_ref - m1 * const)[:, None]
+            self.run_record["zero_separation"] += nodes.size * int(np.count_nonzero(zero))
+        growth = np.exp(self.spec.alpha_max * u_grid)[None, :]
+        dev = growth * N / (D0 * m1_ref)
+        if not partial:
+            return dev
+        # The dropped part of a mode sum at separation sep over nodes i and
+        # jp; none in the zero-separation cells, which the s = 0 rule serves
+        # whole, and ref_tail in the reference sums const and D0.
+        mass = self.spec.mass
+        cut = float(self.sqrt_mu[formed])
+
+        def dropped(sep, m_i):
+            return np.exp(-sep * (cut - sm[0])) / (2.0 * cut * np.sqrt(m_i * mass[jp]))
+
+        ref_tail = dropped(v, mass[i0])
+        near = np.where(zero, 0.0, m1_ref * dropped(v - u_grid[None, :], mass[nodes][:, None]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (growth * (near + np.abs(m1)[:, None] * ref_tail) / m1_ref
+                     + np.abs(dev) * ref_tail) / max(D0 - ref_tail, 0.0)
+        sup = float(np.max(np.abs(dev)))
+        ratio = float(np.max(bound)) / sup if sup > 0.0 else math.inf
+        if not ratio <= _EPS:
+            raise ValueError(
+                f"the {formed} formed modes do not certify K - F_plus for the pole "
+                f"({v}, {jp}): dropped-mode bound {ratio:.3e} of the table's sup"
+            )
+        self.run_record["truncation_bound"] = max(self.run_record["truncation_bound"], ratio)
+        return dev
 
 
 @dataclass(frozen=True)

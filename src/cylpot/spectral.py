@@ -287,10 +287,13 @@ def decompose(
     refine_low_band: Optional[bool] = None,
     refine_cutoff: float = 50.0,
     modes: Optional[int] = None,
+    reach: Optional[float] = None,
 ) -> SpectralData:
     """Solve the generalized eigensystem of (stiffness, diag(mass)): every
     eigenvalue, and the eigenvectors of the ``modes`` lowest (all of them
-    when None).
+    when None).  ``reach`` forms every mode with
+    sqrt(mu_k) - sqrt(mu_1) <= reach instead, counted on the eigenvalues;
+    given both, the larger count is formed.
 
     Uses the symmetric similarity A = M^(-1/2) K M^(-1/2), which stays
     tridiagonal for the path-structured builders.  There every eigenvalue
@@ -299,8 +302,8 @@ def decompose(
     only the ``modes`` lowest (select='i').  stemr's O(n) workspace keeps
     the eigenvector matrix the only n x n array; its own eigenvalues are
     discarded, since dqds is more accurate in the low band.  Other bases
-    take a dense solve, which forms every mode, so there ``modes`` is a
-    lower bound.
+    take a dense solve, which forms every mode, so there ``modes`` and
+    ``reach`` are lower bounds.
 
     ``refine_low_band`` reruns the eigenpairs below ``refine_cutoff``
     through extended-precision Rayleigh-quotient iteration; the default
@@ -323,10 +326,12 @@ def decompose(
     NotPositiveDefiniteError
         if lam_1 <= 0, i.e. the complement of the base is effectively polar.
     ValueError
-        if ``modes`` is below 1.
+        if ``modes`` is below 1 or ``reach`` is negative or nan.
     """
     if modes is not None and modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
+    if reach is not None and not reach >= 0.0:
+        raise ValueError(f"reach must be non-negative, got {reach}")
     m = base.mass
     tridiagonal = base.is_tridiagonal
     if refine_low_band is None:
@@ -335,6 +340,9 @@ def decompose(
         s, diag, off = mass_scaled_bands(base)
         vals = _path_eigenvalues(diag, off)
         _check_ground_eigenvalue(vals)
+        if reach is not None:
+            sm = np.sqrt(vals + 0.25 * base.b * base.b)
+            modes = max(modes or 1, int(np.searchsorted(sm - sm[0], reach, side="right")))
         # stemr returns its eigenvalues ascending, so its columns pair with
         # the dqds list by index (the residual check would catch a mismatch).
         if modes is None or modes >= base.n or refine_low_band:

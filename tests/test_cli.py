@@ -428,3 +428,59 @@ def test_columnar_csv_rejects_ragged_columns(tmp_path):
         write_csv(tmp_path / "bad.csv", ("a", "b"), ([1, 2], [1.0]))
     with pytest.raises(ValueError):
         write_csv(tmp_path / "one.csv", ("only",), (["", "x"],))
+
+
+@pytest.fixture()
+def cap_doc(tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"type": "cap", "d": 4, "theta0": 2 * math.pi / 5, "n": 301}))
+    return path
+
+
+@pytest.mark.parametrize("doc", ["arc_doc", "cap_doc"])
+def test_partial_converge_matches_full(doc, request, tmp_path, monkeypatch):
+    # converge forms a certified leading block of modes and serves its
+    # zero-separation cells by the s = 0 rule; against every mode formed,
+    # its rows move by rounding only.
+    base = request.getfixturevalue(doc)
+    assert main(["converge", "--base", str(base), "--out", str(tmp_path / "part")]) == 0
+    decompose = cylpot.cli.decompose
+    monkeypatch.setattr("cylpot.cli.decompose", lambda b, reach: decompose(b))
+    assert main(["converge", "--base", str(base), "--out", str(tmp_path / "full")]) == 0
+    part = np.loadtxt(tmp_path / "part" / "converge.csv", delimiter=",", skiprows=1)
+    full = np.loadtxt(tmp_path / "full" / "converge.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(part[:, 0], full[:, 0])
+    assert np.max(np.abs(part[:, 1] / full[:, 1] - 1.0)) <= 1e-9
+    meta = json.loads((tmp_path / "part" / "converge.json").read_text())
+    full_meta = json.loads((tmp_path / "full" / "converge.json").read_text())
+    n = meta["base"]["n"]
+    assert meta["base"]["eigenvector_modes"] < n == full_meta["base"]["eigenvector_modes"]
+    # One zero-separation cell per probe node (pole v = 2 at u = 2).
+    assert meta["zero_separation_cells"] == len(range(0, n, max(1, n // 64)))
+    assert 0.0 < meta["truncation_bound"] <= np.finfo(float).eps
+    assert full_meta["zero_separation_cells"] == 0 and full_meta["truncation_bound"] == 0.0
+    assert meta["passed"] is full_meta["passed"] is True
+
+
+def test_converge_forms_its_modes_by_index(cap_doc, tmp_path, monkeypatch):
+    # Every eigenvector solve of converge on a path base selects a leading
+    # block by index: a full solve fails the test.
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def selected_only(*args, **kwargs):
+        assert kwargs.get("select") == "i", "converge formed every mode"
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", selected_only)
+    assert main(["converge", "--base", str(cap_doc), "--out", str(tmp_path / "c")]) == 0
+
+
+def test_converge_exits_2_when_its_modes_do_not_certify(cap_doc, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("cylpot.cli._converge_reach", lambda base, nodes, s_min: 10.0)
+    out = tmp_path / "c"
+    assert main(["converge", "--base", str(cap_doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and "do not certify" in err
+    assert "Traceback" not in err and not out.exists()

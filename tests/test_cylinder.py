@@ -631,3 +631,106 @@ def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule():
     finer = reference(np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)]), 20)
     assert np.max(np.abs(fine - finer)) <= 1e-12  # the reference has converged
     assert np.max(np.abs(np.asarray(modes, dtype=float) - fine)) <= 5e-9
+
+
+def test_cosine_rows_per_distinct_separation_bit_identical(chain_default):
+    # A green-style batch: 13 separations over every node, pole node 0, plus
+    # pairs with their own separations.  Each block shares one cosine row
+    # per distinct s; every value equals the pair evaluated alone and the
+    # per-pair cosine formula, bit for bit.
+    base, spec = chain_default
+    stable = StableAxialEvaluator(base, spec.b)
+    rng = np.random.default_rng(5)
+    s = np.concatenate([np.repeat(rng.uniform(0.0, 8.0, 13), base.n), rng.uniform(0.0, 8.0, 300)])
+    y = np.concatenate([np.tile(np.arange(base.n), 13), rng.integers(0, base.n, 300)])
+    x = np.concatenate([np.zeros(13 * base.n, dtype=int), rng.integers(0, base.n, 300)])
+    got = stable.values(s, y, x)
+    terms = stable.resolvent(y, x) * np.cos(s[:, None] * stable._w) * stable._qw
+    want = np.cumsum(terms, axis=1)[:, -1] / math.pi * stable._scale[y] * stable._scale[x]
+    assert np.array_equal(got, want)
+    pick = rng.choice(s.size, 200, replace=False)
+    alone = [stable.values(s[k], y[k], x[k])[0] for k in pick]
+    assert np.array_equal(got[pick], alone)
+
+
+# |V(0) by the s = 0 rule - full mode sum| relative to the sum of the mode
+# magnitudes.  Seen: 1.3e-13 on arc_small, 1.6e-14 on cap_small, 9e-15 on the
+# default chain, 3.5e-12 on the n = 3000 hemisphere cap.
+ZERO_RULE_TOL = 1e-11
+
+
+def _zero_rule_gap(base, spec, y, x):
+    """Largest |s = 0 rule - mode sum| / magnitude sum over the pairs."""
+    stable = StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))
+    sm = np.sqrt(np.asarray(spec.mu, dtype=float))
+    phi = np.asarray(spec.eigenvectors, dtype=float)
+    terms = phi[y] * phi[x] / (2.0 * sm)
+    got = stable.zero_separation_values(y, x)
+    return np.max(np.abs(got - terms.sum(axis=1)) / np.abs(terms).sum(axis=1))
+
+
+@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
+def test_zero_separation_rule_matches_full_mode_sum(fixture, request):
+    base, spec = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    y = np.concatenate([np.arange(base.n), rng.integers(0, base.n, 500)])
+    x = np.concatenate([np.full(base.n, base.reference_node), rng.integers(0, base.n, 500)])
+    assert _zero_rule_gap(base, spec, y, x) <= ZERO_RULE_TOL
+
+
+def test_zero_separation_rule_needs_mu1(arc_small):
+    base, spec = arc_small
+    with pytest.raises(ValueError, match="mu1"):
+        StableAxialEvaluator(base, spec.b).zero_separation_values(3, 4)
+    w, qw = StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))._zero_rule
+    assert np.allclose(np.diff(np.log(w)), 0.25) and np.array_equal(qw, 0.25 * w)
+
+
+@pytest.fixture(scope="module")
+def cap_partial(cap_small):
+    base, full = cap_small
+    return base, full, cp.decompose(base, reach=100.0)
+
+
+def test_partial_evaluator_routes(cap_partial):
+    # Pairs whose certified count fits in the formed modes take the mode
+    # sum, zero-separation pairs the s = 0 rule on every route setting, and
+    # any other pair raises.
+    base, full, spec = cap_partial
+    assert 1 < spec.modes < base.n
+    ev_full = GreenEvaluator(spec=full, base=base)
+    ev = GreenEvaluator(spec=spec, base=base)
+    nodes = np.arange(0, base.n, 7)
+    far = ev.log_green_many(3.0, nodes, 0.0, 40)
+    assert np.max(np.abs(far - ev_full.log_green_many(3.0, nodes, 0.0, 40))) <= 1e-9
+    for allow_stable in (True, False):
+        zero = ev.log_green_many(1.5, nodes, 1.5, 40, allow_stable=allow_stable)
+        want = ev_full.log_green_many(1.5, nodes, 1.5, 40)
+        assert np.max(np.abs(zero - want)) <= 1e-10
+    screen, bound = ev.screen_many(1.5, nodes, 1.5, 40)
+    assert np.array_equal(screen, zero) and not bound.any()
+    assert ev.run_record["zero_separation"] == 3 * nodes.size
+    with pytest.raises(ValueError, match=f"needs more than the {spec.modes} formed modes"):
+        ev.log_green_many([3.0, 1e-3], 5, 0.0, 40)
+    # The 80-bit pass routes the same way.
+    assert np.array_equal(ev.log_green_many(1.5, nodes, 1.5, 40, extended=True), zero)
+
+
+def test_partial_martin_deviation_matches_full(cap_partial):
+    base, full, spec = cap_partial
+    u = np.arange(-2.0, 2.0 + 1e-9, 0.5)
+    nodes = np.arange(0, base.n, 4)
+    ev_full = GreenEvaluator(spec=full, base=base)
+    ev = GreenEvaluator(spec=spec, base=base)
+    for v in (2.0, 4.0, 12.0):
+        pole = P(v, base.reference_node)
+        want = ev_full.martin_deviation_from_f_plus(pole, u, nodes)
+        got = ev.martin_deviation_from_f_plus(pole, u, nodes)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    assert ev.run_record["zero_separation"] == nodes.size
+    assert 0.0 < ev.run_record["truncation_bound"] <= np.finfo(float).eps
+    assert ev_full.run_record == {"zero_separation": 0, "truncation_bound": 0.0}
+    # Too few modes for the probe grid: the certificate fails loudly.
+    few = GreenEvaluator(spec=cp.decompose(base, modes=6), base=base)
+    with pytest.raises(ValueError, match="do not certify"):
+        few.martin_deviation_from_f_plus(P(2.0, base.reference_node), u, nodes)

@@ -14,6 +14,10 @@ GRAPHS = settings(PROPERTY, max_examples=12)
 # come from different roots' prefix products, so rounding separates them.
 # Seen: 1.7e-13 at most over 3 x 3000 pairs.
 RESOLVENT_SWAP_TOL = 1e-12
+# |V(0) by the s = 0 rule - full mode sum| relative to the sum of the mode
+# magnitudes.  Seen: 2.5e-12 at most over 40 seeded paths like these; the
+# rule's own discretization and range errors are near 1e-17.
+ZERO_RULE_TOL = 1e-11
 
 
 @PROPERTY
@@ -92,3 +96,35 @@ def test_non_path_graph_values_are_finite_or_the_evaluator_raises(graph):
             ev.log_green_many(pu, i, qu, j)
     else:
         assert np.all(np.isfinite(ev.log_green_many(pu, i, qu, j)))
+
+
+@GRAPHS
+@given(
+    n=st.integers(2, 120),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_separation_rule_matches_the_mode_sum_on_random_paths(n, d, seed):
+    """On random connected paths (conductances over four decades, masses
+    over two, leaks at both ends), the s = 0 rule and the full mode sum
+    agree to a stated multiple of the sum of the mode magnitudes, and a
+    partial evaluator gives the rule's values for zero-separation pairs."""
+    rng = np.random.default_rng(seed)
+    cond = 10.0 ** rng.uniform(-2.0, 2.0, n - 1)
+    leak = np.zeros(n)
+    leak[[0, -1]] = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+    base = cp.build_graph(
+        edges=[[k, k + 1, c] for k, c in enumerate(cond)],
+        mass=10.0 ** rng.uniform(-1.0, 1.0, n), dirichlet_leak=leak, d=d,
+    )
+    assert base.is_tridiagonal
+    spec = cp.decompose(base)
+    i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
+    sm = np.sqrt(spec.mu)
+    terms = spec.eigenvectors[i] * spec.eigenvectors[j] / (2.0 * sm)
+    rule = cp.StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))
+    got = rule.zero_separation_values(i, j)
+    assert np.max(np.abs(got - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)) <= ZERO_RULE_TOL
+    ev = GreenEvaluator(spec=cp.decompose(base, modes=1), base=base)
+    u = rng.uniform(-5.0, 5.0, 300)
+    assert np.array_equal(ev.log_green_many(u, i, u, j), np.log(got))

@@ -419,8 +419,13 @@ def test_leading_block_of_modes(cap_small):
 def test_partial_eigendata_rejected_by_full_mode_sums(cap_small):
     base, _ = cap_small
     spec = cp.decompose(base, modes=5)
+    ev = cp.GreenEvaluator(spec=spec, base=base)
+    # A pair beyond the formed modes raises; the quadrature cross-check
+    # sums over all modes.
+    with pytest.raises(ValueError, match="needs more than the 5 formed modes"):
+        ev.log_green(cp.CylinderPoint(0.5, 3), cp.CylinderPoint(0.0, 4))
     for call in (
-        lambda: cp.GreenEvaluator(spec=spec, base=base),
+        lambda: ev.green_by_quadrature(cp.CylinderPoint(0.5, 3), cp.CylinderPoint(0.0, 4)),
         lambda: heat_kernel(spec, 0.5, 3, 4),
         lambda: heat_kernel_matrix(spec, 0.5),
         lambda: cp.check_small_time_ratio(spec, 0.0, 1.0, 0, [1, 2]),
@@ -481,3 +486,27 @@ def test_eig_residual_is_the_worst_relative_residual(fixture, request):
     worst = float(np.max(np.sqrt(np.sum(resid * resid, axis=0)) / spec.eigenvalues))
     assert 0.0 < spec.eig_residual <= 1e-6
     assert spec.eig_residual == pytest.approx(worst, rel=0.2)
+
+
+def test_reach_forms_the_modes_within_reach(cap_small):
+    base, full = cap_small
+    delta = np.sqrt(full.mu) - np.sqrt(full.mu[0])
+    for reach, formed in ((0.0, 1), (float(delta[9]), 10), (float(delta[9]) - 1e-9, 9)):
+        spec = cp.decompose(base, reach=reach)
+        assert spec.modes == formed
+        assert np.array_equal(spec.all_eigenvalues, full.all_eigenvalues)
+    assert cp.decompose(base, modes=12, reach=float(delta[9])).modes == 12
+    assert cp.decompose(base, modes=3, reach=float(delta[9])).modes == 10
+    assert cp.decompose(base, reach=math.inf).modes == base.n
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="reach"):
+            cp.decompose(base, reach=bad)
+
+
+def test_reach_forms_every_mode_off_the_plain_path(chain_default, chain_shortcut):
+    # Refined chains and dense graphs still form every mode.
+    base, full = chain_default
+    spec = cp.decompose(base, reach=1.0)
+    assert spec.modes == base.n
+    assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+    assert cp.decompose(cp.load_base(chain_shortcut[1]), reach=1.0).modes == chain_shortcut[0].n

@@ -458,3 +458,19 @@ def test_sobol_port_matches_scipy(dims):
             assert np.array_equal(got, want), (dims, count, seed)
     with pytest.raises(ValueError, match="2\\*\\*30"):  # scipy's limit, checked first
         _sobol(dims, 2**30 + 1, 0)
+
+
+def test_error_reports_keep_the_suites_tolerance(arc_small, monkeypatch):
+    # A suite that raises reports the tolerance it reports when it runs:
+    # its fixed one, or run_suite's for the exactness sweeps.
+    ev = _evaluator(arc_small)
+    names = ("monotonicity", "normalization", "harnack", "iu_ratio", "small_time", "ratio_limit")
+    ran = run_suite(ev, names, count=200, tolerance=3e-11)
+    for check in ("check_green_monotonicity", "check_normalization", "check_boundary_harnack",
+                  "check_iu_ratio", "check_small_time_ratio", "check_ratio_limit"):
+        monkeypatch.setattr(f"cylpot.verify.{check}", lambda *a, **k: 1 / 0)
+    failed = run_suite(ev, names, count=200, tolerance=3e-11)
+    for name in names:
+        assert failed[name].status == "error"
+        assert failed[name].tolerance == ran[name].tolerance
+    assert [failed[name].tolerance for name in names] == [3e-11, 0.0, 0.05, 0.1, 0.0, 0.0]
