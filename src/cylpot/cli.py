@@ -2,9 +2,10 @@
 
 Subcommands: spectrum, green, converge, verify, chain-demo, chernoff.
 Every run writes plain CSV data files plus a JSON summary into --out; CSV
-bodies are byte-identical across runs with the same config and seed
-(timestamps live only in the JSON metadata).  Exit status is 0 iff every
-selected check passed its tolerance.
+bodies are byte-identical across runs with the same config, and the same
+seed for verify, the one command that draws samples (timestamps live only
+in the JSON metadata).  Exit status is 0 iff every selected check passed
+its tolerance.
 """
 
 from __future__ import annotations
@@ -122,12 +123,6 @@ def _strict_json(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _load_evaluator(args):
-    base = load_base(args.base)
-    spec = decompose(base)
-    return base, spec, GreenEvaluator(spec=spec, base=base)
-
-
 def _base_metadata(base, spec) -> dict:
     return {
         "kind": base.kind,
@@ -165,7 +160,7 @@ def cmd_spectrum(args) -> int:
     )
     write_summary(
         out / "spectrum.json",
-        {"command": "spectrum", "seed": args.seed, "base": _base_metadata(base, spec)},
+        {"command": "spectrum", "base": _base_metadata(base, spec)},
     )
     return 0
 
@@ -196,7 +191,14 @@ def cmd_green(args) -> int:
     if not math.isfinite(args.pole_u):
         raise ParameterError(f"pole u must be finite, got {args.pole_u}")
     us, nodes = _read_points(args.points)
-    base, spec, ev = _load_evaluator(args)
+    base = load_base(args.base)
+    if not 0 <= args.pole_node < base.n:
+        raise ParameterError(f"pole node {args.pole_node} is out of range for {base.n} nodes")
+    bad = [node for node in nodes if not 0 <= node < base.n]
+    if bad:
+        raise ParameterError(f"points node {bad[0]} is out of range for {base.n} nodes")
+    spec = decompose(base)
+    ev = GreenEvaluator(spec=spec, base=base)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pole = CylinderPoint(args.pole_u, args.pole_node)
@@ -211,7 +213,6 @@ def cmd_green(args) -> int:
         out / "green.json",
         {
             "command": "green",
-            "seed": args.seed,
             "pole": {"u": pole.u, "node": pole.node},
             "points": count,
             "base": _base_metadata(base, spec),
@@ -263,7 +264,6 @@ def cmd_converge(args) -> int:
         out / "converge.json",
         {
             "command": "converge",
-            "seed": args.seed,
             "base": _base_metadata(base, spec),
             "fitted_rate": fit.alpha_hat,
             "expected_rate": expected,
@@ -297,7 +297,9 @@ def cmd_verify(args) -> int:
     # Names and options are checked before the base is decomposed.
     suites = [s.strip() for s in args.suite.split(",") if s.strip()] or ["all"]
     select_suites(suites, seed=args.seed, count=args.count, tolerance=args.tol_exact)
-    base, spec, ev = _load_evaluator(args)
+    base = load_base(args.base)
+    spec = decompose(base)
+    ev = GreenEvaluator(spec=spec, base=base)
     out = Path(args.out)
     reports = run_suite(ev, suites, seed=args.seed, count=args.count, tolerance=args.tol_exact)
     out.mkdir(parents=True, exist_ok=True)
@@ -328,8 +330,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chain_demo(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if not (math.isfinite(args.t0) and args.t0 > 0.0):
+        raise ParameterError(f"t0 must be positive and finite, got {args.t0}")
+    if not math.isfinite(args.lam):
+        raise ParameterError(f"lambda must be finite, got {args.lam}")
     chain = default_chain_spec(
         bead_count=args.beads,
         bead_nodes=args.bead_nodes,
@@ -359,6 +363,8 @@ def cmd_chain_demo(args) -> int:
 
     ratios = small.extras["ratios"]
     devs = ratio.extras["deviations"]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "chain_demo.csv",
         ("bead", "node", "small_time_ratio", "ratio_limit_deviation", "alpha_hat"),
@@ -378,7 +384,6 @@ def cmd_chain_demo(args) -> int:
         out / "chain_demo.json",
         {
             "command": "chain-demo",
-            "seed": args.seed,
             "chain": {
                 "beads": chain.bead_count,
                 "bead_nodes": chain.bead_nodes,
@@ -396,31 +401,45 @@ def cmd_chain_demo(args) -> int:
     return 0 if ok else 1
 
 
+def _read_atoms(path) -> list:
+    """Delays of an atoms file, one per line; blank lines are skipped.
+    SchemaError for a line that is not a number, ParameterError for a
+    delay outside [0, 1]."""
+    delays = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line, text in enumerate(fh, 1):
+            if not text.strip():
+                continue
+            try:
+                delay = float(text)
+            except ValueError as exc:
+                raise SchemaError(f"atoms line {line} is not a number: {exc}") from None
+            if not 0.0 <= delay <= 1.0:
+                raise ParameterError(f"atoms line {line}: delay must lie in [0, 1], got {delay}")
+            delays.append(delay)
+    return delays
+
+
 def cmd_chernoff(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.atoms:
-        delays = []
-        with open(args.atoms, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    delays.append(float(line))
-    else:
-        delays = [1.0] * 20
+    if not (math.isfinite(args.tail_len) and args.tail_len > 0.0):
+        raise ParameterError(f"L must be positive and finite, got {args.tail_len}")
+    if not 0.0 < args.eps < 1.0:
+        raise ParameterError(f"eps must lie in (0, 1), got {args.eps}")
+    delays = _read_atoms(args.atoms) if args.atoms else [1.0] * 20
     dist = exact_convolution(delays)
     exact = tail_mass(dist, args.tail_len)
     betas = np.arange(0.05, 5.0001, 0.05)
     bounds = [chernoff_bound(delays, args.tail_len, b) for b in betas]
     best = int(np.argmin(bounds))
     thr = chernoff_threshold_details(args.tail_len, args.eps)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "distribution.csv", ("support", "mass"), (dist.support, dist.probabilities))
     sound = bool(bounds[best] >= exact - 1e-12)
     write_summary(
         out / "chernoff.json",
         {
             "command": "chernoff",
-            "seed": args.seed,
             "delays": len(delays),
             "delay_sum": float(np.sum(delays)),
             "tail_len": args.tail_len,
@@ -451,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=1234, help="sample seed, recorded in outputs")
 
     p = sub.add_parser("spectrum", help="eigendecomposition, exponent ladder, CSV export")
     common(p)
@@ -478,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="inequality/limit verification suites")
     common(p)
     p.add_argument("--base", required=True)
+    p.add_argument("--seed", type=int, default=1234, help="sample seed, recorded in outputs")
     p.add_argument("--suite", default="all", help="comma-separated suite names")
     p.add_argument("--count", type=int, default=10_000, help="samples per sweep suite")
     p.add_argument("--tol-exact", type=float, default=1e-12,

@@ -165,34 +165,23 @@ class StableAxialEvaluator:
     _TAU_STEP = 0.25
     _TAU_PAD = 40.0
 
-    def __init__(self, base: BaseOperator, b: float, mu1: Optional[float] = None):
-        """``mu1``, the smallest mu_k, sets the low end of the s = 0 rule;
-        without it only ``values`` is available."""
+    def __init__(self, base: BaseOperator, *, mu1: float):
+        """``mu1``, the smallest mu_k, sets the low end of the s = 0 rule."""
         if not base.is_tridiagonal or base.n < 2:
             raise ValueError("stable axial evaluation needs a tridiagonal base")
         self._scale, self._diag, self._off = mass_scaled_bands(base)
-        self._shift = 0.25 * b * b
+        self._shift = 0.25 * base.b * base.b
         if np.any(self._off == 0.0):
             raise ValueError("stable axial evaluation needs a connected path")
         self._w, self._qw = _gauss_panel_rule(self._EDGES)
-        self._zero_rule = None
-        if mu1 is not None:
-            off = np.abs(self._off)
-            top = self._diag.copy()  # Gershgorin row bounds of A
-            top[:-1] += off
-            top[1:] += off
-            self._zero_rule = _sech_trapezoid_rule(
-                mu1, float(top.max()) + self._shift, self._TAU_STEP, self._TAU_PAD
-            )
+        off = np.abs(self._off)
+        top = self._diag.copy()  # Gershgorin row bounds of A
+        top[:-1] += off
+        top[1:] += off
+        self._zero_rule = _sech_trapezoid_rule(
+            mu1, float(top.max()) + self._shift, self._TAU_STEP, self._TAU_PAD
+        )
         self._factors = {}
-
-    def _rule(self, zero: bool):
-        """(nodes, weights) of the s = 0 rule or of the panel rule."""
-        if not zero:
-            return self._w, self._qw
-        if self._zero_rule is None:
-            raise ValueError("the s = 0 rule needs mu1")
-        return self._zero_rule
 
     def _factorize(self, zero: bool):
         """Twisted factorization of T_w at every node w of the rule.
@@ -206,7 +195,7 @@ class StableAxialEvaluator:
         underflow, so any entry is one quotient of two of them.
         """
         if zero not in self._factors:
-            w = self._rule(zero)[0]
+            w = self._zero_rule[0] if zero else self._w
             t = self._diag[:, None] + (self._shift + w * w)[None, :]
             e = self._off[:, None]
             e2 = e * e
@@ -245,7 +234,7 @@ class StableAxialEvaluator:
         pair sums its own row in order, so its value does not depend on its
         batch; a block evaluates one cosine row per distinct separation."""
         zero = s is None
-        w, qw = self._rule(zero)
+        w, qw = self._zero_rule if zero else (self._w, self._qw)
         vals = np.empty(y.shape)
         step = max(1, _CHUNK_TERMS // w.size)
         for lo in range(0, y.size, step):
@@ -332,7 +321,7 @@ class GreenEvaluator:
         self.sqrt_mu = sm
         self._stable = None
         if base.is_tridiagonal and base.n >= 2:
-            self._stable = StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))
+            self._stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
         self.run_record = {"zero_separation": 0, "truncation_bound": 0.0}
         # Mode tables of the two working precisions: the float64 screen (the
         # eigendata itself on float64 bases, a copy on refined chains), and

@@ -11,9 +11,7 @@ never from constants baked into the code.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -149,21 +147,25 @@ def _node_band(n: int) -> Tuple[int, int]:
 
 _SOBOL_BITS = 30
 
+# The first six rows of scipy's Sobol direction-number file (Joe and Kuo):
+# primitive polynomials and initial direction numbers.  No sweep draws more
+# than six dimensions.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
+
 
 @functools.lru_cache(maxsize=None)
 def _sobol_directions(dims: int) -> np.ndarray:
-    """(dims, 30) unscrambled Sobol direction numbers, from scipy's
-    direction-number file by the primitive-polynomial recursion (Bratley and
-    Fox, ACM TOMS 14, 1988).  The file is found without importing
-    scipy.stats."""
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as dn:
-        poly, vinit = dn["poly"][:dims].tolist(), dn["vinit"][:dims].tolist()
+    """(dims, 30) unscrambled Sobol direction numbers, from the embedded
+    rows by the primitive-polynomial recursion (Bratley and Fox, ACM TOMS
+    14, 1988).  ValueError above six dimensions."""
+    if dims > len(_SOBOL_POLY):
+        raise ValueError(f"at most {len(_SOBOL_POLY)} Sobol dimensions, got {dims}")
     bits = _SOBOL_BITS
     v = [[1] * bits]
-    for p, init in zip(poly[1:], vinit[1:]):
+    for p, init in zip(_SOBOL_POLY[1:dims], _SOBOL_VINIT[1:dims]):
         m = p.bit_length() - 1
-        row = init[:m]
+        row = list(init)
         for j in range(m, bits):
             new = row[j - m]
             for k in range(m):
@@ -699,11 +701,12 @@ def select_suites(
 ) -> list:
     """The suite names run_suite runs for ``suites`` ("all" is every suite),
     after checking its options: UnknownSuiteError for an unknown name, and
-    ParameterError for a ``count`` below 1, a negative ``seed`` or a
-    ``tolerance`` that is negative or not finite.  It needs no evaluator, so
-    callers can check their options before decomposing a base."""
-    if count < 1:
-        raise ParameterError(f"sample count must be at least 1, got {count}")
+    ParameterError for a ``count`` below 1 or above the 2**30 Sobol points
+    a sweep can draw, a negative ``seed`` or a ``tolerance`` that is
+    negative or not finite.  It needs no evaluator, so callers can check
+    their options before decomposing a base."""
+    if not 1 <= count <= 1 << _SOBOL_BITS:
+        raise ParameterError(f"sample count must lie in [1, 2**{_SOBOL_BITS}], got {count}")
     if seed < 0:
         raise ParameterError(f"sample seed must be non-negative, got {seed}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):

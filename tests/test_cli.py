@@ -254,32 +254,112 @@ def test_verify_unknown_suite(arc_doc, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, points, error", [
-    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\n1.0\n", "SchemaError"),
-    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\n1.0,x\n", "SchemaError"),
-    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\nnan,3\n", "ParameterError"),
-    (["green", "--pole-u", "0", "--pole-node", "0"], "u,node\n-inf,3\n", "ParameterError"),
-    (["green", "--pole-u", "nan", "--pole-node", "0"], "u,node\n1.0,3\n", "ParameterError"),
-    (["converge", "--tol-rate", "-1"], None, "ParameterError"),
-    (["converge", "--tol-rate", "nan"], None, "ParameterError"),
-    (["verify", "--tol-exact", "nan"], None, "ParameterError"),
-    (["verify", "--tol-exact=-1e-12"], None, "ParameterError"),
-], ids=["one-field", "bad-node", "nan-u", "inf-u", "nan-pole-u", "negative-tol-rate",
-        "nan-tol-rate", "nan-tol-exact", "negative-tol-exact"])
-def test_malformed_input_exits_2_before_loading(argv, points, error, arc_doc, tmp_path,
+def _forbid_decompose(monkeypatch):
+    def decompose(base, **kwargs):
+        raise AssertionError("the base was decomposed")
+    monkeypatch.setattr("cylpot.cli.decompose", decompose)
+
+
+# Malformed options and input files: argv ("{file}" stands for a file holding
+# the case's text), the text, the error named on stderr, and whether the
+# check may read the base (node indices are checked against it) rather than
+# running before load_base.  Every case runs before any decompose.
+_MALFORMED = [
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"], "u,node\n1.0\n",
+     "SchemaError", False),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"], "u,node\n1.0,x\n",
+     "SchemaError", False),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"], "u,node\nnan,3\n",
+     "ParameterError", False),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"], "u,node\n-inf,3\n",
+     "ParameterError", False),
+    (["green", "--pole-u", "nan", "--pole-node", "0", "--points", "{file}"], "u,node\n1.0,3\n",
+     "ParameterError", False),
+    (["converge", "--tol-rate", "-1"], None, "ParameterError", False),
+    (["converge", "--tol-rate", "nan"], None, "ParameterError", False),
+    (["verify", "--tol-exact", "nan"], None, "ParameterError", False),
+    (["verify", "--tol-exact=-1e-12"], None, "ParameterError", False),
+    (["green", "--pole-u", "0", "--pole-node", "999", "--points", "{file}"], "u,node\n1.0,3\n",
+     "ParameterError", True),
+    (["green", "--pole-u", "0", "--pole-node", "-1", "--points", "{file}"], "u,node\n1.0,3\n",
+     "ParameterError", True),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"],
+     "u,node\n1.0,3\n2.0,400\n", "ParameterError", True),
+    (["verify", "--count", "1073741825"], None, "ParameterError", False),
+    (["chain-demo", "--t0", "nan"], None, "ParameterError", False),
+    (["chain-demo", "--t0", "0"], None, "ParameterError", False),
+    (["chain-demo", "--t0", "inf"], None, "ParameterError", False),
+    (["chain-demo", "--lambda", "nan"], None, "ParameterError", False),
+    (["chain-demo", "--bead-nodes", "1"], None, "ParameterError", False),
+    (["chernoff", "--L", "nan"], None, "ParameterError", False),
+    (["chernoff", "--L", "-1"], None, "ParameterError", False),
+    (["chernoff", "--eps", "nan"], None, "ParameterError", False),
+    (["chernoff", "--eps", "1"], None, "ParameterError", False),
+    (["chernoff", "--atoms", "{file}"], "0.5\nabc\n", "SchemaError", False),
+    (["chernoff", "--atoms", "{file}"], "0.5\nnan\n", "ParameterError", False),
+    (["chernoff", "--atoms", "{file}"], "0.5\n1.5\n", "ParameterError", False),
+]
+_MALFORMED_IDS = [
+    "one-field", "bad-node", "nan-u", "inf-u", "nan-pole-u", "negative-tol-rate",
+    "nan-tol-rate", "nan-tol-exact", "negative-tol-exact", "pole-node-past-n",
+    "negative-pole-node", "points-node-past-n", "count-past-sobol", "nan-t0", "zero-t0",
+    "inf-t0", "nan-lambda", "one-bead-node", "nan-L", "negative-L", "nan-eps", "eps-1",
+    "atoms-not-a-number", "nan-atom", "atom-past-1",
+]
+
+
+@pytest.mark.parametrize("argv, text, error, loads", _MALFORMED, ids=_MALFORMED_IDS)
+def test_malformed_input_exits_2_before_loading(argv, text, error, loads, arc_doc, tmp_path,
                                                 capsys, monkeypatch):
-    _forbid_load_base(monkeypatch)
+    if not loads:
+        _forbid_load_base(monkeypatch)
+    _forbid_decompose(monkeypatch)
     out = tmp_path / "o"
-    argv = argv + ["--base", str(arc_doc), "--out", str(out)]
-    if points is not None:
-        pts = tmp_path / "pts.csv"
-        pts.write_text(points)
-        argv += ["--points", str(pts)]
-    code = main(argv)
+    if text is not None:
+        (tmp_path / "input.csv").write_text(text)
+    argv = [str(tmp_path / "input.csv") if a == "{file}" else a for a in argv]
+    if argv[0] not in ("chain-demo", "chernoff"):
+        argv += ["--base", str(arc_doc)]
+    code = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {error}: ") and "Traceback" not in err
     assert not out.exists()
+
+
+_SEEDLESS = {
+    "spectrum": ["--base", "{base}"],
+    "green": ["--base", "{base}", "--points", "{points}", "--pole-u", "1.0", "--pole-node", "200"],
+    "converge": ["--base", "{base}", "--v-max", "6"],
+    "chain-demo": ["--beads", "4"],
+    "chernoff": [],
+}
+
+
+def _seedless_argv(command, arc_doc, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,node\n0.0,100\n")
+    fill = {"{base}": str(arc_doc), "{points}": str(pts)}
+    return [command] + [fill.get(a, a) for a in _SEEDLESS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDLESS))
+def test_seed_is_a_usage_error_where_nothing_is_drawn(command, arc_doc, tmp_path, capsys):
+    argv = _seedless_argv(command, arc_doc, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "5", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_summaries_without_samples_record_no_seed(arc_doc, tmp_path):
+    for command in sorted(_SEEDLESS):
+        out = tmp_path / command
+        main(_seedless_argv(command, arc_doc, tmp_path) + ["--out", str(out)])
+        (summary,) = out.glob("*.json")
+        doc = json.loads(summary.read_text())
+        assert doc["command"] == command and "seed" not in doc
 
 
 def test_chain_demo_command(tmp_path):

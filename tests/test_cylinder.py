@@ -340,7 +340,7 @@ def test_fit_exponent_input_validation():
 
 def test_stable_axial_matches_eigensum_on_healthy_base(arc_small):
     base, spec = arc_small
-    stable = StableAxialEvaluator(base, spec.b)
+    stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
     sm = np.sqrt(np.asarray(spec.mu, dtype=float))
     phi = np.asarray(spec.eigenvectors, dtype=float)
     x = 50
@@ -356,7 +356,7 @@ def test_stable_axial_matches_eigensum_on_healthy_base(arc_small):
 def test_stable_route_consistent_across_switchover(chain_default):
     base, spec = chain_default
     ev = GreenEvaluator(spec=spec, base=base)
-    stable = StableAxialEvaluator(base, spec.b)
+    stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
     centers = cp.chain_bead_centers(base)
     x = base.reference_node
     sm = np.sqrt(np.asarray(spec.mu, dtype=float))
@@ -387,13 +387,14 @@ def test_log_green_deep_separation_finite(chain_default):
     assert kern(ev.reference) == 1.0
 
 
-def _assert_resolvent_matches_cholesky(base, b):
+def _assert_resolvent_matches_cholesky(base, spec):
     """Resolvent entries and s = 0 values against solveh_banded columns."""
     import scipy.linalg
 
     from cylpot.spectral import mass_scaled_bands
 
-    stable = StableAxialEvaluator(base, b)
+    stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
+    b = base.b
     scale, diag, off = mass_scaled_bands(base)
     w, qw = stable._w, stable._qw
     n = base.n
@@ -421,7 +422,7 @@ def _assert_resolvent_matches_cholesky(base, b):
 @pytest.mark.parametrize("fixture", ["chain_default", "arc_small", "cap_small"])
 def test_resolvent_matches_banded_cholesky_reference(fixture, request):
     base, spec = request.getfixturevalue(fixture)
-    _assert_resolvent_matches_cholesky(base, spec.b)
+    _assert_resolvent_matches_cholesky(base, spec)
 
 
 def test_resolvent_rejects_zero_coupling():
@@ -436,7 +437,7 @@ def test_resolvent_rejects_zero_coupling():
     )
     assert base.is_tridiagonal
     with pytest.raises(ValueError, match="connected path"):
-        StableAxialEvaluator(base, base.b)
+        StableAxialEvaluator(base, mu1=1.0)
     with pytest.raises(cp.EigensolverError, match="entrywise positive"):
         cp.decompose(base)
 
@@ -623,7 +624,7 @@ def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule():
     assert not np.isnan(modes).any()
 
     def reference(edges, order):
-        stable = StableAxialEvaluator(base, base.b)
+        stable = StableAxialEvaluator(base, mu1=float(ev.spec.mu[0]))
         stable._w, stable._qw = _gauss_panel_rule(edges, order)
         return -0.5 * base.b * u + np.log(stable.values(abs(u), nodes, 0))
 
@@ -639,7 +640,7 @@ def test_cosine_rows_per_distinct_separation_bit_identical(chain_default):
     # per distinct s; every value equals the pair evaluated alone and the
     # per-pair cosine formula, bit for bit.
     base, spec = chain_default
-    stable = StableAxialEvaluator(base, spec.b)
+    stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
     rng = np.random.default_rng(5)
     s = np.concatenate([np.repeat(rng.uniform(0.0, 8.0, 13), base.n), rng.uniform(0.0, 8.0, 300)])
     y = np.concatenate([np.tile(np.arange(base.n), 13), rng.integers(0, base.n, 300)])
@@ -661,7 +662,7 @@ ZERO_RULE_TOL = 1e-11
 
 def _zero_rule_gap(base, spec, y, x):
     """Largest |s = 0 rule - mode sum| / magnitude sum over the pairs."""
-    stable = StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))
+    stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
     sm = np.sqrt(np.asarray(spec.mu, dtype=float))
     phi = np.asarray(spec.eigenvectors, dtype=float)
     terms = phi[y] * phi[x] / (2.0 * sm)
@@ -678,12 +679,20 @@ def test_zero_separation_rule_matches_full_mode_sum(fixture, request):
     assert _zero_rule_gap(base, spec, y, x) <= ZERO_RULE_TOL
 
 
-def test_zero_separation_rule_needs_mu1(arc_small):
+def test_zero_separation_rule_spacing(arc_small):
     base, spec = arc_small
-    with pytest.raises(ValueError, match="mu1"):
-        StableAxialEvaluator(base, spec.b).zero_separation_values(3, 4)
-    w, qw = StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))._zero_rule
+    w, qw = StableAxialEvaluator(base, mu1=float(spec.mu[0]))._zero_rule
     assert np.allclose(np.diff(np.log(w)), 0.25) and np.array_equal(qw, 0.25 * w)
+
+
+def test_stable_axial_takes_mu1_by_keyword(arc_small):
+    # b comes from the base; a second positional value, such as a b of the
+    # old signature, must not be taken for mu1.
+    base, spec = arc_small
+    with pytest.raises(TypeError):
+        StableAxialEvaluator(base, 2.0)
+    with pytest.raises(TypeError):
+        StableAxialEvaluator(base)
 
 
 @pytest.fixture(scope="module")

@@ -122,7 +122,7 @@ def test_zero_separation_rule_matches_the_mode_sum_on_random_paths(n, d, seed):
     i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
     sm = np.sqrt(spec.mu)
     terms = spec.eigenvectors[i] * spec.eigenvectors[j] / (2.0 * sm)
-    rule = cp.StableAxialEvaluator(base, spec.b, mu1=float(spec.mu[0]))
+    rule = cp.StableAxialEvaluator(base, mu1=float(spec.mu[0]))
     got = rule.zero_separation_values(i, j)
     assert np.max(np.abs(got - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)) <= ZERO_RULE_TOL
     ev = GreenEvaluator(spec=cp.decompose(base, modes=1), base=base)

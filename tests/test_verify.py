@@ -460,6 +460,15 @@ def test_sobol_port_matches_scipy(dims):
         _sobol(dims, 2**30 + 1, 0)
 
 
+def test_sobol_draws_at_most_six_dimensions():
+    # Only the direction numbers of the six dimensions the sweeps draw are
+    # embedded.
+    from cylpot.verify import _sobol
+
+    with pytest.raises(ValueError, match="at most 6 Sobol dimensions"):
+        _sobol(7, 8, 0)
+
+
 def test_error_reports_keep_the_suites_tolerance(arc_small, monkeypatch):
     # A suite that raises reports the tolerance it reports when it runs:
     # its fixed one, or run_suite's for the exactness sweeps.
