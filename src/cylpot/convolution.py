@@ -183,13 +183,17 @@ def tail_mass(dist: DiscreteDistribution, L: float) -> float:
 def chernoff_bound(a: Sequence[float], L: float, beta: float) -> float:
     """Exponential-moment bound e^{beta L} prod_k (1 - (1 - e^{-beta a_k})/2).
 
-    Dominates tail_mass(exact_convolution(a), L) for every beta > 0.
+    Dominates tail_mass(exact_convolution(a), L) for every beta > 0.  Formed
+    in log space; a bound past the float range is math.inf.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     a = np.asarray(a, dtype=float)
     log_factors = np.log1p(0.5 * np.expm1(-beta * a))
-    return math.exp(beta * L + float(np.sum(log_factors)))
+    try:
+        return math.exp(beta * L + float(np.sum(log_factors)))
+    except OverflowError:
+        return math.inf
 
 
 class ChernoffThreshold(NamedTuple):

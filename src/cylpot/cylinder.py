@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dptsv
 
 from .base import BaseOperator
 from .spectral import SpectralData, mass_scaled_bands
@@ -131,30 +132,36 @@ class StableAxialEvaluator:
         V(s) = (1/pi) * int_0^inf cos(s w) [(A + b^2/4 + w^2)^{-1}]_{xy} dw
 
     in the mass-symmetrized frame.  Each resolvent T_w = A + b^2/4 + w^2 is
-    a positive-definite tridiagonal matrix with negative off-diagonals: the
-    base must be a connected path.
-    One twisted factorization per quadrature node gives its forward and
+    a positive-definite, diagonally dominant tridiagonal matrix with
+    negative off-diagonals (an M-matrix): the base must be a connected
+    path.  Its entries are positive and computed without cancellation; the
+    only cancellation left is the mild cosine damping.  Two rules serve
+    two regimes.
+
+    ``values`` takes Gauss-Legendre panels up to w = 40, which resolve
+    cos(s w): meaningful exactly in the deep regime (resolvent columns
+    concentrated at small w), which is when the eigenmode route degrades.
+    One twisted factorization per panel node gives its forward and
     backward pivots d+ and d-; then [T_w^{-1}]_{xx} = 1/gamma_x and every
     other entry of column x is 1/gamma_x times a product of the positive
     ratios -e/d+ (towards node 0) or -e/d- (towards node n-1), so columns
-    decay multiplicatively through the base without cancellation; the only
-    cancellation left is the mild cosine damping.  The factorization costs
-    O(n W) time and memory for W quadrature nodes, is built on the first
-    evaluation with its rule, and then yields any entry of any column in
-    O(W).
+    decay multiplicatively through the base.  The factorization costs
+    O(n W) time and memory for the W = 216 panel nodes, is built on the
+    first evaluation, and then yields any entry of any column in O(W).
 
-    Two rules share that code.  ``values`` takes Gauss-Legendre panels up
-    to w = 40, which resolve cos(s w): meaningful exactly in the deep
-    regime (resolvent columns concentrated at small w), which is when the
-    eigenmode route degrades.  ``zero_separation_values`` serves s = 0,
-    where nothing oscillates, at any pair: with w = e^tau each mode's
-    integrand becomes (1/(2 sqrt(mu))) sech(tau - ln(mu)/2), and the
-    trapezoid rule in tau (Trefethen & Weideman 2014, "The exponentially
-    convergent trapezoidal rule") of step h errs by about 2 e^{-pi^2/h}
-    relative to the sum of the mode magnitudes.  Its range runs from
-    ln(mu_1)/2 - P to ln(||A + b^2/4||)/2 + P (a Gershgorin bound), which
-    costs about e^{-P} more; h = 0.25 and P = 40 take about 350 nodes on a
-    3000-node cap.
+    ``zero_separation_values`` serves s = 0, where nothing oscillates, at
+    any pair: with w = e^tau each mode's integrand becomes
+    (1/(2 sqrt(mu))) sech(tau - ln(mu)/2), and the trapezoid rule in tau
+    (Trefethen & Weideman 2014, "The exponentially convergent trapezoidal
+    rule") of step h errs by about 2 e^{-pi^2/h} relative to the sum of the
+    mode magnitudes.  Its range runs from ln(mu_1)/2 - P to
+    ln(||A + b^2/4||)/2 + P (a Gershgorin bound), which costs about e^{-P}
+    more; h = 0.25 and P = 40 take about 350 nodes on a 3000-node cap.  It
+    solves T_w z = e_x for each requested column x instead of tabulating
+    every column: LAPACK's dptsv factors T_w = L D L^T, and since L's
+    off-diagonal is negative, both substitutions against e_x add only
+    positive terms; the subtractions stay in the pivots, as in the twisted
+    factorization.
     """
 
     # Panels follow the resolvent's w-decay: fine where transit-suppressed
@@ -181,10 +188,10 @@ class StableAxialEvaluator:
         self._zero_rule = _sech_trapezoid_rule(
             mu1, float(top.max()) + self._shift, self._TAU_STEP, self._TAU_PAD
         )
-        self._factors = {}
+        self._factors = None
 
-    def _factorize(self, zero: bool):
-        """Twisted factorization of T_w at every node w of the rule.
+    def _factorize(self):
+        """Twisted factorization of T_w at every node w of the panel rule.
 
         Returns (man, exp, inv_gamma).  With the positive ratios
         f_j = -e_j / d+_j and l_j = -e_j / d-_{j+1}, an entry of column x is
@@ -194,9 +201,8 @@ class StableAxialEvaluator:
         the (n, 2, W) mantissas ``man`` and exponents ``exp``, which cannot
         underflow, so any entry is one quotient of two of them.
         """
-        if zero not in self._factors:
-            w = self._zero_rule[0] if zero else self._w
-            t = self._diag[:, None] + (self._shift + w * w)[None, :]
+        if self._factors is None:
+            t = self._diag[:, None] + (self._shift + self._w * self._w)[None, :]
             e = self._off[:, None]
             e2 = e * e
             n = t.shape[0]
@@ -214,50 +220,65 @@ class StableAxialEvaluator:
             np.divide(-e, fwd[:-1], out=ratios[:, 0])
             np.divide(-e, bwd[1:], out=ratios[:, 1])
             del t, fwd, bwd  # freed before the (n, 2, W) prefix tables are built
-            self._factors[zero] = (*_prefix_products(ratios), 1.0 / gamma)
-        return self._factors[zero]
+            self._factors = (*_prefix_products(ratios), 1.0 / gamma)
+        return self._factors
 
-    def resolvent(self, y, x, zero: bool = False) -> np.ndarray:
+    def resolvent(self, y, x) -> np.ndarray:
         """[T_w^{-1}]_{yx} of each pair of the 1-D node arrays ``y`` and ``x``
-        (the column) at every node w of the panel rule (of the s = 0 rule
-        with ``zero``), shape (pairs, W)."""
-        man, exp, inv_gamma = self._factorize(zero)
+        (the column) at every node w of the panel rule, shape (pairs, W)."""
+        man, exp, inv_gamma = self._factorize()
         y, x = np.atleast_1d(y), np.asarray(x)
         # Towards node 0 (y < x) the entry is F_x / F_y, otherwise L_y / L_x.
         side, hi, lo = (y >= x).astype(int), np.maximum(y, x), np.minimum(y, x)
         return np.ldexp(man[hi, side] / man[lo, side], exp[hi, side] - exp[lo, side]) * inv_gamma[x]
 
-    def _quadrature(self, s, y, x) -> np.ndarray:
-        """(1/pi) sum_w qw cos(s w) [T_w^{-1}]_{yx} for each pair of the 1-D
-        arrays, on the panel rule, or on the s = 0 rule with no cosine when
-        ``s`` is None.  Pairs go in blocks of _CHUNK_TERMS // W, and each
-        pair sums its own row in order, so its value does not depend on its
-        batch; a block evaluates one cosine row per distinct separation."""
-        zero = s is None
-        w, qw = self._zero_rule if zero else (self._w, self._qw)
+    def values(self, s, y, x) -> np.ndarray:
+        """V(s; y, x) of each pair of the 1-D arrays s >= 0, y and x (scalars
+        broadcast) on the panel rule: (1/pi) sum_w qw cos(s w) [T_w^{-1}]_{yx}.
+        Pairs go in blocks of _CHUNK_TERMS // W, and each pair sums its own
+        row in order, so its value does not depend on its batch; a block
+        evaluates one cosine row per distinct separation."""
+        s, y, x = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), y, x)
         vals = np.empty(y.shape)
-        step = max(1, _CHUNK_TERMS // w.size)
+        step = max(1, _CHUNK_TERMS // self._w.size)
         for lo in range(0, y.size, step):
             blk = slice(lo, lo + step)
-            terms = self.resolvent(y[blk], x[blk], zero)
-            if not zero:
-                sep, row = np.unique(s[blk], return_inverse=True)
-                terms *= np.cos(sep[:, None] * w)[row]
-            terms *= qw
+            terms = self.resolvent(y[blk], x[blk])
+            sep, row = np.unique(s[blk], return_inverse=True)
+            terms *= np.cos(sep[:, None] * self._w)[row]
+            terms *= self._qw
             vals[blk] = np.cumsum(terms, axis=1)[:, -1]
         return vals / math.pi * self._scale[y] * self._scale[x]
 
-    def values(self, s, y, x) -> np.ndarray:
-        """V(s; y, x) of each pair of the 1-D arrays s >= 0, y and x (scalars
-        broadcast) on the panel rule."""
-        s, y, x = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), y, x)
-        return self._quadrature(s, y, x)
-
     def zero_separation_values(self, y, x) -> np.ndarray:
         """V(0; y, x) of each pair of the 1-D node arrays y and x (scalars
-        broadcast) on the s = 0 rule."""
+        broadcast) on the s = 0 rule: (1/pi) sum_w qw [T_w^{-1}]_{yx}.
+
+        Each distinct column x takes one dptsv solve T_w z = e_x per rule
+        node, and each pair accumulates its row of z over the nodes in
+        order, so memory is O(n + pairs) and a pair's value does not depend
+        on its batch.  Columns share a call, as right-hand sides, in blocks
+        of _CHUNK_TERMS // n; each is solved with its own arithmetic.
+        """
         y, x = np.broadcast_arrays(np.atleast_1d(y), x)
-        return self._quadrature(None, y, x)
+        cols, col_of = np.unique(x, return_inverse=True)
+        n = self._diag.size
+        step = max(1, _CHUNK_TERMS // n)
+        vals = np.empty(y.shape)
+        for lo in range(0, cols.size, step):
+            block = cols[lo:lo + step]
+            pick = np.flatnonzero((col_of >= lo) & (col_of < lo + step))
+            rows, at = y[pick], col_of[pick] - lo
+            rhs = np.zeros((n, block.size), order="F")
+            rhs[block, np.arange(block.size)] = 1.0
+            acc = np.zeros(pick.size)
+            for w, qw in zip(*self._zero_rule):
+                z, info = dptsv(self._diag + (self._shift + w * w), self._off, rhs)[2:]
+                if info:
+                    raise NumericalLossError(f"dptsv failed on T_w at w = {w!r} with info={info}")
+                acc += z[rows, at] * qw
+            vals[pick] = acc
+        return vals / math.pi * self._scale[y] * self._scale[x]
 
 
 @dataclass(frozen=True)

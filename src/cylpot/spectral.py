@@ -12,12 +12,15 @@ are the roots of alpha**2 + b*alpha = lam_1:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .base import BaseOperator
 
@@ -41,6 +44,17 @@ _RESIDUAL_TOL = 1e-6
 
 # Eigenvector columns per block of the residual check and the sign flips.
 _RESIDUAL_BLOCK = 256
+
+# Kinds of dstemr's 21 arguments in LAPACK order (jobz, range, n, d, e, vl,
+# vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac, work, lwork, iwork, liwork,
+# info): c an option string, i an integer, d a double, each by pointer.
+_STEMR_KINDS = "cciddddiiiddiiiidiiii"
+_CTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+           "d": ctypes.POINTER(ctypes.c_double)}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 class SpectralError(RuntimeError):
@@ -244,6 +258,85 @@ def _refine_low_band(diag, off, vals, psi, cutoff: float):
     return vals_out, psi_out
 
 
+def _check_stemr_signature(signature: str) -> None:
+    """Raise EigensolverError unless ``signature``, the C declaration that
+    scipy.linalg.cython_lapack exports for dstemr, takes the 21 arguments
+    _stemr_vectors passes: char * for the options, int * for every integer,
+    a double pointer for every real.  A scipy built with other integer
+    widths fails here instead of crashing in the call."""
+    head = "void ("
+    args = signature[len(head):-1].split(", ") if signature.startswith(head) else []
+    kinds = "".join(
+        "c" if a == "char *" else "i" if a == "int *"
+        else "d" if a == "double *" or a.endswith("_d *") else "?"
+        for a in args
+    )
+    if kinds != _STEMR_KINDS:
+        raise EigensolverError(
+            f"scipy {scipy.__version__} exports dstemr as {signature!r}, not the 21 "
+            "arguments with int * integers that the eigenvector solve passes"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _stemr():
+    """LAPACK's dstemr as a ctypes function, from the pointer that
+    scipy.linalg.cython_lapack exports, after checking its signature."""
+    capsule = cython_lapack.__pyx_capi__["dstemr"]
+    name = _capsule_name(capsule)
+    _check_stemr_signature(name.decode())
+    prototype = ctypes.CFUNCTYPE(None, *(_CTYPES[k] for k in _STEMR_KINDS))
+    return prototype(_capsule_pointer(capsule, name))
+
+
+def _stemr_vectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    """Eigenvectors of the ``count`` lowest eigenvalues of the symmetric
+    tridiagonal (diag, off), ascending, as an (n, count) Fortran-order array,
+    from LAPACK's MRRR driver dstemr.
+
+    scipy's wrapper allocates an n x n output whatever range it is asked
+    for; called directly, dstemr fills only the requested columns (range
+    'A' for count = n, 'I' with il = 1, iu = count otherwise) with its
+    documented minimum workspace of 18n doubles and 10n integers.  The
+    columns are those of eigh_tridiagonal(..., lapack_driver='stemr').
+    dstemr's own eigenvalues are discarded.
+    """
+    n = diag.size
+    if off.shape != (n - 1,) or not 1 <= count <= n:
+        raise ValueError(f"need n - 1 = {n - 1} couplings and 1 <= count <= {n}, "
+                         f"got {off.shape} and {count}")
+    d = np.array(diag, dtype=float)  # dstemr overwrites d and e
+    e = np.zeros(n)                  # e[n-1] is dstemr's workspace
+    e[:-1] = off
+    z = np.empty((n, count), order="F")
+    w = np.empty(n)
+    isuppz = np.empty(2 * count, dtype=np.intc)
+    work = np.empty(18 * n)
+    iwork = np.empty(10 * n, dtype=np.intc)
+    m, info = ctypes.c_int(0), ctypes.c_int(0)
+
+    def i(v):
+        return ctypes.byref(ctypes.c_int(v))
+
+    def f(a):
+        return a.ctypes.data_as(_CTYPES["d"])
+
+    unused = ctypes.byref(ctypes.c_double(0.0))  # vl and vu of ranges A and I
+    _stemr()(
+        b"V", b"A" if count == n else b"I", i(n), f(d), f(e),
+        unused, unused, i(1), i(count),                   # vl, vu, il, iu
+        ctypes.byref(m), f(w), f(z), i(n), i(count),      # m, w, z, ldz, nzc
+        isuppz.ctypes.data_as(_CTYPES["i"]), i(1),        # isuppz, tryrac (as scipy)
+        f(work), i(work.size), iwork.ctypes.data_as(_CTYPES["i"]), i(iwork.size),
+        ctypes.byref(info),
+    )
+    if info.value != 0 or m.value != count:
+        raise EigensolverError(
+            f"dstemr failed with info={info.value}, forming {m.value} of {count} eigenvectors"
+        )
+    return z
+
+
 def _path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Every eigenvalue, ascending, of the symmetric tridiagonal (diag, off),
     which must be positive definite.
@@ -298,10 +391,10 @@ def decompose(
     Uses the symmetric similarity A = M^(-1/2) K M^(-1/2), which stays
     tridiagonal for the path-structured builders.  There every eigenvalue
     comes from one positive-definite dqds solve (``_path_eigenvalues``),
-    and the eigenvectors from LAPACK's MRRR driver (stemr): all of them, or
-    only the ``modes`` lowest (select='i').  stemr's O(n) workspace keeps
-    the eigenvector matrix the only n x n array; its own eigenvalues are
-    discarded, since dqds is more accurate in the low band.  Other bases
+    and the eigenvectors from LAPACK's MRRR driver (``_stemr_vectors``):
+    all of them, or only the ``modes`` lowest, in an n x ``modes`` array
+    beside O(n) workspace; its own eigenvalues are discarded, since dqds is
+    more accurate in the low band.  Other bases
     take a dense solve, which forms every mode, so there ``modes`` and
     ``reach`` are lower bounds.
 
@@ -345,13 +438,8 @@ def decompose(
             modes = max(modes or 1, int(np.searchsorted(sm - sm[0], reach, side="right")))
         # stemr returns its eigenvalues ascending, so its columns pair with
         # the dqds list by index (the residual check would catch a mismatch).
-        if modes is None or modes >= base.n or refine_low_band:
-            psi = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stemr")[1]
-        else:
-            # Copied: a view would keep the solver's n x n output alive.
-            psi = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, modes - 1), lapack_driver="stemr"
-            )[1].copy()
+        full = modes is None or modes >= base.n or refine_low_band
+        psi = _stemr_vectors(diag, off, base.n if full else modes)
         if refine_low_band:
             vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
             s = s.astype(np.longdouble)

@@ -532,14 +532,17 @@ def check_small_time_ratio(
     y_sequence.  A ratio below _DECREASE_FLOOR in magnitude is the rounding
     of the cancelling eigen-sum: it is reported as 0, counted in
     ``below_floor`` and not held to ordering.  Informational suite:
-    max_violation is always 0.
+    max_violation is always 0.  ParameterError unless lam + lam_1 > 0.
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     spec.require_all_modes("check_small_time_ratio")
     rates = spec.eigenvalues + lam
     if np.any(rates <= 0.0):
-        raise ValueError("need lam + lam_1 > 0")
+        raise ParameterError(
+            f"need lambda + lambda_1 > 0 with lambda_1 = {spec.lambda1!r}: lambda must "
+            f"exceed {-spec.lambda1!r}, got {lam!r}"
+        )
     phi = spec.eigenvectors
     w_num = -np.expm1(-rates * t0) / rates
     w_den = 1.0 / rates

@@ -384,6 +384,25 @@ def test_chernoff_command_default_atoms(tmp_path):
     assert len(rows) == 22  # header + 21 atoms
 
 
+def test_chernoff_long_tail_bound_saturates_without_traceback(tmp_path, capsys):
+    # beta L passes the float range of e^{beta L} on the beta scan; those
+    # bounds are inf and the scan keeps its minimum.
+    out = tmp_path / "ch"
+    code = main(["chernoff", "--out", str(out), "--L", "200"])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err
+    meta = json.loads((out / "chernoff.json").read_text())
+    assert meta["exact_tail"] == 1.0 and meta["best_bound"] >= 1.0
+
+
+def test_chain_demo_lambda_below_minus_lambda1_is_a_parameter_error(tmp_path, capsys):
+    out = tmp_path / "cd"
+    assert main(["chain-demo", "--lambda", "-100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and "lambda_1 = " in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_chernoff_command_atoms_file(tmp_path):
     atoms = tmp_path / "a.csv"
     atoms.write_text("\n".join(["0.5"] * 10) + "\n")
@@ -543,18 +562,21 @@ def test_partial_converge_matches_full(doc, request, tmp_path, monkeypatch):
 
 
 def test_converge_forms_its_modes_by_index(cap_doc, tmp_path, monkeypatch):
-    # Every eigenvector solve of converge on a path base selects a leading
-    # block by index: a full solve fails the test.
-    import scipy.linalg
+    # Every eigenvector solve of converge on a path base forms a leading
+    # block of K < n modes: a full solve fails the test.
+    from cylpot import spectral
 
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = spectral._stemr_vectors
+    counts = []
 
-    def selected_only(*args, **kwargs):
-        assert kwargs.get("select") == "i", "converge formed every mode"
-        return solve(*args, **kwargs)
+    def selected_only(diag, off, count):
+        assert count < diag.size, "converge formed every mode"
+        counts.append(count)
+        return solve(diag, off, count)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", selected_only)
+    monkeypatch.setattr(spectral, "_stemr_vectors", selected_only)
     assert main(["converge", "--base", str(cap_doc), "--out", str(tmp_path / "c")]) == 0
+    assert counts
 
 
 def test_converge_exits_2_when_its_modes_do_not_certify(cap_doc, tmp_path, capsys, monkeypatch):

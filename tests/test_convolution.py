@@ -101,6 +101,16 @@ def test_chernoff_bound_limits():
         chernoff_bound([0.5], 1.0, 0.0)
 
 
+def test_chernoff_bound_past_the_float_range_is_inf():
+    delays = [1.0] * 20
+    log_bound = 5.0 * 200.0 + 20 * math.log1p(0.5 * math.expm1(-5.0))
+    assert log_bound > math.log(np.finfo(float).max)
+    assert chernoff_bound(delays, 200.0, 5.0) == math.inf
+    assert chernoff_bound(delays, 140.0, 5.0) == pytest.approx(
+        math.exp(5.0 * 140.0 + 20 * math.log1p(0.5 * math.expm1(-5.0))), rel=1e-12
+    )
+
+
 def test_threshold_monotonicity_and_guarantee():
     grid_L = [0.5, 1.0, 2.0, 4.0]
     grid_eps = [0.2, 0.05, 0.01, 0.001]

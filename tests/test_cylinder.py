@@ -655,8 +655,8 @@ def test_cosine_rows_per_distinct_separation_bit_identical(chain_default):
 
 
 # |V(0) by the s = 0 rule - full mode sum| relative to the sum of the mode
-# magnitudes.  Seen: 1.3e-13 on arc_small, 1.6e-14 on cap_small, 9e-15 on the
-# default chain, 3.5e-12 on the n = 3000 hemisphere cap.
+# magnitudes.  Seen: 1.5e-13 on arc_small, 1.8e-14 on cap_small, 1.5e-15 on
+# the default chain, 3.7e-12 on the n = 3000 hemisphere cap.
 ZERO_RULE_TOL = 1e-11
 
 
@@ -677,6 +677,44 @@ def test_zero_separation_rule_matches_full_mode_sum(fixture, request):
     y = np.concatenate([np.arange(base.n), rng.integers(0, base.n, 500)])
     x = np.concatenate([np.full(base.n, base.reference_node), rng.integers(0, base.n, 500)])
     assert _zero_rule_gap(base, spec, y, x) <= ZERO_RULE_TOL
+
+
+@pytest.fixture(scope="module")
+def cap_1500_rule():
+    base = cp.build_cap(4, math.pi / 2, 1500)
+    spec = cp.decompose(base, modes=1)
+    return base, StableAxialEvaluator(base, mu1=float(spec.mu[0]))
+
+
+def test_zero_separation_column_peak_memory_stays_below_one_table(cap_1500_rule):
+    # One column solves T_w z = e_x node by node and keeps the requested
+    # rows: n-vectors and one accumulator per pair, about 0.1 MB here.  A
+    # table of every column at every rule node would be n x W doubles.
+    import tracemalloc
+
+    base, rule = cap_1500_rule
+    W = rule._zero_rule[0].size
+    nodes = np.arange(0, base.n, 23)
+    tracemalloc.start()
+    try:
+        vals = rule.zero_separation_values(nodes, base.reference_node)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(vals > 0.0)
+    assert peak < base.n * W * 8
+
+
+def test_zero_separation_values_do_not_depend_on_their_batch(cap_1500_rule):
+    base, rule = cap_1500_rule
+    rng = np.random.default_rng(4)
+    y = rng.integers(0, base.n, 40)
+    x = np.where(np.arange(40) % 2, 7, base.n - 3)
+    both = rule.zero_separation_values(y, x)
+    for col in (7, base.n - 3):
+        mine = x == col
+        assert np.array_equal(both[mine], rule.zero_separation_values(y[mine], col))
+    assert np.array_equal(both[5:6], rule.zero_separation_values(y[5], x[5]))
 
 
 def test_zero_separation_rule_spacing(arc_small):

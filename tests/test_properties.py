@@ -15,7 +15,7 @@ GRAPHS = settings(PROPERTY, max_examples=12)
 # Seen: 1.7e-13 at most over 3 x 3000 pairs.
 RESOLVENT_SWAP_TOL = 1e-12
 # |V(0) by the s = 0 rule - full mode sum| relative to the sum of the mode
-# magnitudes.  Seen: 2.5e-12 at most over 40 seeded paths like these; the
+# magnitudes.  Seen: 1.7e-12 at most over 40 seeded paths like these; the
 # rule's own discretization and range errors are near 1e-17.
 ZERO_RULE_TOL = 1e-11
 

@@ -268,20 +268,18 @@ def test_mass_scaled_bands_match_dense_similarity(cap_small):
     ],
 )
 def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monkeypatch):
-    import scipy.linalg
+    from cylpot import EigensolverError, spectral
 
-    from cylpot import EigensolverError
-
-    solver = scipy.linalg.eigh_tridiagonal
+    solver = spectral._stemr_vectors
     assert cp.decompose(base).eigenvectors.dtype == (np.longdouble if refined else float)
 
-    def perturbed(diag, off, lapack_driver="auto"):
-        vals, psi = solver(diag, off, lapack_driver=lapack_driver)
+    def perturbed(diag, off, count):
+        psi = solver(diag, off, count)
         # The top mode sits above every refinement cutoff.
         psi[base.n // 2, -1] += 1e-3
-        return vals, psi
+        return psi
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    monkeypatch.setattr(spectral, "_stemr_vectors", perturbed)
     with pytest.raises(EigensolverError, match="residual"):
         cp.decompose(base)
 
@@ -323,6 +321,85 @@ def test_in_place_eigendata_bit_identical_to_copies(fixture, request):
     assert spec.eigenvalues.dtype == vals.dtype and spec.eigenvectors.dtype == phi.dtype
     assert np.array_equal(spec.eigenvalues, vals)
     assert np.array_equal(spec.eigenvectors, phi)
+
+
+@pytest.mark.parametrize("fixture", ["arc_sym", "cap_small", "chain_default"])
+def test_partial_eigenvectors_bit_identical_to_scipy_selected_solve(fixture, request):
+    # decompose's partial solve calls dstemr itself; scipy's wrapper with
+    # select='i' is the independent reference for its columns.
+    import scipy.linalg
+
+    from cylpot.spectral import mass_scaled_bands
+
+    base, _ = request.getfixturevalue(fixture)
+    s, diag, off = mass_scaled_bands(base)
+    for count in (1, 12, 53):
+        spec = cp.decompose(base, modes=count, refine_low_band=False)
+        _, psi = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, count - 1), lapack_driver="stemr"
+        )
+        phi = s[:, None] * psi
+        idx = np.argmax(np.abs(phi), axis=0)
+        signs = np.sign(phi[idx, np.arange(count)])
+        signs[signs == 0] = 1.0
+        assert spec.modes == count
+        assert np.array_equal(spec.eigenvectors, phi * signs[None, :])
+
+
+def test_stemr_signature_mismatch_raises_before_the_call(arc_small, monkeypatch):
+    # A scipy whose LAPACK takes 64-bit integers would be handed 32-bit
+    # ones: the exported signature is checked before the first call.
+    from scipy.linalg import cython_lapack
+
+    from cylpot import EigensolverError, spectral
+
+    good = spectral._capsule_name(cython_lapack.__pyx_capi__["dstemr"]).decode()
+    spectral._check_stemr_signature(good)
+    fakes = [
+        good.replace("int *", "long long *"),
+        good.replace(", int *)", ")"),          # 20 arguments
+        good.replace("void (", "int (", 1),
+        "",
+    ]
+    for fake in fakes:
+        assert fake != good
+        with pytest.raises(EigensolverError, match=r"scipy \d"):
+            spectral._check_stemr_signature(fake)
+    monkeypatch.setattr(spectral, "_capsule_name", lambda capsule: fakes[0].encode())
+    spectral._stemr.cache_clear()
+    try:
+        with pytest.raises(EigensolverError, match="long long"):
+            cp.decompose(arc_small[0], modes=3)
+    finally:
+        spectral._stemr.cache_clear()
+
+
+def test_stemr_vectors_reject_sizes_before_the_call():
+    from cylpot.spectral import _stemr_vectors
+
+    diag, off = np.full(5, 2.0), np.full(4, -1.0)
+    assert _stemr_vectors(diag, off, 5).shape == (5, 5)
+    for bad_off, count in ((off, 0), (off, 6), (off[:3], 2)):
+        with pytest.raises(ValueError, match="count"):
+            _stemr_vectors(diag, bad_off, count)
+
+
+def test_partial_decompose_peak_memory_stays_far_below_one_n_by_n_array():
+    # A partial solve holds the (n, 12) output, dstemr's 18n + 10n
+    # workspace and a few n-vectors, about 0.6 MB here; scipy's wrapper
+    # allocated an n x n output (18 MB) whatever range it was asked for.
+    import tracemalloc
+
+    n = 1500
+    base = cp.build_cap(4, math.pi / 2, n)
+    tracemalloc.start()
+    try:
+        spec = cp.decompose(base, modes=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.modes == 12
+    assert peak < 0.1 * n * n * 8
 
 
 def test_decompose_peak_memory_stays_near_one_eigenvector_matrix():
