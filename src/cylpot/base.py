@@ -139,6 +139,8 @@ class BaseOperator:
             raise ParameterError("mass and diagonal must be length-n vectors")
         if cond.shape != (edges.shape[0],):
             raise ParameterError("need one conductance per edge")
+        if not (math.isfinite(self.b) and np.all(np.isfinite(diag)) and np.all(np.isfinite(cond))):
+            raise ParameterError("drift b, stiffness diagonal and conductances must be finite")
         i, j = edges.T
         repeated = np.diff(np.sort(_edge_keys(edges, n))) == 0
         if np.any(i < 0) or np.any(i >= j) or np.any(j >= n) or np.any(repeated):
@@ -154,6 +156,8 @@ class BaseOperator:
             object.__setattr__(self, "symmetry", sig)
             if sig.shape != (n,):
                 raise ParameterError("symmetry permutation has wrong length")
+            if np.any((sig < 0) | (sig >= n)):
+                raise ParameterError("symmetry permutation maps outside the nodes")
             if not np.array_equal(sig[sig], np.arange(n)):
                 raise ParameterError("declared symmetry is not an involution")
             if not (np.array_equal(diag[sig], diag) and _maps_edges_onto_themselves(
@@ -442,6 +446,8 @@ def build_graph(
                 f"edge {key} declared twice with conductances {seen[key]} and {c}"
             )
         seen[key] = c
+    if labels is not None and len(labels) != n:
+        raise SchemaError("labels must list one entry per node")
     if labels is None:
         lab = tuple({"tag": i} for i in range(n))
     else:
@@ -477,6 +483,18 @@ def _require(doc: dict, key: str, typ) -> object:
 
 def _optional(doc: dict, key: str, typ, default) -> object:
     return _typed(key, doc[key], typ) if key in doc else default
+
+
+def _entries(key: str, values: list, typ) -> list:
+    """The entries of the list field ``key``, each of type ``typ``."""
+    return [_typed(f"{key}[{k}]", x, typ) for k, x in enumerate(values)]
+
+
+def _edge(k: int, edge) -> list:
+    """Entry k of a graph document's edge list: [int, int, real]."""
+    if not isinstance(edge, list) or len(edge) != 3:
+        raise SchemaError(f"edge {k} must be [i, j, conductance]")
+    return _entries(f"edges[{k}]", edge[:2], int) + [_typed(f"edges[{k}][2]", edge[2], float)]
 
 
 def load_base(document: Union[str, Path, dict]) -> BaseOperator:
@@ -531,13 +549,14 @@ def load_base(document: Union[str, Path, dict]) -> BaseOperator:
         )
         return build_chain(spec, _require(doc, "d", int), b=None if b is None else float(b))
     if kind == "graph":
+        symmetry = _optional(doc, "symmetry", list, None)
         return build_graph(
-            edges=_require(doc, "edges", list),
-            mass=_require(doc, "mass", list),
-            dirichlet_leak=_require(doc, "dirichlet_leak", list),
+            edges=[_edge(k, e) for k, e in enumerate(_require(doc, "edges", list))],
+            mass=_entries("mass", _require(doc, "mass", list), float),
+            dirichlet_leak=_entries("dirichlet_leak", _require(doc, "dirichlet_leak", list), float),
             d=_require(doc, "d", int),
             b=None if b is None else float(b),
-            labels=doc.get("labels"),
-            symmetry=doc.get("symmetry"),
+            labels=_optional(doc, "labels", list, None),
+            symmetry=None if symmetry is None else _entries("symmetry", symmetry, int),
         )
     raise SchemaError(f"unknown base type {kind!r}")

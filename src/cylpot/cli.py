@@ -43,6 +43,8 @@ from .verify import check_ratio_limit, check_small_time_ratio, run_suite, select
 
 _ALPHA_FIT_WINDOW = (2.0, 6.0)
 _ALPHA_FIT_POINTS = 9
+# Most poles a converge grid may hold; each pole is one deviation table.
+_MAX_POLES = 10_000
 _EPS = float(np.finfo(float).eps)
 
 
@@ -228,6 +230,10 @@ def cmd_converge(args) -> int:
         raise ParameterError(f"last pole must be finite, got {args.v_max}")
     if not (math.isfinite(args.tol_rate) and args.tol_rate >= 0.0):
         raise ParameterError(f"rate tolerance must be finite and non-negative, got {args.tol_rate}")
+    # Counted before np.arange, which would try to allocate any count.
+    if (args.v_max + 1e-9 - 2.0) / args.v_step > _MAX_POLES:
+        raise ParameterError(f"the pole grid from 2.0 to v-max {args.v_max} in steps of "
+                             f"{args.v_step} has more than {_MAX_POLES} poles")
     poles_v = np.arange(2.0, args.v_max + 1e-9, args.v_step)
     if poles_v.size < 3:
         raise ParameterError(f"the rate fit needs at least 3 poles from 2.0 to v-max "

@@ -15,6 +15,7 @@ so poles can sit tens of units away without overflow.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -149,19 +150,18 @@ class StableAxialEvaluator:
     O(n W) time and memory for the W = 216 panel nodes, is built on the
     first evaluation, and then yields any entry of any column in O(W).
 
-    ``zero_separation_values`` serves s = 0, where nothing oscillates, at
-    any pair: with w = e^tau each mode's integrand becomes
-    (1/(2 sqrt(mu))) sech(tau - ln(mu)/2), and the trapezoid rule in tau
-    (Trefethen & Weideman 2014, "The exponentially convergent trapezoidal
-    rule") of step h errs by about 2 e^{-pi^2/h} relative to the sum of the
-    mode magnitudes.  Its range runs from ln(mu_1)/2 - P to
-    ln(||A + b^2/4||)/2 + P (a Gershgorin bound), which costs about e^{-P}
-    more; h = 0.25 and P = 40 take about 350 nodes on a 3000-node cap.  It
-    solves T_w z = e_x for each requested column x instead of tabulating
-    every column: LAPACK's dptsv factors T_w = L D L^T, and since L's
-    off-diagonal is negative, both substitutions against e_x add only
-    positive terms; the subtractions stay in the pivots, as in the twisted
-    factorization.
+    ``zero_separation_values`` serves s = 0, where nothing oscillates: with
+    w = e^tau each mode's integrand becomes (1/(2 sqrt(mu))) sech(tau -
+    ln(mu)/2), and the trapezoid rule in tau (Trefethen & Weideman 2014,
+    "The exponentially convergent trapezoidal rule") of step h errs by about
+    2 e^{-pi^2/h} relative to the sum of the mode magnitudes.  Its range
+    runs from ln(mu_1)/2 - P to ln(||A + b^2/4||)/2 + P (a Gershgorin
+    bound), which costs about e^{-P} more; h = 0.25 and P = 40 take about
+    350 nodes on a 3000-node cap.  It solves T_w z = e_x for the one column
+    x it is asked for instead of tabulating every column: LAPACK's dptsv
+    factors T_w = L D L^T, and since L's off-diagonal is negative, both
+    substitutions against e_x add only positive terms; the subtractions
+    stay in the pivots, as in the twisted factorization.
     """
 
     # Panels follow the resolvent's w-decay: fine where transit-suppressed
@@ -251,34 +251,23 @@ class StableAxialEvaluator:
         return vals / math.pi * self._scale[y] * self._scale[x]
 
     def zero_separation_values(self, y, x) -> np.ndarray:
-        """V(0; y, x) of each pair of the 1-D node arrays y and x (scalars
-        broadcast) on the s = 0 rule: (1/pi) sum_w qw [T_w^{-1}]_{yx}.
+        """V(0; y, x) of each node of the 1-D array y against the one
+        column x on the s = 0 rule: (1/pi) sum_w qw [T_w^{-1}]_{yx}.
 
-        Each distinct column x takes one dptsv solve T_w z = e_x per rule
-        node, and each pair accumulates its row of z over the nodes in
-        order, so memory is O(n + pairs) and a pair's value does not depend
-        on its batch.  Columns share a call, as right-hand sides, in blocks
-        of _CHUNK_TERMS // n; each is solved with its own arithmetic.
+        Each rule node takes one dptsv solve T_w z = e_x, and the requested
+        rows of z add to the sum in node order, so memory is O(n + len(y))
+        and a row's value does not depend on the other rows requested.
         """
-        y, x = np.broadcast_arrays(np.atleast_1d(y), x)
-        cols, col_of = np.unique(x, return_inverse=True)
-        n = self._diag.size
-        step = max(1, _CHUNK_TERMS // n)
-        vals = np.empty(y.shape)
-        for lo in range(0, cols.size, step):
-            block = cols[lo:lo + step]
-            pick = np.flatnonzero((col_of >= lo) & (col_of < lo + step))
-            rows, at = y[pick], col_of[pick] - lo
-            rhs = np.zeros((n, block.size), order="F")
-            rhs[block, np.arange(block.size)] = 1.0
-            acc = np.zeros(pick.size)
-            for w, qw in zip(*self._zero_rule):
-                z, info = dptsv(self._diag + (self._shift + w * w), self._off, rhs)[2:]
-                if info:
-                    raise NumericalLossError(f"dptsv failed on T_w at w = {w!r} with info={info}")
-                acc += z[rows, at] * qw
-            vals[pick] = acc
-        return vals / math.pi * self._scale[y] * self._scale[x]
+        y, x = np.atleast_1d(y), operator.index(x)
+        rhs = np.zeros(self._diag.size)
+        rhs[x] = 1.0
+        acc = np.zeros(y.shape)
+        for w, qw in zip(*self._zero_rule):
+            z, info = dptsv(self._diag + (self._shift + w * w), self._off, rhs)[2:]
+            if info:
+                raise NumericalLossError(f"dptsv failed on T_w at w = {w!r} with info={info}")
+            acc += z[y] * qw
+        return acc / math.pi * self._scale[y] * self._scale[x]
 
 
 @dataclass(frozen=True)
@@ -321,10 +310,10 @@ class GreenEvaluator:
     Martin kernel.  The eigendata may hold a leading block of the modes
     (``decompose`` with ``modes`` or ``reach``): a pair whose certified
     mode count (see _mode_counts) fits in the formed modes takes the mode
-    sum, a zero-separation pair on a path base the s = 0 resolvent rule,
-    and any other pair raises ValueError; nothing is truncated silently.
-    ``run_record`` counts the values served by the s = 0 rule and keeps
-    the largest certified truncation bound of martin_deviation_from_f_plus.
+    sum, and any other pair raises ValueError; nothing is truncated
+    silently.  ``run_record`` counts the cells that
+    martin_deviation_from_f_plus serves by the s = 0 resolvent rule and
+    keeps the largest certified truncation bound it found.
     """
 
     def __init__(self, spec: SpectralData, base: BaseOperator,
@@ -367,7 +356,8 @@ class GreenEvaluator:
 
     def _pairs(self, pu, pnode, qu, qnode):
         """Flat (w, s, i, j, keep) of broadcast pair arrays, and their shape;
-        ValueError for a node out of range or a non-finite axial coordinate."""
+        ValueError for a node out of range, a non-finite axial coordinate or
+        a pair that needs more than the formed modes."""
         pu, pnode, qu, qnode = np.broadcast_arrays(
             np.asarray(pu, dtype=float), np.asarray(pnode),
             np.asarray(qu, dtype=float), np.asarray(qnode),
@@ -382,9 +372,8 @@ class GreenEvaluator:
         w = (pu - qu).ravel()
         s = np.abs(w)
         keep = self._mode_counts(s, i, j)
-        bad = (keep == 0) & ((s > 0.0) | (self._stable is None))
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
+        if not keep.all():
+            k = np.flatnonzero(keep == 0)[0]
             raise ValueError(
                 f"G(({float(pu.ravel()[k])}, {i[k]}); ({float(qu.ravel()[k])}, {j[k]})) "
                 f"needs more than the {self.spec.modes} formed modes"
@@ -420,13 +409,12 @@ class GreenEvaluator:
         """Signed and absolute sums of the kept mode terms
         w_k e^{-s delta_k}, w_k = phi_k(i) phi_k(j) / (2 sqrt(mu_k)), of each
         pair, rounded to float64.  Pairs keeping the same number of modes are
-        summed together in chunks of at most _CHUNK_TERMS terms; pairs that
-        keep none sum to 0."""
+        summed together in chunks of at most _CHUNK_TERMS terms."""
         tail = np.zeros(s.size)
         mag = np.zeros(s.size)
         order = np.argsort(keep, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
-            if not group.size or not keep[group[0]]:
+            if not group.size:
                 continue
             K = int(keep[group[0]])
             step = max(1, _CHUNK_TERMS // K)
@@ -487,7 +475,6 @@ class GreenEvaluator:
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
         logs, bound = self._screen(w, s, i, j, keep, exact=self._screen_is_exact)
-        self._zero_separation_logs(logs, i, j, keep)
         return logs.reshape(shape), bound.reshape(shape)
 
     def log_green_many(self, pu, pnode, qu, qnode, extended: bool = False,
@@ -503,7 +490,7 @@ class GreenEvaluator:
         modes below one ulp of the sum are dropped (see _mode_counts); a
         pair's eigenmode value does not depend on its batch.  A float64
         screen runs first, and pairs it certifies as lost skip the 80-bit
-        sums.  Pairs beyond the formed modes take the s = 0 rule on any
+        sums.  A pair beyond the formed modes raises ValueError on every
         route setting (see the class docstring).
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
@@ -515,23 +502,11 @@ class GreenEvaluator:
             logs = np.full(s.size, np.nan, dtype=self.sqrt_mu.dtype)
             tail, mag = self._mode_sums(modes, s[todo], i[todo], j[todo], keep[todo])
             logs[todo] = self._log_values(modes, w[todo], s[todo], tail, mag)
-        self._zero_separation_logs(logs, i, j, keep)
         if allow_stable:
             if self._stable is not None:
                 self._resolvent_logs(logs, w, s, i, j)
             _raise_if_lost(logs, (pu, pnode, qu, qnode), "any route")
         return logs.reshape(shape)
-
-    def _zero_separation_logs(self, logs, i, j, keep) -> None:
-        """Fill in place the pairs beyond the formed modes (keep 0; _pairs
-        admits only zero-separation pairs on a path base there) from the
-        s = 0 rule; a value that is not positive stays nan."""
-        idx = np.flatnonzero(keep == 0)
-        if idx.size:
-            vals = self._stable.zero_separation_values(i[idx], j[idx])
-            ok = vals > 0.0
-            logs[idx[ok]] = np.log(vals[ok])
-            self.run_record["zero_separation"] += idx.size
 
     def _resolvent_logs(self, logs, w, s, i, j) -> None:
         """Fill lost (nan) pairs in place from one StableAxialEvaluator.values

@@ -176,17 +176,30 @@ def test_load_base_explicit_graph():
     assert np.array_equal(base.stiffness, [[2.0, -1.0], [-1.0, 2.0]])
 
 
-@pytest.mark.parametrize(
-    "mutation, err",
-    [
-        ({"mass": [1.0, 0.0]}, MassError),
-        ({"edges": [[0, 1, -1.0]]}, OffDiagonalSignError),
-        ({"edges": [[0, 1, 1.0], [1, 0, 2.0]]}, AsymmetryError),
-        ({"type": "torus"}, SchemaError),
-        ({"drop": "edges"}, SchemaError),
-    ],
-)
-def test_load_base_named_validation_errors(mutation, err):
+# Malformed base documents: a mutation of the two-node graph document of
+# mutated_document, and the error that load_base raises for it.  test_cli
+# runs the same table through the command line.
+MALFORMED_DOCUMENTS = [
+    ({"mass": [1.0, 0.0]}, MassError),
+    ({"edges": [[0, 1, -1.0]]}, OffDiagonalSignError),
+    ({"edges": [[0, 1, 1.0], [1, 0, 2.0]]}, AsymmetryError),
+    ({"type": "torus"}, SchemaError),
+    ({"drop": "edges"}, SchemaError),
+    ({"edges": [5]}, SchemaError),
+    ({"symmetry": [5, 0]}, ParameterError),
+    ({"mass": ["heavy", 1.0]}, SchemaError),
+    ({"edges": [["a", 1, 1.0]]}, SchemaError),
+    ({"edges": [[0, 1, "x"]]}, SchemaError),
+    ({"edges": [[0.5, 1, 1.0]]}, SchemaError),
+    ({"labels": ["only one"]}, SchemaError),
+    ({"type": "cap", "theta0": 1.0, "n": 20, "b": math.nan}, ParameterError),
+    ({"type": "arc", "L": 2.0, "n": 20, "b": math.inf}, ParameterError),
+    ({"edges": [[0, 1, math.nan]]}, ParameterError),
+    ({"dirichlet_leak": [math.inf, 1.0]}, ParameterError),
+]
+
+
+def mutated_document(mutation) -> dict:
     doc = {
         "type": "graph",
         "d": 3,
@@ -198,8 +211,13 @@ def test_load_base_named_validation_errors(mutation, err):
         doc.pop(mutation["drop"])
     else:
         doc.update(mutation)
+    return doc
+
+
+@pytest.mark.parametrize("mutation, err", MALFORMED_DOCUMENTS)
+def test_load_base_named_validation_errors(mutation, err):
     with pytest.raises(err):
-        cp.load_base(doc)
+        cp.load_base(mutated_document(mutation))
 
 
 def test_load_base_bad_json(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 import cylpot
 from cylpot.base import DEFAULT_NECK_RATIO
 from cylpot.cli import build_parser, main, write_csv
+from test_base import MALFORMED_DOCUMENTS, mutated_document
 
 
 @pytest.fixture()
@@ -64,7 +65,8 @@ def test_spectrum_eigenvalues_do_not_depend_on_modes(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--v-step", "0"], ["--v-step", "nan"], ["--v-step", "-2"],
-                                   ["--v-max", "1.0"], ["--v-max", "inf"], ["--v-max", "3"]])
+                                   ["--v-max", "1.0"], ["--v-max", "inf"], ["--v-max", "3"],
+                                   ["--v-step", "1e-12"], ["--v-max", "1e300"]])
 def test_converge_rejects_bad_pole_grid_before_loading(flags, tmp_path, capsys):
     # The base file does not exist: the grid is checked before it is read.
     out = tmp_path / "c"
@@ -324,6 +326,20 @@ def test_malformed_input_exits_2_before_loading(argv, text, error, loads, arc_do
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mutation, err", MALFORMED_DOCUMENTS)
+def test_malformed_base_document_exits_2_before_decompose(mutation, err, tmp_path, capsys,
+                                                          monkeypatch):
+    _forbid_decompose(monkeypatch)
+    doc = tmp_path / "base.json"
+    doc.write_text(json.dumps(mutated_document(mutation)))
+    out = tmp_path / "o"
+    code = main(["spectrum", "--base", str(doc), "--out", str(out)])
+    err_text = capsys.readouterr().err
+    assert code == 2
+    assert err_text.startswith(f"error: {err.__name__}: ") and "Traceback" not in err_text
     assert not out.exists()
 
 

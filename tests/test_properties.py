@@ -107,8 +107,10 @@ def test_non_path_graph_values_are_finite_or_the_evaluator_raises(graph):
 def test_zero_separation_rule_matches_the_mode_sum_on_random_paths(n, d, seed):
     """On random connected paths (conductances over four decades, masses
     over two, leaks at both ends), the s = 0 rule and the full mode sum
-    agree to a stated multiple of the sum of the mode magnitudes, and a
-    partial evaluator gives the rule's values for zero-separation pairs."""
+    agree to a stated multiple of the sum of the mode magnitudes, one
+    column at a time.  A one-mode evaluator raises ValueError at zero
+    separation on every route and matches the full evaluator on the pairs
+    that one mode certifies."""
     rng = np.random.default_rng(seed)
     cond = 10.0 ** rng.uniform(-2.0, 2.0, n - 1)
     leak = np.zeros(n)
@@ -119,12 +121,29 @@ def test_zero_separation_rule_matches_the_mode_sum_on_random_paths(n, d, seed):
     )
     assert base.is_tridiagonal
     spec = cp.decompose(base)
-    i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
     sm = np.sqrt(spec.mu)
-    terms = spec.eigenvectors[i] * spec.eigenvectors[j] / (2.0 * sm)
     rule = cp.StableAxialEvaluator(base, mu1=float(spec.mu[0]))
-    got = rule.zero_separation_values(i, j)
-    assert np.max(np.abs(got - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)) <= ZERO_RULE_TOL
+    for j in rng.integers(0, n, 3):
+        terms = spec.eigenvectors * spec.eigenvectors[j] / (2.0 * sm)
+        got = rule.zero_separation_values(np.arange(n), j)
+        assert np.max(np.abs(got - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)) <= ZERO_RULE_TOL
     ev = GreenEvaluator(spec=cp.decompose(base, modes=1), base=base)
+    i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
     u = rng.uniform(-5.0, 5.0, 300)
-    assert np.array_equal(ev.log_green_many(u, i, u, j), np.log(got))
+    beyond = "needs more than the 1 formed modes"
+    for kwargs in ({}, {"allow_stable": False}, {"extended": True}):
+        with pytest.raises(ValueError, match=beyond):
+            ev.log_green_many(u, i, u, j, **kwargs)
+    with pytest.raises(ValueError, match=beyond):
+        ev.screen_many(u, i, u, j)
+    with pytest.raises(ValueError, match=beyond):
+        ev.log_green(P(u[0], i[0]), P(u[0], j[0]))
+    s = rng.uniform(0.0, 1e4 / (sm[1] - sm[0]), 300)
+    ok = ev._mode_counts(s, i, j) > 0
+    assert ok.any()
+    full = GreenEvaluator(spec=spec, base=base)
+    got, want = (e.log_green_many(s[ok], i[ok], 0.0, j[ok], allow_stable=False) for e in (ev, full))
+    # The partial and full solves' ground states differ by up to 1.2e-13
+    # relative here (seen), hence the 1e-9 of test_partial_evaluator_routes;
+    # a log value of size L (1e7 at these separations) rounds to about eps L.
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-9)
