@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -83,6 +84,15 @@ DEFAULT_BEAD_RADIUS = 0.28
 DEFAULT_NECK_RATIO = 0.004
 
 
+def _node_indices(name: str, values) -> np.ndarray:
+    """``values`` as an int array; ParameterError unless they are integers,
+    so that no float index is truncated to a node."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(f"{name} must hold integer node indices, not {arr.dtype}")
+    return arr.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class BaseOperator:
     """Discrete Dirichlet operator on a base domain, as a weighted graph.
@@ -129,7 +139,7 @@ class BaseOperator:
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
         diag = np.asarray(self.diagonal, dtype=float)
-        edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
+        edges = _node_indices("edges", self.edges).reshape(-1, 2)
         cond = np.asarray(self.conductance, dtype=float)
         for name, val in (("mass", m), ("diagonal", diag), ("edges", edges),
                           ("conductance", cond)):
@@ -152,7 +162,7 @@ class BaseOperator:
         if self.reference_node < 0 or self.reference_node >= n:
             raise ParameterError("reference node out of range")
         if self.symmetry is not None:
-            sig = np.asarray(self.symmetry, dtype=int)
+            sig = _node_indices("symmetry permutation", self.symmetry)
             object.__setattr__(self, "symmetry", sig)
             if sig.shape != (n,):
                 raise ParameterError("symmetry permutation has wrong length")
@@ -418,21 +428,27 @@ def build_graph(
     labels: Optional[Sequence] = None,
     symmetry: Optional[Sequence[int]] = None,
 ) -> BaseOperator:
-    """Explicit weighted graph: edge list with conductances plus node leaks."""
-    m = np.asarray(mass, dtype=float)
+    """Explicit weighted graph: edge list with conductances plus node leaks.
+
+    Every entry is checked as a graph document's is: an edge is [int, int,
+    real], masses and leaks are reals, symmetry entries are ints, ``d`` is an
+    int and ``b`` a real (numpy numbers count, bools and strings do not), or
+    SchemaError names the first entry that is not.
+    """
+    m = np.asarray(_entries("mass", list(mass), float))
     n = m.shape[0]
     if np.any(m <= 0.0):
         raise MassError("graph document has a non-positive mass weight")
-    leak = np.asarray(dirichlet_leak, dtype=float)
+    leak = np.asarray(_entries("dirichlet_leak", list(dirichlet_leak), float))
     if leak.shape != (n,):
         raise SchemaError("dirichlet_leak must list one value per node")
     if np.any(leak < 0.0):
         raise ParameterError("Dirichlet leak coefficients must be >= 0")
+    d = _typed("d", d, int)
+    drift = float(d - 2) if b is None else _typed("b", b, float)
     seen = {}
-    for e in edges:
-        if len(e) != 3:
-            raise SchemaError("each edge must be [i, j, conductance]")
-        i, j, c = int(e[0]), int(e[1]), float(e[2])
+    for k, e in enumerate(edges):
+        i, j, c = _edge(k, e)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise SchemaError(f"edge ({i}, {j}) is not a valid node pair")
         if c < 0.0:
@@ -452,11 +468,10 @@ def build_graph(
         lab = tuple({"tag": i} for i in range(n))
     else:
         lab = tuple(dict(x) if isinstance(x, dict) else {"tag": x} for x in labels)
-    sig = None if symmetry is None else np.asarray(symmetry, dtype=int)
-    drift = float(d - 2) if b is None else float(b)
+    sig = None if symmetry is None else np.asarray(_entries("symmetry", list(symmetry), int))
     return _graph_operator(
         list(seen), list(seen.values()), leak, m,
-        d=int(d),
+        d=d,
         b=drift,
         labels=lab,
         reference_node=0,
@@ -466,10 +481,10 @@ def build_graph(
 
 
 def _typed(key: str, val, typ) -> object:
-    if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+    if typ is float and isinstance(val, numbers.Real) and not isinstance(val, bool):
         return float(val)
-    if typ is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
+    if typ is int and isinstance(val, numbers.Integral) and not isinstance(val, bool):
+        return int(val)
     if typ is list and isinstance(val, list):
         return val
     raise SchemaError(f"field '{key}' must be of type {typ.__name__}")
@@ -491,8 +506,8 @@ def _entries(key: str, values: list, typ) -> list:
 
 
 def _edge(k: int, edge) -> list:
-    """Entry k of a graph document's edge list: [int, int, real]."""
-    if not isinstance(edge, list) or len(edge) != 3:
+    """Entry k of a graph's edge list: [int, int, real]."""
+    if not isinstance(edge, (list, tuple, np.ndarray)) or len(edge) != 3:
         raise SchemaError(f"edge {k} must be [i, j, conductance]")
     return _entries(f"edges[{k}]", edge[:2], int) + [_typed(f"edges[{k}][2]", edge[2], float)]
 
@@ -549,14 +564,13 @@ def load_base(document: Union[str, Path, dict]) -> BaseOperator:
         )
         return build_chain(spec, _require(doc, "d", int), b=None if b is None else float(b))
     if kind == "graph":
-        symmetry = _optional(doc, "symmetry", list, None)
         return build_graph(
-            edges=[_edge(k, e) for k, e in enumerate(_require(doc, "edges", list))],
-            mass=_entries("mass", _require(doc, "mass", list), float),
-            dirichlet_leak=_entries("dirichlet_leak", _require(doc, "dirichlet_leak", list), float),
+            edges=_require(doc, "edges", list),
+            mass=_require(doc, "mass", list),
+            dirichlet_leak=_require(doc, "dirichlet_leak", list),
             d=_require(doc, "d", int),
-            b=None if b is None else float(b),
+            b=b,
             labels=_optional(doc, "labels", list, None),
-            symmetry=None if symmetry is None else _entries("symmetry", symmetry, int),
+            symmetry=_optional(doc, "symmetry", list, None),
         )
     raise SchemaError(f"unknown base type {kind!r}")

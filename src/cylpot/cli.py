@@ -11,11 +11,17 @@ its tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import csv
 import json
+import os
+import shutil
+import signal
 import sys
+import tempfile
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +56,9 @@ _EPS = float(np.finfo(float).eps)
 
 # Rows formatted and written per block of write_csv.
 _WRITE_BLOCK = 16384
+# Fewest rows write_csv gives one process; a smaller share does not repay
+# the fork, the copy of its output and the reaping.
+_ROWS_PER_WORKER = 65_536
 
 
 def _csv_field(text: str) -> str:
@@ -77,22 +86,118 @@ def _csv_lines(cells) -> str:
     return "".join(line + "\r\n" for line in map(",".join, zip(*cells)))
 
 
+def _write_range(fh, columns, start: int, stop: int) -> None:
+    """Write rows [start, stop) as UTF-8 CSV lines, _WRITE_BLOCK rows at a time."""
+    for lo in range(start, stop, _WRITE_BLOCK):
+        hi = min(lo + _WRITE_BLOCK, stop)
+        fh.write(_csv_lines([_column_text(col[lo:hi]) for col in columns]).encode("utf-8"))
+
+
+def _worker_cpus() -> list:
+    """The CPUs this process may run on, in order; none where the platform
+    cannot fork a process or place it on a CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _fork_range(columns, start: int, stop: int, cpu: int):
+    """(pid, temp file) of a forked child that writes rows [start, stop)
+    into the temp file from CPU ``cpu``; None when fork fails.
+
+    The child runs only Python formatting and file writes (no BLAS, no
+    locks) and leaves through os._exit: status 0 once every row is written.
+    """
+    tmp = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except OSError:
+        tmp.close()
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            # A forked child starts on its parent's CPU; placement is what
+            # lets the two run at once, not a condition of correct bytes.
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
+            _write_range(tmp, columns, start, stop)
+            tmp.flush()
+            code = 0
+        except BaseException:  # noqa: BLE001 - the exit status reports it
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
+def _write_parts(fh, columns, cuts, cpus) -> None:
+    """Write the row ranges between consecutive ``cuts``: range k > 0 in a
+    child forked onto cpus[k], range 0 (and any range whose fork failed) in
+    this process on cpus[0], appended in order.  Every child is reaped
+    before this returns or raises."""
+    workers, live = [], set()
+    mask = os.sched_getaffinity(0)
+    try:
+        for lo, hi, cpu in zip(cuts[1:-1], cuts[2:], cpus[1:]):
+            workers.append(_fork_range(columns, lo, hi, cpu))
+            if workers[-1] is not None:
+                live.add(workers[-1][0])
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[0]})
+        _write_range(fh, columns, cuts[0], cuts[1])
+        for worker, lo, hi in zip(workers, cuts[1:-1], cuts[2:]):
+            if worker is None:
+                _write_range(fh, columns, lo, hi)
+                continue
+            pid, tmp = worker
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.discard(pid)
+            if code != 0:
+                raise OSError(f"CSV worker for rows {lo}..{hi} of {fh.name} "
+                              f"exited with status {code}")
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for worker in workers:
+            if worker is not None:
+                worker[1].close()
+        os.sched_setaffinity(0, mask)
+
+
 def write_csv(path: Path, header, columns) -> None:
     """Write a CSV table given column by column, with csv.writer's bytes.
 
     There are at least two columns, each holding one value per row; the
-    lines are formatted and written _WRITE_BLOCK rows at a time.
+    lines are formatted and written _WRITE_BLOCK rows at a time.  A table of
+    at least 2 * _ROWS_PER_WORKER rows is cut into min(usable CPUs,
+    rows // _ROWS_PER_WORKER) contiguous ranges, each formatted by its own
+    process placed on its own CPU (forked children write into temporary
+    files that are appended in order), so the bytes do not depend on the
+    split.  A worker that fails raises OSError; a write that fails leaves
+    no file at ``path``.
     """
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0
     if len(columns) < 2 or any(col.shape != (rows,) for col in columns):
         raise ValueError("CSV needs two or more 1-D columns of equal length")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_lines([[_csv_field(str(h))] for h in header]))
-        for start in range(0, rows, _WRITE_BLOCK):
-            fh.write(_csv_lines(
-                [_column_text(col[start:start + _WRITE_BLOCK]) for col in columns]
-            ))
+    cpus = _worker_cpus()
+    parts = min(len(cpus), rows // _ROWS_PER_WORKER)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_csv_lines([[_csv_field(str(h))] for h in header]).encode("utf-8"))
+            if parts < 2:
+                _write_range(fh, columns, 0, rows)
+            else:
+                _write_parts(fh, columns, [rows * k // parts for k in range(parts + 1)], cpus)
+    except BaseException:
+        # A table cut short would read as a complete one.
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_summary(path: Path, payload: dict) -> None:

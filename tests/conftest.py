@@ -1,9 +1,23 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import cylpot as cp
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which this process has a child it has not reaped:
+    one still running, or one that exited and was never waited for."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
 
 
 @pytest.fixture(scope="session")

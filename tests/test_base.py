@@ -345,3 +345,41 @@ def test_operator_rejects_malformed_edge_lists():
         BaseOperator(edges=[[0, 1]], conductance=[1.0, 2.0], **fields)
     with pytest.raises(OffDiagonalSignError):
         BaseOperator(edges=[[0, 1]], conductance=[-1.0], **fields)
+
+
+@pytest.mark.parametrize("mutation, match", [
+    ({"edges": [[0.5, 1, 1.0]]}, r"edges\[0\]\[0\]"),
+    ({"edges": [[0, np.float64(1.0), 1.0]]}, r"edges\[0\]\[1\]"),
+    ({"edges": [[0, 1, "1.0"]]}, r"edges\[0\]\[2\]"),
+    ({"mass": [1.0, "2"]}, r"mass\[1\]"),
+    ({"dirichlet_leak": [True, 1.0]}, r"dirichlet_leak\[0\]"),
+    ({"symmetry": [1.0, 0.0]}, r"symmetry\[0\]"),
+    ({"d": 3.0}, r"'d'"),
+    ({"b": "1"}, r"'b'"),
+])
+def test_build_graph_checks_every_entry(mutation, match):
+    # Each of these used to be truncated or converted into a valid graph.
+    fields = dict(edges=[[0, 1, 1.0]], mass=[1.0, 1.0], dirichlet_leak=[1.0, 1.0], d=3)
+    fields.update(mutation)
+    with pytest.raises(SchemaError, match=match):
+        cp.build_graph(**fields)
+
+
+def test_build_graph_takes_numpy_numbers():
+    base = cp.build_graph(
+        edges=[(np.int64(0), np.int32(1), np.float32(0.5))],
+        mass=np.array([1.0, 1.0], dtype=np.float32), dirichlet_leak=np.ones(2),
+        d=np.int64(3), b=np.float64(0.5), symmetry=np.array([1, 0]),
+    )
+    assert base.edges.tolist() == [[0, 1]] and base.d == 3 and base.b == 0.5
+    assert base.symmetry.tolist() == [1, 0] and base.conductance.tolist() == [0.5]
+
+
+def test_operator_rejects_float_node_indices():
+    # [1.5, 0.2] and [[0.5, 1.7]] used to truncate to a valid swap and edge.
+    fields = dict(mass=[1.0, 1.0], diagonal=[2.0, 2.0], conductance=[1.0], d=3, b=1.0)
+    with pytest.raises(ParameterError, match="symmetry permutation must hold integer"):
+        BaseOperator(edges=[[0, 1]], symmetry=[1.5, 0.2], **fields)
+    with pytest.raises(ParameterError, match="edges must hold integer"):
+        BaseOperator(edges=[[0.5, 1.7]], **fields)
+    assert BaseOperator(edges=[[0, 1]], symmetry=[1, 0], **fields).symmetry.tolist() == [1, 0]

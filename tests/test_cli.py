@@ -510,7 +510,9 @@ def _assert_same_bytes(tmp_path, header, columns):
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_columnar_csv_matches_row_writer(tmp_path):
+def _mixed_columns(repeat: int = 1):
+    """Header and columns of every cell kind write_csv formats, each column
+    repeated ``repeat`` times (3 * repeat rows)."""
     ld = np.longdouble
     columns = (
         [True, np.bool_(False), np.True_],
@@ -523,7 +525,13 @@ def test_columnar_csv_matches_row_writer(tmp_path):
         ["x", "", "line\nbreak"],
     )
     header = ("flag", "n", "x", "edge", "wide", "single", "text", 'odd,"name"')
-    _assert_same_bytes(tmp_path, header, columns)
+    return header, tuple(
+        np.tile(col, repeat) if isinstance(col, np.ndarray) else col * repeat for col in columns
+    )
+
+
+def test_columnar_csv_matches_row_writer(tmp_path):
+    _assert_same_bytes(tmp_path, *_mixed_columns())
 
 
 def test_columnar_csv_header_only(tmp_path):
@@ -536,6 +544,121 @@ def test_columnar_csv_spans_write_blocks(tmp_path, monkeypatch):
     count = 7 * 5 + 3
     columns = (np.arange(count), rng.standard_normal(count) * 1e5, rng.random(count) < 0.5)
     _assert_same_bytes(tmp_path, ("i", "x", "b"), columns)
+
+
+def _split_csv(monkeypatch, workers: int = 3) -> list:
+    """Give write_csv a process per 7 rows and ``workers`` CPUs (this test's
+    first CPU, repeated, so the split runs on any machine); the pids that
+    os.fork returns in this process, as a list that fills as it forks."""
+    monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr("cylpot.cli._worker_cpus", lambda: [cpu] * workers)
+    return _count_forks(monkeypatch)
+
+
+def _count_forks(monkeypatch) -> list:
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _fail_in_children(monkeypatch) -> None:
+    """Make write_csv's formatting raise in every forked child."""
+    parent, csv_lines = os.getpid(), cylpot.cli._csv_lines
+
+    def lines(cells):
+        if os.getpid() != parent:
+            raise MemoryError("formatting failed in a worker")
+        return csv_lines(cells)
+
+    monkeypatch.setattr("cylpot.cli._csv_lines", lines)
+
+
+def test_parallel_csv_matches_row_writer(tmp_path, monkeypatch):
+    # 39 rows in three parts of 13, written in blocks of 5: no part boundary
+    # falls on a block boundary.
+    pids = _split_csv(monkeypatch)
+    monkeypatch.setattr("cylpot.cli._WRITE_BLOCK", 5)
+    mask = os.sched_getaffinity(0)
+    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    assert len(pids) == 2 and 0 not in pids
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_csv_below_two_workers_never_forks(tmp_path, monkeypatch):
+    _split_csv(monkeypatch)
+
+    def no_fork():
+        raise AssertionError("write_csv forked for a table under two workers' rows")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _assert_same_bytes(tmp_path, ("i", "x"), (np.arange(13), np.arange(13) / 7.0))
+
+
+def test_csv_threshold_is_two_workers_of_rows(tmp_path, monkeypatch):
+    pids = _split_csv(monkeypatch)
+    _assert_same_bytes(tmp_path, ("i", "x"), (np.arange(14), np.arange(14) / 7.0))
+    assert len(pids) == 1
+
+
+def test_parallel_csv_formats_in_process_when_fork_fails(tmp_path, monkeypatch):
+    _split_csv(monkeypatch)
+    calls = []
+
+    def failing_fork():
+        calls.append(1)
+        raise OSError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    assert len(calls) == 2
+
+
+def test_failed_csv_worker_raises_and_restores_affinity(tmp_path, monkeypatch):
+    pids = _split_csv(monkeypatch)
+    _fail_in_children(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    with pytest.raises(OSError, match=r"CSV worker for rows 13\.\.26 .* exited with status 1"):
+        write_csv(tmp_path / "t.csv", *_mixed_columns(13))
+    assert len(pids) == 2 and not (tmp_path / "t.csv").exists()
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capsys):
+    # The default 20 unit delays give 21 atoms: three parts of 7 rows.
+    pids = _split_csv(monkeypatch)
+    _fail_in_children(monkeypatch)
+    assert main(["chernoff", "--out", str(tmp_path / "ch")]) == 2
+    assert capsys.readouterr().err.startswith("error: OSError: CSV worker for rows 7..14")
+    assert len(pids) == 2 and not (tmp_path / "ch" / "distribution.csv").exists()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
+    # Formatting checks where it runs: the parent on the first usable CPU,
+    # each child alone on another one (a child elsewhere fails the write).
+    monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
+    cpus = sorted(os.sched_getaffinity(0))
+    parent, csv_lines, seen = os.getpid(), cylpot.cli._csv_lines, []
+
+    def lines(cells):
+        where = os.sched_getaffinity(0)
+        if os.getpid() == parent:
+            seen.append(where)
+        elif len(where) != 1 or where == {cpus[0]}:
+            raise AssertionError(f"worker runs on {where}")
+        return csv_lines(cells)
+
+    monkeypatch.setattr("cylpot.cli._csv_lines", lines)
+    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    assert seen[0] == set(cpus) and seen[1:] == [{cpus[0]}] * (len(seen) - 1)
+    assert os.sched_getaffinity(0) == set(cpus)
 
 
 def test_columnar_csv_rejects_ragged_columns(tmp_path):
