@@ -345,6 +345,9 @@ def cmd_converge(args) -> int:
                              f"{args.v_max}, got {poles_v.size}")
     u_grid = np.arange(-2.0, 2.0 + 1e-9, 0.5)
     base = load_base(args.base)
+    if base.n < 3:
+        raise ParameterError(f"the rate fit needs mu_2 and mu_3, so a base of at least "
+                             f"3 nodes, got {base.n}")
     nodes = np.arange(0, base.n, max(1, base.n // 64))
     sep = poles_v[:, None] - u_grid[None, :]
     spec = decompose(base, reach=_converge_reach(base, nodes, float(sep[sep > 0.0].min())))

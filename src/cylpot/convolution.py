@@ -77,21 +77,15 @@ class DiscreteDistribution:
         return self.support.size
 
 
-def _merge_atoms(support: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
+def _merge_atoms(support: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (support, probabilities): each run of atoms whose neighbour
+    gaps are all <= _MERGE_TOL becomes one atom at its lowest point."""
     order = np.argsort(support)
-    s, p = support[order], probs[order]
-    if np.all(np.diff(s) > _MERGE_TOL):  # nothing to merge
-        return DiscreteDistribution(s + 0.0, p)
-    merged_s = [s[0]]
-    merged_p = [p[0]]
-    for x, q in zip(s[1:], p[1:]):
-        if x - merged_s[-1] <= _MERGE_TOL:
-            merged_p[-1] += q
-        else:
-            merged_s.append(x)
-            merged_p.append(q)
-    # + 0.0 normalizes -0.0 support points.
-    return DiscreteDistribution(np.asarray(merged_s) + 0.0, np.asarray(merged_p))
+    s = support[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(s) > _MERGE_TOL)))
+    s = s[starts]
+    s += 0.0  # normalizes -0.0 support points
+    return s, np.add.reduceat(probs[order], starts)
 
 
 def _common_grid(a: np.ndarray):
@@ -104,13 +98,9 @@ def _common_grid(a: np.ndarray):
         if abs(float(frac) - x) > _MERGE_TOL:
             return None
         denoms.append(frac.denominator)
-    if not denoms:
-        return 1.0  # all delays zero; any grid works
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // math.gcd(lcm, d)
-        if lcm > _GRID_DENOMINATOR_CAP:
-            return None
+    lcm = math.lcm(*denoms)  # 1 when every delay is zero; any grid works
+    if lcm > _GRID_DENOMINATOR_CAP:
+        return None
     step = 1.0 / lcm
     if float(np.sum(a)) / step > _GRID_POINT_CAP:
         return None
@@ -122,7 +112,10 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
 
     Delays on a common rational grid are convolved by dynamic programming
     over that grid (any length); otherwise plain atom enumeration handles up
-    to ENUMERATION_LIMIT factors.  Atoms within 1e-12 of each other merge.
+    to ENUMERATION_LIMIT factors (merging after each factor).  Sorted atoms
+    merge by neighbour gap: a run in which each atom lies within 1e-12 of
+    the one before becomes one atom at the run's lowest point, whatever the
+    run's total span.
 
     Each grid step halves the sum (p + q) where the textbook step adds the
     halves 0.5 p + 0.5 q; halving is exact above the subnormal range, so
@@ -134,8 +127,6 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
         raise ValueError("delays must form a 1-D sequence")
     if np.any((a < 0.0) | (a > 1.0)):
         raise ValueError("delays must lie in [0, 1]")
-    if a.size == 0:
-        return DiscreteDistribution(np.array([0.0]), np.array([1.0]))
 
     step = _common_grid(a)
     if step is not None:
@@ -154,21 +145,17 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
             pmf[: top + k + 1] *= 0.5
             top += k
         keep = pmf > 0.0
-        support = -step * np.arange(total + 1)[keep]
-        return _merge_atoms(support, pmf[keep])
-
-    if a.size > ENUMERATION_LIMIT:
+        support, probs = _merge_atoms(-step * np.arange(total + 1)[keep], pmf[keep])
+    elif a.size > ENUMERATION_LIMIT:
         raise ConvolutionCapacityError(
             f"{a.size} factors exceed the enumeration limit of "
             f"{ENUMERATION_LIMIT} and the delays share no rational grid"
         )
-    support = np.array([0.0])
-    probs = np.array([1.0])
-    for delay in a:
-        support = np.concatenate([support, support - delay])
-        probs = np.concatenate([0.5 * probs, 0.5 * probs])
-        dist = _merge_atoms(support, probs)
-        support, probs = dist.support, dist.probabilities
+    else:
+        support, probs = np.array([0.0]), np.array([1.0])
+        for delay in a:
+            support, probs = _merge_atoms(np.concatenate([support, support - delay]),
+                                          np.concatenate([0.5 * probs, 0.5 * probs]))
     return DiscreteDistribution(support, probs)
 
 

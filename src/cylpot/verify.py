@@ -632,7 +632,8 @@ def check_reflection(
     reports the empirical constant of the one-sided domination
     G_{(v,y)}(u,x) <= C G_{(v,y)}(u, x0) for u <= v - _DOMINATION_GAP;
     a profile value with no positive value on any route raises
-    NumericalLossError.  Skipped when the base declares no symmetry.
+    NumericalLossError.  Skipped when the base declares no symmetry, and
+    ``insufficient`` when the node band holds no left-half node.
     """
     if ev.base.symmetry is None:
         return VerificationReport(
@@ -648,6 +649,13 @@ def check_reflection(
     band_lo, band_hi = _node_band(ev.spec.n)
     left = left[(left >= band_lo) & (left < band_hi)]
     right = right[(right >= band_lo) & (right < band_hi)]
+    config = {"count": count, "domination_gap": _DOMINATION_GAP}
+    if left.size == 0:  # e.g. a 1-node arc, whose only node is fixed
+        return VerificationReport(
+            suite="reflection", sample_count=0, max_violation=-math.inf,
+            tolerance=tolerance, status="insufficient", seed=seed, config=config,
+            note=f"node band [{band_lo}, {band_hi}) holds no node of the left half",
+        )
     raw = _sobol(4, count, seed)
     w_ax = -5.0 + 10.0 * raw[:, 0]
     v_ax = -5.0 + 10.0 * raw[:, 1]
@@ -672,8 +680,7 @@ def check_reflection(
     table = {"w": w_ax, "z": z_nodes, "v": v_ax, "y": y_nodes}
     return _sweep(
         "reflection", ev, pairs, gap, -1e-8, table,
-        tolerance=tolerance, seed=seed, empirical_constant=math.exp(dom),
-        config={"count": count, "domination_gap": _DOMINATION_GAP},
+        tolerance=tolerance, seed=seed, empirical_constant=math.exp(dom), config=config,
     )
 
 

@@ -70,6 +70,17 @@ def chain_default():
 
 
 @pytest.fixture(scope="session")
+def chain_deep():
+    """The benchmark's deep bead chain: 40 beads of 8 nodes, neck ratio
+    0.004, refined in 80-bit below its cutoff."""
+    base = cp.load_base({
+        "type": "chain", "d": 4, "J": 40, "beadNodes": 8, "neckRatio": 0.004,
+        "anchorNodes": 8, "radiiRule": "uniform",
+    })
+    return base, cp.decompose(base)
+
+
+@pytest.fixture(scope="session")
 def one_node():
     base = cp.build_graph(edges=[], mass=[1.0], dirichlet_leak=[2.5], d=2, b=0.0)
     return base, cp.decompose(base)

@@ -329,6 +329,26 @@ def test_malformed_input_exits_2_before_loading(argv, text, error, loads, arc_do
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "arc", "L": 2.0, "n": 1},
+    {"type": "arc", "L": 2.0, "n": 2},
+    {"type": "graph", "d": 3, "edges": [[0, 1, 1.0]], "mass": [1.0, 2.0],
+     "dirichlet_leak": [0.5, 0.5]},
+], ids=["arc-1", "arc-2", "graph-2"])
+def test_converge_on_fewer_than_3_nodes_exits_2_before_decompose(doc, tmp_path, capsys,
+                                                                  monkeypatch):
+    # The rate fit reads mu_2 and mu_3.
+    _forbid_decompose(monkeypatch)
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main(["converge", "--base", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ParameterError: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutation, err", MALFORMED_DOCUMENTS)
 def test_malformed_base_document_exits_2_before_decompose(mutation, err, tmp_path, capsys,
                                                           monkeypatch):

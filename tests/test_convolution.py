@@ -5,12 +5,14 @@ import pytest
 
 from cylpot import (
     ConvolutionCapacityError,
+    DiscreteDistribution,
     chernoff_bound,
     chernoff_threshold,
     chernoff_threshold_details,
     exact_convolution,
     tail_mass,
 )
+from cylpot.convolution import _common_grid
 
 
 def test_all_zero_delays_is_point_mass():
@@ -30,8 +32,6 @@ def test_unit_delays_give_shifted_binomial():
 
 
 def test_grid_dp_matches_enumeration():
-    from cylpot.convolution import _common_grid
-
     grid = exact_convolution([0.5] * 10)
     # sqrt(2)/3 has no rational step, so ten copies take the enumeration
     # route, whose equal partial sums merge into 11 binomial atoms.
@@ -199,3 +199,70 @@ def test_halved_sum_bit_identical_to_two_products():
     assert np.min(probs) > np.finfo(float).tiny
     assert np.array_equal(dist.support, support)
     assert np.array_equal(dist.probabilities, probs)
+
+
+def _merge_atoms_per_atom(support, probs):
+    """The atom merge as it was before the neighbour-gap pass: a no-merge
+    shortcut, then a walk that merges each atom within 1e-12 of the last
+    kept atom."""
+    order = np.argsort(support)
+    s, p = support[order], probs[order]
+    if np.all(np.diff(s) > 1e-12):
+        return DiscreteDistribution(s + 0.0, p)
+    merged_s = [s[0]]
+    merged_p = [p[0]]
+    for x, q in zip(s[1:], p[1:]):
+        if x - merged_s[-1] <= 1e-12:
+            merged_p[-1] += q
+        else:
+            merged_s.append(x)
+            merged_p.append(q)
+    return DiscreteDistribution(np.asarray(merged_s) + 0.0, np.asarray(merged_p))
+
+
+def _enumerate_per_atom(a):
+    """The enumeration route as it was, merging after every factor."""
+    support = np.array([0.0])
+    probs = np.array([1.0])
+    for delay in a:
+        support = np.concatenate([support, support - delay])
+        probs = np.concatenate([0.5 * probs, 0.5 * probs])
+        dist = _merge_atoms_per_atom(support, probs)
+        support, probs = dist.support, dist.probabilities
+    return DiscreteDistribution(support, probs)
+
+
+def test_enumeration_bit_identical_to_per_atom_merge():
+    # Irrational delays with repeats and pairwise sums, so equal partial
+    # sums formed in different orders meet within 1e-12 and merge.
+    rng = np.random.default_rng(2024)
+    for _ in range(240):
+        base = rng.uniform(0.02, 0.5, size=int(rng.integers(2, 7)))
+        i, j = rng.integers(0, base.size, size=(2, int(rng.integers(1, 4))))
+        extra = rng.choice(base, size=int(rng.integers(0, 4)))
+        delays = rng.permutation(np.concatenate([base, base[i] + base[j], extra]))
+        assert _common_grid(delays) is None  # the enumeration route
+        dist, want = exact_convolution(delays), _enumerate_per_atom(delays)
+        assert dist.support.tobytes() == want.support.tobytes()
+        assert dist.probabilities.tobytes() == want.probabilities.tobytes()
+
+
+def test_grid_route_bit_identical_to_per_atom_merge():
+    delays = np.random.default_rng(9).integers(0, 1001, size=400) / 1000
+    dist = exact_convolution(delays)
+    want = _merge_atoms_per_atom(*_convolve_by_copies(delays, 1.0 / 1000))
+    assert np.array_equal(dist.support, want.support)
+    assert np.array_equal(dist.probabilities, want.probabilities)
+
+
+def test_near_chain_merges_whole():
+    # Three delays, each pair within 1e-12 but spanning 1.5e-12: every run
+    # of partial sums chains by neighbour gap into one atom, giving the
+    # binomial masses of three equal delays.  The per-atom walk split each
+    # middle run 1e-12 past its first atom, into six atoms.
+    a = math.sqrt(2.0) / 3.0
+    delays = [a, a + 1.5e-12, a + 0.75e-12]
+    dist = exact_convolution(delays)
+    assert dist.probabilities.tolist() == [1 / 8, 3 / 8, 3 / 8, 1 / 8]
+    assert np.allclose(dist.support, [-3 * a, -2 * a, -a, 0.0], rtol=0.0, atol=1e-11)
+    assert _enumerate_per_atom(delays).atom_count == 6

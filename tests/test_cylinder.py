@@ -607,31 +607,41 @@ def test_log_green_many_shapes_and_loss(chain_default):
     assert ev.log_green_many([], [], 0.0, 0).shape == (0,)
 
 
-def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule():
-    # The benchmark's deep chain at axial separation s = 0.2269..., where the
-    # 80-bit mode sum is healthy: the eigenmode log G at nodes 80-87 (pole
-    # at node 0) against resolvent quadrature on rules far finer than the
-    # default panels.  Eigendata from divide and conquer is 4.4e-8 off here.
+# Deep-chain levels against pole (0, 0), their nodes, and the largest
+# |eigenmode log G - fine resolvent rule| allowed there.  At u = -0.2269...
+# (nodes 80-87) eigendata from divide and conquer is 4.4e-8 off.  At the
+# benchmark's seed-3 level u = 0.1949... (nodes 88-97) the 80-bit mode sum
+# passes the health switch yet is 7.7e-9 off: this records the eigenmode
+# route's own error there, which its 5e-9 elsewhere does not show.
+_DEEP_CHAIN_LEVELS = [
+    (-0.22691860165038974, np.arange(80, 88), 5e-9),
+    (0.19497068433043402, np.arange(88, 98), 1e-8),
+]
+
+
+def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule(chain_deep):
+    # The benchmark's deep chain, where the 80-bit mode sum is healthy: the
+    # eigenmode log G against resolvent quadrature on rules far finer than
+    # the default panels.
     from cylpot.cylinder import _gauss_panel_rule
 
-    base = cp.load_base({
-        "type": "chain", "d": 4, "J": 40, "beadNodes": 8, "neckRatio": 0.004,
-        "anchorNodes": 8, "radiiRule": "uniform",
-    })
-    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
-    u, nodes = -0.22691860165038974, np.arange(80, 88)
-    modes = ev.log_green_many(u, nodes, 0.0, 0, allow_stable=False)
-    assert not np.isnan(modes).any()
+    base, spec = chain_deep
+    ev = GreenEvaluator(spec=spec, base=base)
 
-    def reference(edges, order):
-        stable = StableAxialEvaluator(base, mu1=float(ev.spec.mu[0]))
+    def reference(u, nodes, edges, order):
+        stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
         stable._w, stable._qw = _gauss_panel_rule(edges, order)
         return -0.5 * base.b * u + np.log(stable.values(abs(u), nodes, 0))
 
-    fine = reference(np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(40.0, 200.5, 1.0)]), 16)
-    finer = reference(np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)]), 20)
-    assert np.max(np.abs(fine - finer)) <= 1e-12  # the reference has converged
-    assert np.max(np.abs(np.asarray(modes, dtype=float) - fine)) <= 5e-9
+    fine_edges = np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(40.0, 200.5, 1.0)])
+    finer_edges = np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)])
+    for u, nodes, bound in _DEEP_CHAIN_LEVELS:
+        modes = ev.log_green_many(u, nodes, 0.0, 0, allow_stable=False)
+        assert not np.isnan(modes).any()
+        fine = reference(u, nodes, fine_edges, 16)
+        finer = reference(u, nodes, finer_edges, 20)
+        assert np.max(np.abs(fine - finer)) <= 1e-12  # the reference has converged
+        assert np.max(np.abs(np.asarray(modes, dtype=float) - fine)) <= bound
 
 
 def test_cosine_rows_per_distinct_separation_bit_identical(chain_default):

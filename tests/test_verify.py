@@ -233,6 +233,16 @@ def test_reflection_skipped_without_symmetry(cap_small):
     assert rep.status == "skipped" and rep.passed
 
 
+def test_reflection_on_a_one_node_arc_is_insufficient():
+    # The only node is the fixed one: no left-half node to place a pole at.
+    base = cp.build_arc(2.0, 1)
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    rep = run_suite(ev, ("reflection",), count=64, seed=3)["reflection"]
+    assert rep.status == "insufficient" and not rep.passed
+    assert rep.sample_count == 0
+    assert "left half" in rep.note
+
+
 def test_reflection_constant_stable_under_refinement(arc_sym):
     ev = _evaluator(arc_sym)
     c1 = check_reflection(ev, count=2000, seed=3).empirical_constant
