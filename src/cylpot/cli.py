@@ -257,7 +257,7 @@ def cmd_spectrum(args) -> int:
     n = spec.n
     write_csv(
         out / "spectrum.csv", ("k", "lambda", "mu"),
-        (np.arange(1, n + 1), spec.all_eigenvalues, spec.mu),
+        (np.arange(1, n + 1), spec.known_eigenvalues, spec.mu),
     )
     n_modes = min(args.modes, n) if args.modes else n
     write_csv(

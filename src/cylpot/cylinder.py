@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .base import BaseOperator
+from .base import BaseOperator, ParameterError
 from .spectral import SpectralData, mass_scaled_bands
 
 __all__ = [
@@ -53,6 +53,7 @@ _SCAN_STEP = 0.05
 _HEALTH_SWITCH = 1e-8
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Mode terms per chunk array of the batched Green sums.
 _CHUNK_TERMS = 1 << 15
@@ -293,6 +294,16 @@ class _Modes(NamedTuple):
     sqrt_mu1: float
 
 
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered (K, m) array that add its rows in order,
+    as a 1-D loop or dot does.  A reduction over the outer axis goes row by
+    row; a single column is a contiguous vector, which numpy would sum
+    pairwise, so it takes a running sum instead."""
+    if terms.shape[1] == 1:
+        return np.cumsum(terms[:, 0])[-1:]
+    return np.add.reduce(terms, axis=0)
+
+
 def _raise_if_lost(logs, pairs, routes: str) -> None:
     """Raise NumericalLossError naming the first lost (nan) pair of the
     broadcast ``pairs`` (pu, pnode, qu, qnode), whose flat values are ``logs``."""
@@ -421,10 +432,10 @@ class GreenEvaluator:
             for lo in range(0, group.size, step):
                 idx = group[lo : lo + step]
                 weights = modes.phi[i[idx], :K] * modes.phi[j[idx], :K] / modes.two_sqrt_mu[:K]
-                terms = weights * np.exp(-s[idx, None] * modes.delta[:K])
-                # Running sums add the modes in order, as a 1-D dot does.
-                tail[idx] = np.cumsum(terms, axis=1)[:, -1]
-                mag[idx] = np.cumsum(np.abs(terms), axis=1)[:, -1]
+                terms = np.multiply(weights.T, np.exp(-s[idx] * modes.delta[:K, None]),
+                                    order="C")
+                tail[idx] = _sum_in_order(terms)
+                mag[idx] = _sum_in_order(np.abs(terms))
         return tail, mag
 
     def _log_values(self, modes: _Modes, w, s, tail, mag):
@@ -634,7 +645,9 @@ class GreenEvaluator:
         to a mode sum at separation s (delta_F, mu_F of the first dropped
         mode).  Where the resulting bound on a cell exceeds eps times the
         table's largest magnitude, ValueError; run_record keeps the largest
-        ratio of the two.
+        ratio of the two.  A table whose largest magnitude is not a positive
+        normal float (it underflows at deep poles) is a ParameterError on
+        full and partial eigendata alike.
         """
         u_grid = np.asarray(u_grid, dtype=float)
         nodes = np.asarray(nodes, dtype=int)
@@ -669,6 +682,12 @@ class GreenEvaluator:
             self.run_record["zero_separation"] += nodes.size * int(np.count_nonzero(zero))
         growth = np.exp(self.spec.alpha_max * u_grid)[None, :]
         dev = growth * N / (D0 * m1_ref)
+        sup = float(np.max(np.abs(dev)))
+        if not sup >= _TINY:
+            raise ParameterError(
+                f"the deviation table of the pole ({v}, {jp}) has sup {sup!r}, not a "
+                "positive normal float: K - F_plus is lost to double precision there"
+            )
         if not partial:
             return dev
         # The dropped part of a mode sum at separation sep over nodes i and
@@ -685,8 +704,7 @@ class GreenEvaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (growth * (near + np.abs(m1)[:, None] * ref_tail) / m1_ref
                      + np.abs(dev) * ref_tail) / max(D0 - ref_tail, 0.0)
-        sup = float(np.max(np.abs(dev)))
-        ratio = float(np.max(bound)) / sup if sup > 0.0 else math.inf
+        ratio = float(np.max(bound)) / sup
         if not ratio <= _EPS:
             raise ValueError(
                 f"the {formed} formed modes do not certify K - F_plus for the pole "

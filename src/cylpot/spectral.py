@@ -16,7 +16,7 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -45,12 +45,21 @@ _RESIDUAL_TOL = 1e-6
 # Eigenvector columns per block of the residual check and the sign flips.
 _RESIDUAL_BLOCK = 256
 
-# Kinds of dstemr's 21 arguments in LAPACK order (jobz, range, n, d, e, vl,
-# vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac, work, lwork, iwork, liwork,
-# info): c an option string, i an integer, d a double, each by pointer.
-_STEMR_KINDS = "cciddddiiiddiiiidiiii"
+# LAPACK routines called through the pointers that scipy.linalg.cython_lapack
+# exports: (name, kinds of the arguments in LAPACK order, return type), a
+# kind being c for an option string, i an integer and d a double, each by
+# pointer.
+#   dstemr: jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz,
+#           tryrac, work, lwork, iwork, liwork, info
+#   dlarrb: n, d, lld, ifirst, ilast, rtol1, rtol2, offset, w, wgap, werr,
+#           work, iwork, pivmin, spdiam, twist, info
+#   dlaneg: n, d, lld, sigma, pivmin, r
+_DSTEMR = ("dstemr", "cciddddiiiddiiiidiiii", "void")
+_DLARRB = ("dlarrb", "iddiiddiddddiddii", "void")
+_DLANEG = ("dlaneg", "iddddi", "int")
 _CTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
            "d": ctypes.POINTER(ctypes.c_double)}
+_RESTYPES = {"void": None, "int": ctypes.c_int}
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -75,16 +84,19 @@ class NotPositiveDefiniteError(SpectralError):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Generalized eigensystem of a base operator: every eigenvalue and a
-    leading block of modes.
+    """Generalized eigensystem of a base operator: the eigenvalues known,
+    and a leading block of modes.
 
-    all_eigenvalues holds all n eigenvalues, ascending.  eigenvectors[:, k]
-    is the k-th mode for the first ``modes`` of them, paired with
-    eigenvalues = all_eigenvalues[:modes] (the same array when every mode
-    was formed), and sum_i mass[i] * phi_k[i] * phi_l[i] = delta_kl.  The
-    ground state eigenvectors[:, 0] is entrywise positive.  eig_residual is
-    the worst relative residual of the formed eigenpairs (see
-    ``decompose``).
+    known_eigenvalues holds the lowest eigenvalues, ascending: all n of them
+    after a full or a ``modes`` solve, and those of modes 1..K+1 after a
+    ``reach`` solve that formed K < n modes on a plain path base (mode K+1
+    is the first dropped one, whose rate bounds the truncation).
+    eigenvectors[:, k] is the k-th mode for the first ``modes`` of them,
+    paired with eigenvalues = known_eigenvalues[:modes] (the same array
+    when every mode was formed), and sum_i mass[i] * phi_k[i] * phi_l[i] =
+    delta_kl.  The ground state eigenvectors[:, 0] is entrywise positive.
+    eig_residual is the worst relative residual of the formed eigenpairs
+    (see ``decompose``).
     """
 
     eigenvalues: np.ndarray
@@ -92,11 +104,11 @@ class SpectralData:
     mass: np.ndarray
     b: float
     eig_residual: float
-    all_eigenvalues: np.ndarray
+    known_eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.all_eigenvalues.shape[0]
+        return self.mass.shape[0]
 
     @property
     def modes(self) -> int:
@@ -114,7 +126,7 @@ class SpectralData:
 
     @property
     def lambda1(self) -> float:
-        return float(self.all_eigenvalues[0])
+        return float(self.known_eigenvalues[0])
 
     @property
     def ground_state(self) -> np.ndarray:
@@ -122,8 +134,9 @@ class SpectralData:
 
     @property
     def mu(self) -> np.ndarray:
-        """Shifted rates mu_k = lam_k + b**2/4 of all n modes (all positive here)."""
-        return self.all_eigenvalues + 0.25 * self.b * self.b
+        """Shifted rates mu_k = lam_k + b**2/4 of the known eigenvalues (all
+        positive here)."""
+        return self.known_eigenvalues + 0.25 * self.b * self.b
 
     @property
     def alpha_max(self) -> float:
@@ -258,48 +271,65 @@ def _refine_low_band(diag, off, vals, psi, cutoff: float):
     return vals_out, psi_out
 
 
-def _check_stemr_signature(signature: str) -> None:
+def _check_signature(name: str, signature: str, kinds: str, restype: str) -> None:
     """Raise EigensolverError unless ``signature``, the C declaration that
-    scipy.linalg.cython_lapack exports for dstemr, takes the 21 arguments
-    _stemr_vectors passes: char * for the options, int * for every integer,
-    a double pointer for every real.  A scipy built with other integer
-    widths fails here instead of crashing in the call."""
-    head = "void ("
+    scipy.linalg.cython_lapack exports for LAPACK's ``name``, returns
+    ``restype`` and takes arguments of ``kinds``: char * for an option,
+    int * for an integer, a double pointer for a real.  A scipy built with
+    other integer widths fails here instead of crashing in the call."""
+    head = f"{restype} ("
     args = signature[len(head):-1].split(", ") if signature.startswith(head) else []
-    kinds = "".join(
+    found = "".join(
         "c" if a == "char *" else "i" if a == "int *"
         else "d" if a == "double *" or a.endswith("_d *") else "?"
         for a in args
     )
-    if kinds != _STEMR_KINDS:
+    if found != kinds:
         raise EigensolverError(
-            f"scipy {scipy.__version__} exports dstemr as {signature!r}, not the 21 "
-            "arguments with int * integers that the eigenvector solve passes"
+            f"scipy {scipy.__version__} exports {name} as {signature!r}, not the "
+            f"{len(kinds)} arguments with int * integers that cylpot passes"
         )
 
 
 @functools.lru_cache(maxsize=None)
-def _stemr():
-    """LAPACK's dstemr as a ctypes function, from the pointer that
+def _lapack(name: str, kinds: str, restype: str):
+    """LAPACK's ``name`` as a ctypes function, from the pointer that
     scipy.linalg.cython_lapack exports, after checking its signature."""
-    capsule = cython_lapack.__pyx_capi__["dstemr"]
-    name = _capsule_name(capsule)
-    _check_stemr_signature(name.decode())
-    prototype = ctypes.CFUNCTYPE(None, *(_CTYPES[k] for k in _STEMR_KINDS))
-    return prototype(_capsule_pointer(capsule, name))
+    capsule = cython_lapack.__pyx_capi__[name]
+    cname = _capsule_name(capsule)
+    _check_signature(name, cname.decode(), kinds, restype)
+    prototype = ctypes.CFUNCTYPE(_RESTYPES[restype], *(_CTYPES[k] for k in kinds))
+    return prototype(_capsule_pointer(capsule, cname))
 
 
-def _stemr_vectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
-    """Eigenvectors of the ``count`` lowest eigenvalues of the symmetric
-    tridiagonal (diag, off), ascending, as an (n, count) Fortran-order array,
-    from LAPACK's MRRR driver dstemr.
+def _int(v: int):
+    return ctypes.byref(ctypes.c_int(v))
+
+
+def _real(v: float):
+    return ctypes.byref(ctypes.c_double(v))
+
+
+def _doubles(a: np.ndarray):
+    return a.ctypes.data_as(_CTYPES["d"])
+
+
+def _ints(a: np.ndarray):
+    return a.ctypes.data_as(_CTYPES["i"])
+
+
+def _stemr_vectors(diag: np.ndarray, off: np.ndarray, count: int):
+    """The ``count`` lowest eigenvalues, ascending, of the symmetric
+    tridiagonal (diag, off) and their eigenvectors as an (n, count)
+    Fortran-order array, from LAPACK's MRRR driver dstemr.
 
     scipy's wrapper allocates an n x n output whatever range it is asked
     for; called directly, dstemr fills only the requested columns (range
     'A' for count = n, 'I' with il = 1, iu = count otherwise) with its
     documented minimum workspace of 18n doubles and 10n integers.  The
     columns are those of eigh_tridiagonal(..., lapack_driver='stemr').
-    dstemr's own eigenvalues are discarded.
+    The eigenvalues are accurate to about eps * ||T|| only; decompose
+    pairs the columns with more accurate ones.
     """
     n = diag.size
     if off.shape != (n - 1,) or not 1 <= count <= n:
@@ -314,27 +344,134 @@ def _stemr_vectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     work = np.empty(18 * n)
     iwork = np.empty(10 * n, dtype=np.intc)
     m, info = ctypes.c_int(0), ctypes.c_int(0)
-
-    def i(v):
-        return ctypes.byref(ctypes.c_int(v))
-
-    def f(a):
-        return a.ctypes.data_as(_CTYPES["d"])
-
-    unused = ctypes.byref(ctypes.c_double(0.0))  # vl and vu of ranges A and I
-    _stemr()(
-        b"V", b"A" if count == n else b"I", i(n), f(d), f(e),
-        unused, unused, i(1), i(count),                   # vl, vu, il, iu
-        ctypes.byref(m), f(w), f(z), i(n), i(count),      # m, w, z, ldz, nzc
-        isuppz.ctypes.data_as(_CTYPES["i"]), i(1),        # isuppz, tryrac (as scipy)
-        f(work), i(work.size), iwork.ctypes.data_as(_CTYPES["i"]), i(iwork.size),
+    _lapack(*_DSTEMR)(
+        b"V", b"A" if count == n else b"I", _int(n), _doubles(d), _doubles(e),
+        _real(0.0), _real(0.0), _int(1), _int(count),           # vl, vu, il, iu
+        ctypes.byref(m), _doubles(w), _doubles(z), _int(n), _int(count),  # m, w, z, ldz, nzc
+        _ints(isuppz), _int(1),                                 # isuppz, tryrac (as scipy)
+        _doubles(work), _int(work.size), _ints(iwork), _int(iwork.size),
         ctypes.byref(info),
     )
     if info.value != 0 or m.value != count:
         raise EigensolverError(
             f"dstemr failed with info={info.value}, forming {m.value} of {count} eigenvectors"
         )
-    return z
+    return w[:count], z
+
+
+def _not_positive_definite(order: int) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"the leading minor of order {order} is not positive: the base's form "
+        "is not positive definite, violating the standing non-polarity assumption"
+    )
+
+
+class _Factor(NamedTuple):
+    """L D L^T of a positive-definite tridiagonal T = (diag, off), in the
+    form that dlarrb and dlaneg take, with the scalars they need."""
+
+    d: np.ndarray       # the pivots D
+    lld: np.ndarray     # L_i^2 D_i
+    pivmin: float       # smallest pivot magnitude a Sturm count allows
+    spdiam: float       # width of T's Gershgorin interval
+    tnorm: float        # largest magnitude in that interval
+
+
+def _ldl_factor(diag: np.ndarray, off: np.ndarray) -> _Factor:
+    """Factor the tridiagonal (diag, off) with LAPACK's dpttrf, the first
+    step of dpteqr; a non-positive pivot is a NotPositiveDefiniteError."""
+    d, ell, info = scipy.linalg.lapack.dpttrf(diag, off)
+    if info > 0:
+        raise _not_positive_definite(info)
+    if info != 0:
+        raise EigensolverError(f"dpttrf failed with info={info}")
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off)))  # as dlarre
+    return _Factor(d, ell * ell * d[:-1], pivmin, hi - lo, max(abs(lo), abs(hi)))
+
+
+def _count_below(factor: _Factor, sigma: float) -> int:
+    """Number of eigenvalues of the factored matrix below ``sigma``: the
+    negative pivots of L D L^T - sigma I, from LAPACK's dlaneg."""
+    n = factor.d.size
+    return _lapack(*_DLANEG)(_int(n), _doubles(factor.d), _doubles(factor.lld),
+                             _real(sigma), _real(factor.pivmin), _int(n))
+
+
+def _bracket(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Eigenvalues ``first`` to ``last`` (1-based), ascending, of the
+    tridiagonal (diag, off) by LAPACK's bisection dstebz, to its default
+    absolute accuracy of about eps * ||T||."""
+    m, w, _, _, info = scipy.linalg.lapack.dstebz(diag, off, 2, 0.0, 0.0, first, last,
+                                                  0.0, b"E")
+    if info != 0 or m != last - first + 1:
+        raise EigensolverError(f"dstebz failed with info={info}, finding {m} of "
+                               f"{last - first + 1} eigenvalues")
+    return w[:m]
+
+
+def _refine(factor: _Factor, w: np.ndarray, first: int) -> None:
+    """Bisect eigenvalues first + 1 .. len(w) of the factored matrix in
+    place with LAPACK's dlarrb, from the estimates w[first:] of error about
+    eps * ||T||, until each bracket's half-width is at most eps times its
+    end: within an ulp or two.  Sturm counts on L D L^T keep relative
+    accuracy in the low band.  dlarrb widens a bracket that misses its
+    eigenvalue, so it would never return for an index above n."""
+    count, n = w.size, factor.d.size
+    if w.dtype != np.float64 or not w.flags.c_contiguous or count > n:
+        raise ValueError(f"need at most n = {n} contiguous doubles, got {count} {w.dtype}")
+    if first >= count:
+        return
+    eps = np.finfo(float).eps
+    werr = np.full(count, 2.0 * eps * factor.tnorm)
+    wgap = np.zeros(count)  # read only through rtol1 = 0
+    work = np.empty(2 * count)
+    iwork = np.empty(2 * count, dtype=np.intc)
+    info = ctypes.c_int(0)
+    _lapack(*_DLARRB)(
+        _int(n), _doubles(factor.d), _doubles(factor.lld), _int(first + 1), _int(count),
+        _real(0.0), _real(eps), _int(0),                       # rtol1, rtol2, offset
+        _doubles(w), _doubles(wgap), _doubles(werr), _doubles(work), _ints(iwork),
+        _real(factor.pivmin), _real(factor.spdiam), _int(n), ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise EigensolverError(f"dlarrb failed with info={info.value}")
+
+
+def _reach_band(diag, off, c: float, reach: float, modes: int):
+    """The K modes with sqrt(mu_k) - sqrt(mu_1) <= ``reach`` (mu = lam + c),
+    at least ``modes`` of them, of the positive-definite tridiagonal
+    (diag, off): the eigenvalues of modes 1..K+1 (mode K+1 is the first
+    dropped one) and the (n, K) eigenvectors; None when K would be n.
+
+    Only the low band is solved, in O(nK): lam_1 and lam_2 by bisection,
+    K by one Sturm count, the K vectors by dstemr, and the K + 1 values
+    refined by bisection on the dpttrf factor to dqds-grade relative
+    accuracy.
+    """
+    n = diag.size
+    factor = _ldl_factor(diag, off)
+    vals = _bracket(diag, off, 1, 2)
+    _refine(factor, vals, 0)
+    _check_ground_eigenvalue(vals)
+    # Count up to slightly past the threshold (sqrt(mu_1) + reach)^2 - c,
+    # so that every mode the rule below keeps is formed; a mode in the
+    # margin is formed, then dropped.
+    sigma = (math.sqrt(vals[0] + c) + reach) ** 2 * (1.0 + 2.0 ** -40) - c
+    count = max(modes, _count_below(factor, sigma) if math.isfinite(sigma) else n)
+    if count >= n:
+        return None
+    w, psi = _stemr_vectors(diag, off, count)
+    if count > 1:  # values of modes 1..count+1, the first two refined already
+        vals = np.concatenate([vals, w[2:], _bracket(diag, off, count + 1, count + 1)])
+        _refine(factor, vals, 2)
+    sm = np.sqrt(vals + c)
+    # At most count by the margin above; the min only guards rounding.
+    formed = min(count, max(modes, int(np.searchsorted(sm - sm[0], reach, side="right"))))
+    return vals[: formed + 1], psi[:, :formed]
 
 
 def _path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -352,17 +489,14 @@ def _path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
             diag, off, np.zeros((1, 1)), compute_z=0
         )
     if 0 < info <= diag.size:
-        raise NotPositiveDefiniteError(
-            f"the leading minor of order {info} is not positive: the base's form "
-            "is not positive definite, violating the standing non-polarity assumption"
-        )
+        raise _not_positive_definite(info)
     if info != 0:
         raise EigensolverError(f"dpteqr failed with info={info}")
     return vals[::-1]  # dpteqr sorts descending
 
 
 def _check_ground_eigenvalue(vals: np.ndarray) -> None:
-    """lam_1 > 0 and simple, read off the ascending list of all eigenvalues."""
+    """lam_1 > 0 and simple, read off the lowest eigenvalues, ascending."""
     if vals[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"smallest generalized eigenvalue {vals[0]:.6e} is not positive; "
@@ -393,10 +527,15 @@ def decompose(
     comes from one positive-definite dqds solve (``_path_eigenvalues``),
     and the eigenvectors from LAPACK's MRRR driver (``_stemr_vectors``):
     all of them, or only the ``modes`` lowest, in an n x ``modes`` array
-    beside O(n) workspace; its own eigenvalues are discarded, since dqds is
-    more accurate in the low band.  Other bases
-    take a dense solve, which forms every mode, so there ``modes`` and
-    ``reach`` are lower bounds.
+    beside O(n) workspace; its own eigenvalues are not used, since dqds is
+    more accurate in the low band.  A ``reach`` solve there that forms
+    K < n modes (``_reach_band``) lists only the eigenvalues of modes
+    1..K+1, in O(nK) instead of dqds's O(n^2): lam_1 and lam_2 by
+    bisection, K by a Sturm count, and every value refined by bisection on
+    the L D L^T factor that dqds works on, to the same relative accuracy
+    (see SpectralData.known_eigenvalues).  Other bases take a dense solve,
+    which forms every mode, so there ``modes`` and ``reach`` are lower
+    bounds.
 
     ``refine_low_band`` reruns the eigenpairs below ``refine_cutoff``
     through extended-precision Rayleigh-quotient iteration; the default
@@ -431,18 +570,24 @@ def decompose(
         refine_low_band = tridiagonal and base.kind == "chain"
     if tridiagonal:
         s, diag, off = mass_scaled_bands(base)
-        vals = _path_eigenvalues(diag, off)
-        _check_ground_eigenvalue(vals)
-        if reach is not None:
-            sm = np.sqrt(vals + 0.25 * base.b * base.b)
-            modes = max(modes or 1, int(np.searchsorted(sm - sm[0], reach, side="right")))
-        # stemr returns its eigenvalues ascending, so its columns pair with
-        # the dqds list by index (the residual check would catch a mismatch).
-        full = modes is None or modes >= base.n or refine_low_band
-        psi = _stemr_vectors(diag, off, base.n if full else modes)
-        if refine_low_band:
-            vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
-            s = s.astype(np.longdouble)
+        band = None
+        if reach is not None and not refine_low_band and (modes or 1) < base.n:
+            band = _reach_band(diag, off, 0.25 * base.b * base.b, reach, modes or 1)
+        if band is not None:
+            vals, psi = band
+        else:
+            vals = _path_eigenvalues(diag, off)
+            _check_ground_eigenvalue(vals)
+            if reach is not None:
+                sm = np.sqrt(vals + 0.25 * base.b * base.b)
+                modes = max(modes or 1, int(np.searchsorted(sm - sm[0], reach, side="right")))
+            # stemr returns its eigenvalues ascending, so its columns pair with
+            # the dqds list by index (the residual check would catch a mismatch).
+            full = modes is None or modes >= base.n or refine_low_band
+            psi = _stemr_vectors(diag, off, base.n if full else modes)[1]
+            if refine_low_band:
+                vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
+                s = s.astype(np.longdouble)
 
         def apply(x):
             return _tridiagonal_matvec(diag, off, x)
@@ -494,7 +639,7 @@ def decompose(
 
     return SpectralData(
         eigenvalues=lam, eigenvectors=phi, mass=m.copy(), b=base.b,
-        eig_residual=float(worst), all_eigenvalues=vals,
+        eig_residual=float(worst), known_eigenvalues=vals,
     )
 
 

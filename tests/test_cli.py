@@ -745,3 +745,48 @@ def test_converge_exits_2_when_its_modes_do_not_certify(cap_doc, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: ") and "do not certify" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_converge_never_lists_every_eigenvalue_but_spectrum_does(cap_doc, tmp_path, monkeypatch):
+    # converge on a cap solves the low band alone; spectrum still writes
+    # all n eigenvalues of the dqds list, bit for bit.
+    from cylpot import spectral
+
+    dqds = spectral._path_eigenvalues
+
+    def forbidden(diag, off):
+        raise AssertionError("converge listed every eigenvalue")
+
+    monkeypatch.setattr(spectral, "_path_eigenvalues", forbidden)
+    assert main(["converge", "--base", str(cap_doc), "--out", str(tmp_path / "c")]) == 0
+    calls = []
+
+    def counted(diag, off):
+        calls.append(diag.size)
+        return dqds(diag, off)
+
+    monkeypatch.setattr(spectral, "_path_eigenvalues", counted)
+    assert main(["spectrum", "--base", str(cap_doc), "--out", str(tmp_path / "s")]) == 0
+    assert calls == [301]
+    _, diag, off = spectral.mass_scaled_bands(cylpot.load_base(str(cap_doc)))
+    rows = np.loadtxt(tmp_path / "s" / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 1], dqds(diag, off))
+
+
+@pytest.mark.parametrize("eigendata", ["partial", "full"])
+def test_converge_names_the_first_pole_whose_deviation_underflows(eigendata, cap_doc, tmp_path,
+                                                                 capsys, monkeypatch):
+    # Past v = 284 the deviation table of this cap falls below the normal
+    # floats (6.98e-310 at v = 286): on partial eigendata its certificate
+    # would divide by it, on full eigendata the rate fit would take logs.
+    if eigendata == "full":
+        decompose = cylpot.cli.decompose
+        monkeypatch.setattr("cylpot.cli.decompose", lambda b, reach: decompose(b))
+    grid = ["--base", str(cap_doc), "--v-step", "2", "--v-max"]
+    assert main(["converge", *grid, "284", "--out", str(tmp_path / "ok")]) == 0
+    out = tmp_path / "c"
+    assert main(["converge", *grid, "400", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: the deviation table of the pole (286.0, 150) ")
+    assert "not a positive normal float" in err and "Traceback" not in err
+    assert not (out / "converge.csv").exists()

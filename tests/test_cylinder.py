@@ -800,3 +800,32 @@ def test_partial_martin_deviation_matches_full(cap_partial):
     few = GreenEvaluator(spec=cp.decompose(base, modes=6), base=base)
     with pytest.raises(ValueError, match="do not certify"):
         few.martin_deviation_from_f_plus(P(2.0, base.reference_node), u, nodes)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_mode_sums_add_modes_left_to_right(dtype):
+    # Groups of 3, 17, 64, 200 and 328 kept modes, each with pairs past its
+    # chunk edge (_CHUNK_TERMS // K pairs per chunk), and lone pairs of 9,
+    # 100 and 250: every signed and absolute sum equals a left-to-right loop
+    # over the modes, bit for bit.
+    from cylpot.cylinder import _CHUNK_TERMS, _Modes
+
+    rng = np.random.default_rng(7)
+    n, formed = 50, 328
+    sm = np.sort(rng.uniform(1.0, 40.0, formed)).astype(dtype)
+    modes = _Modes(rng.standard_normal((n, formed)).astype(dtype), 2.0 * sm, sm - sm[0], sm[0])
+    keep = np.repeat([3, 17, 64, 200, 328], [_CHUNK_TERMS // K + 5 for K in (3, 17, 64, 200, 328)])
+    keep = rng.permutation(np.concatenate([keep, [9, 100, 250]]))
+    i, j = rng.integers(0, n, keep.size), rng.integers(0, n, keep.size)
+    s = rng.uniform(0.0, 2.0, keep.size)
+    tail, mag = GreenEvaluator._mode_sums(modes, s, i, j, keep)
+    for K in np.unique(keep):
+        rows = np.flatnonzero(keep == K)
+        weights = modes.phi[i[rows], :K] * modes.phi[j[rows], :K] / modes.two_sqrt_mu[:K]
+        terms = weights * np.exp(-s[rows, None] * modes.delta[:K])
+        want_tail, want_mag = terms[:, 0].copy(), np.abs(terms[:, 0])
+        for k in range(1, K):
+            want_tail = want_tail + terms[:, k]
+            want_mag = want_mag + np.abs(terms[:, k])
+        assert np.array_equal(tail[rows], want_tail.astype(float))
+        assert np.array_equal(mag[rows], want_mag.astype(float))

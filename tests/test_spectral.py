@@ -274,10 +274,10 @@ def test_banded_residual_check_rejects_perturbed_eigenvector(base, refined, monk
     assert cp.decompose(base).eigenvectors.dtype == (np.longdouble if refined else float)
 
     def perturbed(diag, off, count):
-        psi = solver(diag, off, count)
+        w, psi = solver(diag, off, count)
         # The top mode sits above every refinement cutoff.
         psi[base.n // 2, -1] += 1e-3
-        return psi
+        return w, psi
 
     monkeypatch.setattr(spectral, "_stemr_vectors", perturbed)
     with pytest.raises(EigensolverError, match="residual"):
@@ -353,8 +353,9 @@ def test_stemr_signature_mismatch_raises_before_the_call(arc_small, monkeypatch)
 
     from cylpot import EigensolverError, spectral
 
-    good = spectral._capsule_name(cython_lapack.__pyx_capi__["dstemr"]).decode()
-    spectral._check_stemr_signature(good)
+    name, kinds, restype = spectral._DSTEMR
+    good = spectral._capsule_name(cython_lapack.__pyx_capi__[name]).decode()
+    spectral._check_signature(name, good, kinds, restype)
     fakes = [
         good.replace("int *", "long long *"),
         good.replace(", int *)", ")"),          # 20 arguments
@@ -364,21 +365,46 @@ def test_stemr_signature_mismatch_raises_before_the_call(arc_small, monkeypatch)
     for fake in fakes:
         assert fake != good
         with pytest.raises(EigensolverError, match=r"scipy \d"):
-            spectral._check_stemr_signature(fake)
+            spectral._check_signature(name, fake, kinds, restype)
     monkeypatch.setattr(spectral, "_capsule_name", lambda capsule: fakes[0].encode())
-    spectral._stemr.cache_clear()
+    spectral._lapack.cache_clear()
     try:
         with pytest.raises(EigensolverError, match="long long"):
             cp.decompose(arc_small[0], modes=3)
     finally:
-        spectral._stemr.cache_clear()
+        spectral._lapack.cache_clear()
+
+
+@pytest.mark.parametrize("routine", ["_DSTEMR", "_DLARRB", "_DLANEG"])
+def test_faked_signature_of_each_loaded_routine_raises(routine, cap_small, monkeypatch):
+    # A reach solve calls all three routines through the loader; faking the
+    # exported signature of any one of them fails before its first call.
+    from scipy.linalg import cython_lapack
+
+    from cylpot import EigensolverError, spectral
+
+    name, kinds, restype = getattr(spectral, routine)
+    target = cython_lapack.__pyx_capi__[name]
+    real = spectral._capsule_name
+    fake = real(target).decode().replace("int *", "long long *")
+    spectral._check_signature(name, real(target).decode(), kinds, restype)
+    with pytest.raises(EigensolverError, match=f"exports {name} as"):
+        spectral._check_signature(name, fake, kinds, restype)
+    monkeypatch.setattr(spectral, "_capsule_name",
+                        lambda capsule: fake.encode() if capsule is target else real(capsule))
+    spectral._lapack.cache_clear()
+    try:
+        with pytest.raises(EigensolverError, match=f"exports {name} as .*long long"):
+            cp.decompose(cap_small[0], reach=40.0)
+    finally:
+        spectral._lapack.cache_clear()
 
 
 def test_stemr_vectors_reject_sizes_before_the_call():
     from cylpot.spectral import _stemr_vectors
 
     diag, off = np.full(5, 2.0), np.full(4, -1.0)
-    assert _stemr_vectors(diag, off, 5).shape == (5, 5)
+    assert _stemr_vectors(diag, off, 5)[1].shape == (5, 5)
     for bad_off, count in ((off, 0), (off, 6), (off[:3], 2)):
         with pytest.raises(ValueError, match="count"):
             _stemr_vectors(diag, bad_off, count)
@@ -457,11 +483,63 @@ def _stemr_and_dqds_against_80_bit(base, count):
 )
 def test_path_eigenvalues_low_band_within_budget_of_80_bit(fixture, tol, request):
     # Measured worst: 2.7e-12 on cap_hemi3, 7.9e-12 on the chain; the full
-    # MRRR solve is 5e-12 to 7.5e-11 off on the same fixtures.
+    # MRRR solve is 5e-12 to 7.5e-11 off on the same fixtures.  The reach
+    # solve (here of 64 modes, so 65 known values) bisects on the same
+    # dpttrf factor that dqds works on, and keeps the same budget.
     base, _ = request.getfixturevalue(fixture)
     err_stemr, err_dqds, ref = _stemr_and_dqds_against_80_bit(base, 64)
-    assert float(np.max(err_dqds / ref)) <= tol
-    assert np.max(err_dqds / ref) <= np.max(err_stemr / ref)
+    reach = cp.decompose(base, modes=64, reach=0.0, refine_low_band=False)
+    assert reach.modes == 64 and reach.known_eigenvalues.shape == (65,)
+    err_reach = np.abs(reach.known_eigenvalues[:64].astype(ref.dtype) - ref)
+    for err in (err_dqds, err_reach):
+        assert float(np.max(err / ref)) <= tol
+        assert np.max(err / ref) <= np.max(err_stemr / ref)
+
+
+def _sturm_count(d, lld, sigma):
+    """Eigenvalues below ``sigma`` of L D L^T, counted by the stationary qds
+    transform in the arithmetic of the mpmath inputs."""
+    t, neg = -sigma, 0
+    for dk, lk in zip(d[:-1], lld):
+        dplus = dk + t
+        neg += dplus < 0
+        t = t / dplus * lk - sigma
+    return neg + (d[-1] + t < 0)
+
+
+def test_reach_values_within_2_ulps_of_dqds_error_against_40_digits(cap_small):
+    # Both solvers work on dpttrf's factor L D L^T; its eigenvalues to 40
+    # digits come from Sturm-count bisection in mpmath.  The reach solve's
+    # value of each mode is no further from them than dqds plus 2 ulps.
+    # Measured: at most 4.1 ulps off where dqds is 67 ulps off (k = 2), and
+    # 1.3 ulps where dqds is 0.3.
+    mpmath = pytest.importorskip("mpmath")
+    import scipy.linalg
+
+    from cylpot.spectral import _path_eigenvalues, mass_scaled_bands
+
+    base, _ = cap_small
+    _, diag, off = mass_scaled_bands(base)
+    dqds = _path_eigenvalues(diag, off)
+    spec = cp.decompose(base, reach=40.0)
+    K = spec.modes
+    assert 3 < K < base.n and spec.known_eigenvalues.shape == (K + 1,)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    piv, ell, info = scipy.linalg.lapack.dpttrf(diag, off)
+    assert info == 0
+    d = [mp.mpf(float(x)) for x in piv]
+    lld = [mp.mpf(float(x)) ** 2 * mp.mpf(float(y)) for x, y in zip(ell, piv[:-1])]
+    for k in (0, 1, 2, K - 1, K):
+        lo, hi = mp.mpf(float(dqds[k])) * (1 - 1e-12), mp.mpf(float(dqds[k])) * (1 + 1e-12)
+        assert _sturm_count(d, lld, lo) <= k < _sturm_count(d, lld, hi)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _sturm_count(d, lld, mid) <= k else (lo, mid)
+        exact = (lo + hi) / 2
+        err_dqds = abs(mp.mpf(float(dqds[k])) - exact)
+        err_reach = abs(mp.mpf(float(spec.known_eigenvalues[k])) - exact)
+        assert err_reach <= err_dqds + 2 * np.spacing(float(exact)), k
 
 
 @pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
@@ -477,7 +555,7 @@ def test_full_solve_reports_the_dqds_eigenvalues(arc_sym, cap_small):
     from cylpot.spectral import _path_eigenvalues, mass_scaled_bands
 
     for base, spec in (arc_sym, cap_small):
-        assert spec.eigenvalues is spec.all_eigenvalues
+        assert spec.eigenvalues is spec.known_eigenvalues
         assert np.array_equal(spec.eigenvalues, _path_eigenvalues(*mass_scaled_bands(base)[1:]))
 
 
@@ -486,8 +564,8 @@ def test_leading_block_of_modes(cap_small):
     spec = cp.decompose(base, modes=12)
     assert spec.eigenvalues.shape == (12,) and spec.eigenvectors.shape == (base.n, 12)
     assert spec.modes == 12 and spec.n == base.n
-    assert np.array_equal(spec.all_eigenvalues, full.all_eigenvalues)
-    assert np.array_equal(spec.all_eigenvalues[:12], spec.eigenvalues)
+    assert np.array_equal(spec.known_eigenvalues, full.known_eigenvalues)
+    assert np.array_equal(spec.known_eigenvalues[:12], spec.eigenvalues)
     assert np.array_equal(spec.mu, full.mu) and spec.lambda1 == full.lambda1
     assert np.max(np.abs(spec.eigenvectors - full.eigenvectors[:, :12])) <= 1e-9
     assert 0.0 < spec.eig_residual <= 1e-6
@@ -533,7 +611,7 @@ def test_edge_cases_take_the_dqds_path(modes):
     single = cp.build_arc(math.pi, 1)
     assert single.is_tridiagonal
     spec = cp.decompose(single, modes=modes)
-    assert spec.all_eigenvalues.tolist() == mass_scaled_bands(single)[1].tolist()
+    assert spec.known_eigenvalues.tolist() == mass_scaled_bands(single)[1].tolist()
     two = cp.build_graph(edges=[], mass=[1.0, 1.0], dirichlet_leak=[2.0, 2.0], d=2, b=0.0)
     zero = cp.build_graph(edges=[], mass=[1.0], dirichlet_leak=[0.0], d=2, b=0.0)
     # A free pair of nodes: dpteqr itself finds the singular leading minor.
@@ -566,18 +644,63 @@ def test_eig_residual_is_the_worst_relative_residual(fixture, request):
 
 
 def test_reach_forms_the_modes_within_reach(cap_small):
+    # A reach solve knows the eigenvalues of modes 1..K+1 only, bisected on
+    # the dpttrf factor: they agree with the full solve's dqds list to
+    # 1e-13 relative (not bit for bit), and count the same modes.  The rule
+    # sqrt(mu_k) - sqrt(mu_1) <= reach is read on the solve's own values, so
+    # a reach exactly at the full solve's delta_10 is no case for the count;
+    # the two cases sit 1e-9 on either side of it.
     base, full = cap_small
     delta = np.sqrt(full.mu) - np.sqrt(full.mu[0])
-    for reach, formed in ((0.0, 1), (float(delta[9]), 10), (float(delta[9]) - 1e-9, 9)):
+    for reach, formed in ((0.0, 1), (float(delta[9]) + 1e-9, 10), (float(delta[9]) - 1e-9, 9)):
         spec = cp.decompose(base, reach=reach)
-        assert spec.modes == formed
-        assert np.array_equal(spec.all_eigenvalues, full.all_eigenvalues)
-    assert cp.decompose(base, modes=12, reach=float(delta[9])).modes == 12
-    assert cp.decompose(base, modes=3, reach=float(delta[9])).modes == 10
+        assert spec.modes == formed and spec.n == base.n
+        known = spec.known_eigenvalues
+        assert known.shape == (formed + 1,)
+        own = np.sqrt(spec.mu) - np.sqrt(spec.mu[0])
+        assert own[formed - 1] <= reach < own[formed]
+        assert np.max(np.abs(known / full.known_eigenvalues[: formed + 1] - 1.0)) <= 1e-13
+        assert np.array_equal(spec.eigenvalues, known[:formed])
+        assert spec.lambda1 == known[0] and spec.mu.shape == (formed + 1,)
+    assert cp.decompose(base, modes=12, reach=float(delta[9]) + 1e-9).modes == 12
+    assert cp.decompose(base, modes=3, reach=float(delta[9]) + 1e-9).modes == 10
     assert cp.decompose(base, reach=math.inf).modes == base.n
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="reach"):
             cp.decompose(base, reach=bad)
+
+
+def test_reach_solve_on_tiny_paths_and_infinite_reach(cap_small):
+    # One node: every reach covers every mode.  Two nodes: a reach of 0
+    # forms one mode and knows both values.  An infinite reach is the full
+    # solve, bit for bit.
+    single = cp.build_arc(math.pi, 1)
+    for reach in (0.0, math.inf):
+        spec = cp.decompose(single, reach=reach)
+        assert spec.modes == 1
+        assert np.array_equal(spec.known_eigenvalues, cp.decompose(single).known_eigenvalues)
+    pair = cp.build_arc(math.pi, 2)
+    full = cp.decompose(pair)
+    spec = cp.decompose(pair, reach=0.0)
+    assert spec.modes == 1 and spec.known_eigenvalues.shape == (2,)
+    assert np.max(np.abs(spec.known_eigenvalues / full.known_eigenvalues - 1.0)) <= 1e-14
+    assert np.max(np.abs(spec.eigenvectors[:, 0] - full.eigenvectors[:, 0])) <= 1e-14
+    assert cp.decompose(pair, reach=math.inf).modes == 2
+    base, full = cap_small
+    spec = cp.decompose(base, reach=math.inf)
+    assert np.array_equal(spec.known_eigenvalues, full.known_eigenvalues)
+    assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+
+
+def test_reach_solve_on_a_30000_node_cap_meets_the_hemisphere_oracle():
+    # The reach solve never forms all n eigenvalues: on the d = 4
+    # hemisphere, lam_1 = d - 1 = 3 up to the O(h^2) discretization error
+    # (-6.9e-8 at n = 3000, -3.2e-10 here).
+    base = cp.build_cap(4, math.pi / 2, 30000)
+    spec = cp.decompose(base, reach=60.0)
+    assert 1 < spec.modes < 100 and spec.known_eigenvalues.shape == (spec.modes + 1,)
+    assert abs(spec.lambda1 - 3.0) <= 1e-8
+    assert 0.0 < spec.eig_residual <= 1e-6
 
 
 def test_reach_forms_every_mode_off_the_plain_path(chain_default, chain_shortcut):
