@@ -134,16 +134,27 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
         total = int(np.sum(ticks))
         pmf = np.zeros(total + 1)
         pmf[0] = 1.0
+        spare = np.zeros(total + 1)
         top = 0
         for k in ticks:
             if k == 0:
                 continue
-            # Add the shifted mass, then halve the touched range (the k
-            # lowest ticks only halve: their shifted mass is zero).  numpy
-            # buffers the overlapping in-place add.
-            pmf[k : top + k + 1] += pmf[: top + 1]
-            pmf[: top + k + 1] *= 0.5
+            # new[t] = (old[t] + old[t - k]) * 0.5 on [0, top + k], old being
+            # 0 off [0, top]: the lowest and the highest min(k, top + 1)
+            # ticks only halve one term.  A gap between them (k > top + 1)
+            # lies above the mass the spare buffer held two steps ago, so it
+            # is 0 already.  Writing into a second buffer spares numpy the
+            # copy of an overlapping in-place add.
+            edge = min(k, top + 1)
+            np.multiply(pmf[:edge], 0.5, out=spare[:edge])
+            mid = spare[k : top + 1]
+            np.add(pmf[k : top + 1], pmf[: top + 1 - edge], out=mid)
+            mid *= 0.5
+            np.multiply(pmf[top + 1 - edge : top + 1], 0.5,
+                        out=spare[top + k + 1 - edge : top + k + 1])
+            pmf, spare = spare, pmf
             top += k
+        del spare
         keep = pmf > 0.0
         support, probs = _merge_atoms(-step * np.arange(total + 1)[keep], pmf[keep])
     elif a.size > ENUMERATION_LIMIT:

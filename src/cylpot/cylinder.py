@@ -420,9 +420,20 @@ class GreenEvaluator:
         """Signed and absolute sums of the kept mode terms
         w_k e^{-s delta_k}, w_k = phi_k(i) phi_k(j) / (2 sqrt(mu_k)), of each
         pair, rounded to float64.  Pairs keeping the same number of modes are
-        summed together in chunks of at most _CHUNK_TERMS terms."""
+        summed together in chunks of at most _CHUNK_TERMS terms.
+
+        When the separations repeat (at most half as many distinct ones as
+        pairs) and their decay rows fit one chunk, each distinct row is
+        formed once and gathered per pair: the same values as forming them
+        per pair."""
         tail = np.zeros(s.size)
         mag = np.zeros(s.size)
+        seps = np.unique(s)
+        width = int(keep.max(initial=0))
+        table = None
+        if 2 * seps.size <= s.size and seps.size * width <= _CHUNK_TERMS:
+            table = np.exp(-seps * modes.delta[:width, None])
+            col = np.searchsorted(seps, s)
         order = np.argsort(keep, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
             if not group.size:
@@ -432,8 +443,12 @@ class GreenEvaluator:
             for lo in range(0, group.size, step):
                 idx = group[lo : lo + step]
                 weights = modes.phi[i[idx], :K] * modes.phi[j[idx], :K] / modes.two_sqrt_mu[:K]
-                terms = np.multiply(weights.T, np.exp(-s[idx] * modes.delta[:K, None]),
-                                    order="C")
+                if table is None:
+                    decays = np.exp(-s[idx] * modes.delta[:K, None])
+                else:
+                    decays = np.take(table[:K], col[idx], axis=1)
+                # C order, so that _sum_in_order adds the modes row by row.
+                terms = np.multiply(weights.T, decays, order="C")
                 tail[idx] = _sum_in_order(terms)
                 mag[idx] = _sum_in_order(np.abs(terms))
         return tail, mag
@@ -680,10 +695,13 @@ class GreenEvaluator:
             v0 = self._stable.zero_separation_values(nodes, jp)
             N[:, zero] = ((v0 - m1) * m1_ref - m1 * const)[:, None]
             self.run_record["zero_separation"] += nodes.size * int(np.count_nonzero(zero))
-        growth = np.exp(self.spec.alpha_max * u_grid)[None, :]
-        dev = growth * N / (D0 * m1_ref)
+        # Overflow, underflow and 0 * inf at deep poles are caught by the
+        # check on sup below, as a ParameterError instead of warnings.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            growth = np.exp(self.spec.alpha_max * u_grid)[None, :]
+            dev = growth * N / (D0 * m1_ref)
         sup = float(np.max(np.abs(dev)))
-        if not sup >= _TINY:
+        if not _TINY <= sup < math.inf:
             raise ParameterError(
                 f"the deviation table of the pole ({v}, {jp}) has sup {sup!r}, not a "
                 "positive normal float: K - F_plus is lost to double precision there"

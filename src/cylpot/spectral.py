@@ -194,35 +194,44 @@ def _solve_shifted_tridiagonal(
     so every system is deliberately near-singular); each pivot choice is
     made per column, so column k gets exactly the arithmetic of a solve of
     its own system.
+
+    Each row is one (4, K) block: its coefficients in three consecutive
+    columns and its right-hand side, so a pivot step swaps and updates whole
+    blocks.
     """
     n = diag.shape[0]
     dt = diag.dtype
-    b = diag[:, None] - shifts[None, :]  # col i of row i
-    c = np.zeros_like(b)                # col i+1 of row i
-    c[: n - 1] = off[:, None]
-    c2 = np.zeros_like(b)               # col i+2 fill-in
-    x = rhs.astype(dt, copy=True)
+    # rows[i]: row i as given, in the columns (i-1, i, i+1), which line up
+    # with the eliminated row i-1; elimination overwrites it with row i of U
+    # in the columns (i, i+1, i+2).
+    rows = np.zeros((n, 4, shifts.shape[0]), dtype=dt)
+    rows[1:, 0] = off[:, None]
+    rows[:, 1] = diag[:, None] - shifts[None, :]
+    rows[:-1, 2] = off[:, None]
+    rows[:, 3] = rhs
     tiny = np.finfo(dt).tiny * 1e8
 
     def pivot(v):
         return np.where(v != 0, v, tiny)
 
+    cur = np.zeros_like(rows[0])  # row i, eliminated, in the columns (i, i+1, i+2)
+    cur[[0, 1, 3]] = rows[0, 1:]
     for i in range(n - 1):
-        swap = abs(off[i]) > abs(b[i])
-        b[i], sub = np.where(swap, off[i], b[i]), np.where(swap, b[i], off[i])
-        c[i], b[i + 1] = np.where(swap, b[i + 1], c[i]), np.where(swap, c[i], b[i + 1])
-        c2[i], c[i + 1] = np.where(swap, c[i + 1], c2[i]), np.where(swap, c2[i], c[i + 1])
-        x[i], x[i + 1] = np.where(swap, x[i + 1], x[i]), np.where(swap, x[i], x[i + 1])
-        m = sub / pivot(b[i])
-        b[i + 1] = b[i + 1] - m * c[i]
-        c[i + 1] = c[i + 1] - m * c2[i]
-        x[i + 1] = x[i + 1] - m * x[i]
+        swap = abs(off[i]) > abs(cur[0])
+        top = np.where(swap, rows[i + 1], cur)
+        low = np.where(swap, cur, rows[i + 1])
+        rows[i] = top
+        cur = np.zeros_like(cur)
+        cur[[0, 1, 3]] = low[1:] - low[0] / pivot(top[0]) * top[1:]
+    rows[n - 1] = cur
+    b, c, c2, x = rows.transpose(1, 0, 2)
+    b = pivot(b)
     z = np.empty_like(x)
-    z[n - 1] = x[n - 1] / pivot(b[n - 1])
+    z[n - 1] = x[n - 1] / b[n - 1]
     if n > 1:
-        z[n - 2] = (x[n - 2] - c[n - 2] * z[n - 1]) / pivot(b[n - 2])
+        z[n - 2] = (x[n - 2] - c[n - 2] * z[n - 1]) / b[n - 2]
     for i in range(n - 3, -1, -1):
-        z[i] = (x[i] - c[i] * z[i + 1] - c2[i] * z[i + 2]) / pivot(b[i])
+        z[i] = (x[i] - c[i] * z[i + 1] - c2[i] * z[i + 2]) / b[i]
     return z
 
 

@@ -406,15 +406,17 @@ def _harnack_constant(
     levels = _harnack_levels(ev, grid_max, densify)
     # Level pairs a < c at least one unit apart.  The transpose G(c; a) has
     # the same mode sum, and its drift factors cancel in every triple.
-    lo, hi = np.nonzero(levels[None, :] >= levels[:, None] + 1.0)
+    apart = levels[None, :] >= levels[:, None] + 1.0
+    lo, hi = np.nonzero(apart)
     logs = ev.log_green_many(levels[lo], x0, levels[hi], x0, extended=True)
     table = np.full((levels.size, levels.size), np.nan, dtype=logs.dtype)
     table[lo, hi] = logs
-    # Triples u < v < w: log G(u;w) - log G(u;v) - log G(v;w).
-    ratio = table[:, None, :] - table[:, :, None] - table[None, :, :]
-    valid = ~np.isnan(ratio)
-    worst = float(np.max(np.abs(ratio[valid]), initial=0.0))
-    return math.exp(worst), int(np.count_nonzero(valid))
+    # Triples u < v < w whose two steps are at least one unit, so that all
+    # three log values exist: log G(u;w) - log G(u;v) - log G(v;w).
+    u, v, w = np.nonzero(apart[:, :, None] & apart[None, :, :])
+    ratio = table[u, w] - table[u, v] - table[v, w]
+    worst = float(np.max(np.abs(ratio), initial=0.0))
+    return math.exp(worst), int(u.size)
 
 
 def check_boundary_harnack(ev: GreenEvaluator, grid_max: int = 10) -> VerificationReport:
@@ -475,9 +477,16 @@ def check_iu_ratio(
     phi0 = spec.ground_state
     gaps = lam[1:] - lam[0]
     coeff = phi[probe_node, 1:] / phi0[probe_node]
+    # A weight that is exactly 0 at the first (smallest) time stays 0 at
+    # every later one, so the product keeps only the modes up to the last
+    # live one.  The dropped terms are exact zeros: the in-order 80-bit sum
+    # is unchanged, while BLAS may sum a float64 product in another order.
+    live = np.flatnonzero(coeff * np.exp(-gaps * t_grid[0]))
+    k = live[-1] + 1 if live.size else 0
+    coeff, gaps = coeff[:k], gaps[:k]
     cvals = np.empty_like(t_grid)
     for idx, t in enumerate(t_grid):
-        corr = (phi[:, 1:] @ (coeff * np.exp(-gaps * t))) / phi0
+        corr = (phi[:, 1 : k + 1] @ (coeff * np.exp(-gaps * t))) / phi0
         r = 1.0 + corr
         if np.any(r <= 0.0):
             cvals[idx] = math.inf

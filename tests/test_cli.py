@@ -167,6 +167,20 @@ def test_converge_rejects_empty_pole_grid(arc_doc, tmp_path):
     assert code == 2
 
 
+def test_converge_with_a_lost_deviation_table_prints_only_the_error(tmp_path, capsys):
+    # On a 5-node arc of length 0.001 the growth factor overflows and the
+    # reference sum underflows: a ParameterError, with no floating-point
+    # warning on stderr before it.
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps({"type": "arc", "L": 0.001, "n": 5}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["converge", "--base", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
 def test_converge_fits_every_pole_when_few_pass_the_cutoff(arc_doc, tmp_path):
     # On this arc the contamination cutoff sits near v = 6.6, past the last
     # pole: every pole is fitted, and the window says so.

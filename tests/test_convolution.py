@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cylpot import (
     exact_convolution,
     tail_mass,
 )
-from cylpot.convolution import _common_grid
+from cylpot.convolution import _common_grid, _merge_atoms
 
 
 def test_all_zero_delays_is_point_mass():
@@ -266,3 +267,41 @@ def test_near_chain_merges_whole():
     assert dist.probabilities.tolist() == [1 / 8, 3 / 8, 3 / 8, 1 / 8]
     assert np.allclose(dist.support, [-3 * a, -2 * a, -a, 0.0], rtol=0.0, atol=1e-11)
     assert _enumerate_per_atom(delays).atom_count == 6
+
+
+def _convolve_in_place(ticks):
+    """The grid DP as it was before it wrote into a second buffer: an
+    overlapping in-place add, then an in-place halving."""
+    pmf = np.zeros(int(ticks.sum()) + 1)
+    pmf[0] = 1.0
+    top = 0
+    for k in ticks:
+        if k == 0:
+            continue
+        pmf[k : top + k + 1] += pmf[: top + 1]
+        pmf[: top + k + 1] *= 0.5
+        top += k
+    return pmf
+
+
+def test_double_buffered_grid_dp_bit_identical_to_in_place():
+    # 300 seeded delay lists with zero ticks and first ticks past the mass
+    # (gaps), then the 400 delays of the benchmark's cap-large job at seed 3.
+    rng = np.random.default_rng(300)
+    cases = []
+    for _ in range(300):
+        grid = int(rng.choice([1, 2, 3, 7, 40, 1000]))
+        ticks = rng.integers(0, grid + 1, size=int(rng.integers(1, 40)))
+        ticks[rng.random(ticks.size) < 0.2] = 0
+        cases.append(ticks / grid)
+    draw = random.Random("cap-large:3")
+    cases.append(np.array([draw.randint(1, 1000) / 1000 for _ in range(400)]))
+    for delays in cases:
+        step = _common_grid(delays)
+        assert step is not None  # the grid route
+        pmf = _convolve_in_place(np.rint(delays / step).astype(np.int64))
+        keep = pmf > 0.0
+        support, probs = _merge_atoms(-step * np.arange(pmf.size)[keep], pmf[keep])
+        dist = exact_convolution(delays)
+        assert dist.support.tobytes() == support.tobytes()
+        assert dist.probabilities.tobytes() == probs.tobytes()

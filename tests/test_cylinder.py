@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -807,7 +808,9 @@ def test_mode_sums_add_modes_left_to_right(dtype):
     # Groups of 3, 17, 64, 200 and 328 kept modes, each with pairs past its
     # chunk edge (_CHUNK_TERMS // K pairs per chunk), and lone pairs of 9,
     # 100 and 250: every signed and absolute sum equals a left-to-right loop
-    # over the modes, bit for bit.
+    # over the modes, bit for bit.  With a separation per pair each chunk
+    # forms its own decays; with 99 separations shared by all pairs the
+    # 99 x 328 decay table fits one chunk and the pairs gather from it.
     from cylpot.cylinder import _CHUNK_TERMS, _Modes
 
     rng = np.random.default_rng(7)
@@ -817,15 +820,39 @@ def test_mode_sums_add_modes_left_to_right(dtype):
     keep = np.repeat([3, 17, 64, 200, 328], [_CHUNK_TERMS // K + 5 for K in (3, 17, 64, 200, 328)])
     keep = rng.permutation(np.concatenate([keep, [9, 100, 250]]))
     i, j = rng.integers(0, n, keep.size), rng.integers(0, n, keep.size)
-    s = rng.uniform(0.0, 2.0, keep.size)
-    tail, mag = GreenEvaluator._mode_sums(modes, s, i, j, keep)
-    for K in np.unique(keep):
-        rows = np.flatnonzero(keep == K)
-        weights = modes.phi[i[rows], :K] * modes.phi[j[rows], :K] / modes.two_sqrt_mu[:K]
-        terms = weights * np.exp(-s[rows, None] * modes.delta[:K])
-        want_tail, want_mag = terms[:, 0].copy(), np.abs(terms[:, 0])
-        for k in range(1, K):
-            want_tail = want_tail + terms[:, k]
-            want_mag = want_mag + np.abs(terms[:, k])
-        assert np.array_equal(tail[rows], want_tail.astype(float))
-        assert np.array_equal(mag[rows], want_mag.astype(float))
+    per_pair = rng.uniform(0.0, 2.0, keep.size)
+    assert 99 * formed <= _CHUNK_TERMS
+    shared = rng.choice(rng.uniform(0.0, 2.0, 99), keep.size)
+    for s in (per_pair, shared):
+        tail, mag = GreenEvaluator._mode_sums(modes, s, i, j, keep)
+        for K in np.unique(keep):
+            rows = np.flatnonzero(keep == K)
+            weights = modes.phi[i[rows], :K] * modes.phi[j[rows], :K] / modes.two_sqrt_mu[:K]
+            terms = weights * np.exp(-s[rows, None] * modes.delta[:K])
+            want_tail, want_mag = terms[:, 0].copy(), np.abs(terms[:, 0])
+            for k in range(1, K):
+                want_tail = want_tail + terms[:, k]
+                want_mag = want_mag + np.abs(terms[:, k])
+            assert np.array_equal(tail[rows], want_tail.astype(float))
+            assert np.array_equal(mag[rows], want_mag.astype(float))
+
+
+def test_screen_with_each_separation_twice_keeps_its_memory(chain_default):
+    # The symmetry sweep's layout: 10,000 separations, each used by two
+    # pairs.  Their decay table would take 10,000 x 328 float64 (26 MB); it
+    # exceeds one chunk, so each chunk forms its own decays.
+    base, spec = chain_default
+    ev = GreenEvaluator(spec=spec, base=base)
+    rng = np.random.default_rng(3)
+    m = 10_000
+    u, v = rng.uniform(-4.0, 4.0, m), rng.uniform(-4.0, 4.0, m)
+    x, y = rng.integers(0, base.n, m), rng.integers(0, base.n, m)
+    pairs = (np.concatenate([u, v]), np.concatenate([x, y]),
+             np.concatenate([v, u]), np.concatenate([y, x]))
+    tracemalloc.start()
+    try:
+        ev.screen_many(*pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -194,6 +194,26 @@ def _solve_shifted_reference(diag, off, shift, rhs):
     return z
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_batched_shifted_solve_bit_identical_to_scalar_rows(n, dtype):
+    # Shifts on and next to the diagonal entries, and a zero coupling, so
+    # that columns pivot differently and some meet an exact zero pivot.
+    from cylpot.spectral import _solve_shifted_tridiagonal
+
+    rng = np.random.default_rng(n)
+    diag = rng.uniform(1.0, 3.0, n).astype(dtype)
+    off = rng.uniform(-1.0, -0.1, n - 1).astype(dtype)
+    off[::2] = 0.0
+    shifts = np.concatenate([diag, diag + 1e-9, rng.uniform(0.0, 4.0, 3)]).astype(dtype)
+    rhs = rng.standard_normal((n, shifts.size)).astype(dtype)
+    got = _solve_shifted_tridiagonal(diag, off, shifts, rhs)
+    assert got.dtype == dtype
+    for k in range(shifts.size):
+        want = _solve_shifted_reference(diag, off, shifts[k], rhs[:, k])
+        assert np.array_equal(got[:, k], want, equal_nan=True)
+
+
 def _refine_reference(diag, off, vals, psi, cutoff):
     """Mode-by-mode 80-bit Rayleigh-quotient refinement."""
     ld = np.longdouble

@@ -112,6 +112,29 @@ def test_harnack_transpose_adds_nothing(fixture, request):
         assert abs(got / want - 1.0) <= 1e-14
 
 
+def _dense_harnack_constant(ev, grid_max, densify):
+    """The Harnack constant as the suite computed it before it formed only
+    the triples whose three log values exist: the dense L^3 difference."""
+    x0 = ev.reference.node
+    levels = _harnack_levels(ev, grid_max, densify)
+    lo, hi = np.nonzero(levels[None, :] >= levels[:, None] + 1.0)
+    logs = ev.log_green_many(levels[lo], x0, levels[hi], x0, extended=True)
+    table = np.full((levels.size, levels.size), np.nan, dtype=logs.dtype)
+    table[lo, hi] = logs
+    ratio = table[:, None, :] - table[:, :, None] - table[None, :, :]
+    valid = ~np.isnan(ratio)
+    worst = float(np.max(np.abs(ratio[valid]), initial=0.0))
+    return math.exp(worst), int(np.count_nonzero(valid))
+
+
+@pytest.mark.parametrize("fixture", ["chain_default", "arc_small", "cap_small", "one_node"])
+def test_harnack_constant_bit_identical_to_dense_table(fixture, request):
+    ev = _evaluator(request.getfixturevalue(fixture))
+    for grid_max, densify in ((10, 1), (20, 2)):
+        got = _harnack_constant(ev, grid_max, densify)
+        assert got == _dense_harnack_constant(ev, grid_max, densify)
+
+
 def test_harnack_stability_on_arc(arc_small):
     ev = _evaluator(arc_small)
     rep = check_boundary_harnack(ev, grid_max=10)
@@ -128,6 +151,37 @@ def test_iu_ratio_on_arc(arc_small):
     assert np.all(np.asarray(rep.extras["c_values"]) >= 1.0)
     assert rep.extras["tail_gap"] <= 1e-8
     assert rep.extras["tail_t"] == pytest.approx(50.0, rel=0.01)
+
+
+def _full_width_c_values(spec, probe_node):
+    """C(t) of check_iu_ratio on its default grid as the suite computed it
+    before it dropped the modes whose weight is 0 at the first time."""
+    tau = 3.0 / float(spec.eigenvalues[1] - spec.eigenvalues[0])
+    t_grid = tau * np.concatenate([np.arange(1.0, 9.0, 0.5), np.arange(9.0, 51.0, 1.0)])
+    lam, phi, phi0 = spec.eigenvalues, spec.eigenvectors, spec.ground_state
+    gaps = lam[1:] - lam[0]
+    coeff = phi[probe_node, 1:] / phi0[probe_node]
+    cvals = np.empty_like(t_grid)
+    for idx, t in enumerate(t_grid):
+        r = 1.0 + (phi[:, 1:] @ (coeff * np.exp(-gaps * t))) / phi0
+        cvals[idx] = math.inf if np.any(r <= 0.0) else max(np.max(r), np.max(1.0 / r))
+    return t_grid, cvals
+
+
+@pytest.mark.parametrize("fixture", ["chain_default", "chain_deep"])
+def test_iu_ratio_bit_identical_to_full_width_product(fixture, request):
+    # 80-bit eigendata sum the product in order, so the exact-zero weights
+    # the suite drops change no bit.
+    base, spec = request.getfixturevalue(fixture)
+    assert spec.eigenvectors.dtype == np.longdouble
+    probe = base.n // 3
+    t_grid, want = _full_width_c_values(spec, probe)
+    rep = check_iu_ratio(spec, probe)
+    assert rep.extras["c_values"].tobytes() == want.tobytes()
+    if fixture == "chain_deep":
+        lam, phi = spec.eigenvalues, spec.eigenvectors
+        weights = phi[probe, 1:] / phi[probe, 0] * np.exp(-(lam[1:] - lam[0]) * t_grid[0])
+        assert np.count_nonzero(weights) < spec.n // 4  # most modes are dropped
 
 
 def test_iu_ratio_grid_validation(arc_small):
