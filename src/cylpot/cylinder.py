@@ -14,6 +14,7 @@ so poles can sit tens of units away without overflow.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import warnings
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .base import BaseOperator, ParameterError
-from .spectral import SpectralData, mass_scaled_bands
+from .spectral import _DPTSV, SpectralData, _doubles, _int, _lapack, mass_scaled_bands
 
 __all__ = [
     "CylinderPoint",
@@ -258,15 +258,29 @@ class StableAxialEvaluator:
         Each rule node takes one dptsv solve T_w z = e_x, and the requested
         rows of z add to the sum in node order, so memory is O(n + len(y))
         and a row's value does not depend on the other rows requested.
+        dptsv overwrites T_w's bands and e_x, so each node refills the same
+        buffers, whose pointers are made once: d, and e and z from one
+        template (off, e_x) in one copy.
         """
         y, x = np.atleast_1d(y), operator.index(x)
-        rhs = np.zeros(self._diag.size)
-        rhs[x] = 1.0
+        n = self._diag.size
+        template = np.zeros(2 * n - 1)
+        template[: n - 1] = self._off
+        template[n - 1:][x] = 1.0
+        d, ez = np.empty(n), np.empty_like(template)
+        e, z = ez[: n - 1], ez[n - 1:]
+        info = ctypes.c_int(0)
+        solve = _lapack(*_DPTSV)
+        args = (_int(n), _int(1), _doubles(d), _doubles(e), _doubles(z), _int(n),
+                ctypes.byref(info))
         acc = np.zeros(y.shape)
         for w, qw in zip(*self._zero_rule):
-            z, info = dptsv(self._diag + (self._shift + w * w), self._off, rhs)[2:]
-            if info:
-                raise NumericalLossError(f"dptsv failed on T_w at w = {w!r} with info={info}")
+            np.add(self._diag, self._shift + w * w, out=d)
+            ez[:] = template
+            solve(*args)
+            if info.value:
+                raise NumericalLossError(
+                    f"dptsv failed on T_w at w = {w!r} with info={info.value}")
             acc += z[y] * qw
         return acc / math.pi * self._scale[y] * self._scale[x]
 

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cython_lapack
+import scipy  # the package alone: scipy/linalg/__init__.py stays unrun
 
 from .base import BaseOperator
 
@@ -46,17 +49,26 @@ _RESIDUAL_TOL = 1e-6
 _RESIDUAL_BLOCK = 256
 
 # LAPACK routines called through the pointers that scipy.linalg.cython_lapack
-# exports: (name, kinds of the arguments in LAPACK order, return type), a
-# kind being c for an option string, i an integer and d a double, each by
-# pointer.
+# exports, the only way cylpot reaches LAPACK on path bases: (name, kinds of
+# the arguments in LAPACK order, return type), a kind being c for an option
+# string, i an integer and d a double, each by pointer.
 #   dstemr: jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz,
 #           tryrac, work, lwork, iwork, liwork, info
 #   dlarrb: n, d, lld, ifirst, ilast, rtol1, rtol2, offset, w, wgap, werr,
 #           work, iwork, pivmin, spdiam, twist, info
 #   dlaneg: n, d, lld, sigma, pivmin, r
+#   dpttrf: n, d, e, info
+#   dstebz: range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
+#           iblock, isplit, work, iwork, info
+#   dpteqr: compz, n, d, e, z, ldz, work, info
+#   dptsv:  n, nrhs, d, e, b, ldb, info
 _DSTEMR = ("dstemr", "cciddddiiiddiiiidiiii", "void")
 _DLARRB = ("dlarrb", "iddiiddiddddiddii", "void")
 _DLANEG = ("dlaneg", "iddddi", "int")
+_DPTTRF = ("dpttrf", "iddi", "void")
+_DSTEBZ = ("dstebz", "cciddiidddiidiidii", "void")
+_DPTEQR = ("dpteqr", "cidddidi", "void")
+_DPTSV = ("dptsv", "iidddii", "void")
 _CTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
            "d": ctypes.POINTER(ctypes.c_double)}
 _RESTYPES = {"void": None, "int": ctypes.c_int}
@@ -300,6 +312,34 @@ def _check_signature(name: str, signature: str, kinds: str, restype: str) -> Non
         )
 
 
+def _load_cython_lapack():
+    """scipy.linalg.cython_lapack, without running scipy/linalg/__init__.py.
+
+    Importing scipy.linalg costs more than half of cylpot's start-up (its
+    array-API layer loads numpy.f2py, numpy.testing and numpy.ma), and
+    cylpot needs only the LAPACK pointers this extension exports.  The
+    module already imported is used as it is; otherwise the extension file
+    is loaded under its own name, so a later scipy.linalg import finds it
+    in sys.modules and never initialises it a second time.
+    """
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "cython_lapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no cython_lapack extension for this interpreter in {folder}")
+
+
+cython_lapack = _load_cython_lapack()
+
+
 @functools.lru_cache(maxsize=None)
 def _lapack(name: str, kinds: str, restype: str):
     """LAPACK's ``name`` as a ctypes function, from the pointer that
@@ -368,6 +408,18 @@ def _stemr_vectors(diag: np.ndarray, off: np.ndarray, count: int):
     return w[:count], z
 
 
+def _band_copies(diag: np.ndarray, off: np.ndarray):
+    """Fresh contiguous float64 copies of the bands of a symmetric
+    tridiagonal, checked for shape before their pointers reach LAPACK:
+    dpttrf and dpteqr overwrite them, and the caller's bands stay intact."""
+    d = np.array(diag, dtype=float)
+    e = np.array(off, dtype=float)
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError(f"need n - 1 couplings for n = {d.size} diagonal entries, "
+                         f"got {e.shape}")
+    return d, e
+
+
 def _not_positive_definite(order: int) -> NotPositiveDefiniteError:
     return NotPositiveDefiniteError(
         f"the leading minor of order {order} is not positive: the base's form "
@@ -389,11 +441,13 @@ class _Factor(NamedTuple):
 def _ldl_factor(diag: np.ndarray, off: np.ndarray) -> _Factor:
     """Factor the tridiagonal (diag, off) with LAPACK's dpttrf, the first
     step of dpteqr; a non-positive pivot is a NotPositiveDefiniteError."""
-    d, ell, info = scipy.linalg.lapack.dpttrf(diag, off)
-    if info > 0:
-        raise _not_positive_definite(info)
-    if info != 0:
-        raise EigensolverError(f"dpttrf failed with info={info}")
+    d, ell = _band_copies(diag, off)
+    info = ctypes.c_int(0)
+    _lapack(*_DPTTRF)(_int(d.size), _doubles(d), _doubles(ell), ctypes.byref(info))
+    if info.value > 0:
+        raise _not_positive_definite(info.value)
+    if info.value != 0:
+        raise EigensolverError(f"dpttrf failed with info={info.value}")
     radius = np.zeros(diag.size)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
@@ -414,12 +468,23 @@ def _bracket(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.nda
     """Eigenvalues ``first`` to ``last`` (1-based), ascending, of the
     tridiagonal (diag, off) by LAPACK's bisection dstebz, to its default
     absolute accuracy of about eps * ||T||."""
-    m, w, _, _, info = scipy.linalg.lapack.dstebz(diag, off, 2, 0.0, 0.0, first, last,
-                                                  0.0, b"E")
-    if info != 0 or m != last - first + 1:
-        raise EigensolverError(f"dstebz failed with info={info}, finding {m} of "
+    d, e = _band_copies(diag, off)
+    n = d.size
+    w = np.empty(n)
+    iblock, isplit = np.empty((2, n), dtype=np.intc)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.intc)
+    m, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
+    _lapack(*_DSTEBZ)(
+        b"I", b"E", _int(n), _real(0.0), _real(0.0), _int(first), _int(last),
+        _real(0.0), _doubles(d), _doubles(e),                   # abstol 0: eps * ||T||
+        ctypes.byref(m), ctypes.byref(nsplit), _doubles(w),
+        _ints(iblock), _ints(isplit), _doubles(work), _ints(iwork), ctypes.byref(info),
+    )
+    if info.value != 0 or m.value != last - first + 1:
+        raise EigensolverError(f"dstebz failed with info={info.value}, finding {m.value} of "
                                f"{last - first + 1} eigenvalues")
-    return w[:m]
+    return w[:m.value]
 
 
 def _refine(factor: _Factor, w: np.ndarray, first: int) -> None:
@@ -491,12 +556,16 @@ def _path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     factor (Fernando & Parlett 1994), which keeps high relative accuracy in
     the low band, where values-only MRRR and QR lose digits.
     """
-    if diag.size == 1:  # scipy's wrapper rejects an empty off-diagonal
+    if diag.size == 1:  # LAPACK's dpteqr returns at n = 1 without checking the sign
         vals, info = diag.copy(), 0 if diag[0] > 0.0 else 1
     else:
-        vals, _, _, info = scipy.linalg.lapack.dpteqr(
-            diag, off, np.zeros((1, 1)), compute_z=0
-        )
+        vals, e = _band_copies(diag, off)
+        z = np.zeros(1)  # not referenced for compz = 'N'
+        work = np.empty(4 * vals.size)
+        status = ctypes.c_int(0)
+        _lapack(*_DPTEQR)(b"N", _int(vals.size), _doubles(vals), _doubles(e),
+                          _doubles(z), _int(1), _doubles(work), ctypes.byref(status))
+        info = status.value
     if 0 < info <= diag.size:
         raise _not_positive_definite(info)
     if info != 0:
@@ -609,7 +678,9 @@ def decompose(
         A = base.stiffness  # a fresh array, scaled in place
         A *= s[None, :]
         A *= s[:, None]
-        vals, psi = scipy.linalg.eigh(A)  # ascending
+        from scipy.linalg import eigh  # deferred: path bases never load scipy.linalg
+
+        vals, psi = eigh(A)  # ascending
         apply = A.__matmul__
         del A  # the residual check holds the last reference
         _check_ground_eigenvalue(vals)

@@ -501,11 +501,14 @@ def _run_python(code: str) -> str:
 
 
 def test_cli_import_defers_slow_scipy_modules():
+    # scipy.linalg's import loads numpy.f2py, numpy.testing and numpy.ma;
+    # the scipy package itself stays, since callers read its version.
+    slow = ("scipy.integrate", "scipy.stats", "scipy.linalg", "numpy.f2py")
     code = (
         "import sys, cylpot.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+        f"print(sorted(m for m in {slow!r} if m in sys.modules), 'scipy' in sys.modules)"
     )
-    assert _run_python(code) == "[]"
+    assert _run_python(code) == "[] True"
 
 
 def test_verify_run_does_not_import_scipy_stats(arc_doc, tmp_path):
@@ -517,6 +520,57 @@ def test_verify_run_does_not_import_scipy_stats(arc_doc, tmp_path):
         "print(code, 'scipy.stats' in sys.modules)"
     )
     assert _run_python(code).splitlines()[-1] == "0 False"
+
+
+def test_path_base_commands_do_not_import_scipy_linalg(tmp_path):
+    # Every LAPACK call on a path base goes through the cython_lapack
+    # pointers: converge's reach solve and s = 0 column on a cap, and the
+    # full and refined solves of chain-demo and green on a chain.
+    cap = tmp_path / "cap.json"
+    cap.write_text(json.dumps({"type": "cap", "d": 4, "theta0": 2 * math.pi / 5, "n": 301}))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"type": "chain", "d": 4, "J": 12, "beadNodes": 8,
+                                 "neckRatio": 0.004, "anchorNodes": 8}))
+    pts = tmp_path / "points.csv"
+    pts.write_text("u,node\n1.0,3\n-2.5,40\n6.0,90\n")
+    runs = [
+        ["converge", "--base", str(cap), "--out", str(tmp_path / "c")],
+        ["chain-demo", "--out", str(tmp_path / "d")],
+        ["green", "--base", str(chain), "--points", str(pts), "--pole-u", "0.0",
+         "--pole-node", "0", "--out", str(tmp_path / "g")],
+    ]
+    code = (
+        "import sys, cylpot.cli; "
+        f"codes = [cylpot.cli.main(argv) for argv in {runs!r}]; "
+        "print(codes, 'scipy.linalg' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "[0, 0, 0] False"
+    record = json.loads((tmp_path / "c" / "converge.json").read_text())
+    assert record["zero_separation_cells"] > 0  # the dptsv column ran
+
+
+@pytest.mark.parametrize("scipy_import", ["import scipy.linalg",
+                                          "from scipy.linalg import cython_lapack"])
+@pytest.mark.parametrize("cylpot_first", [True, False])
+def test_cython_lapack_is_one_module_in_either_import_order(cylpot_first, scipy_import):
+    # cylpot loads the extension file itself only when scipy.linalg has not
+    # loaded it; either way both use one module object, initialised once,
+    # and path and dense solves pass afterwards.
+    imports = ["import cylpot", scipy_import]
+    code = "; ".join((imports if cylpot_first else imports[::-1]) + [
+        "import math, sys, scipy.linalg",
+        "from cylpot import spectral",
+        "from scipy.linalg import cython_lapack",
+        "one = sys.modules['scipy.linalg.cython_lapack'] is spectral.cython_lapack is cython_lapack",
+        "cap = cylpot.build_cap(4, 2 * math.pi / 5, 301)",
+        "full, reach = cylpot.decompose(cap), cylpot.decompose(cap, reach=10.0)",
+        "ring = cylpot.build_graph(edges=[[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]], "
+        "mass=[1.0, 1.0, 1.0], dirichlet_leak=[1.0, 0.0, 0.0], d=2, b=0.0)",
+        "dense = cylpot.decompose(ring)",
+        "print(one, full.modes, 1 < reach.modes < full.modes, dense.modes, "
+        "scipy.linalg.lapack.dpttrf([2.0, 2.0], [-1.0])[2])",
+    ])
+    assert _run_python(code).splitlines()[-1] == "True 301 True 3 0"
 
 
 def _fmt(x) -> str:

@@ -395,15 +395,42 @@ def test_stemr_signature_mismatch_raises_before_the_call(arc_small, monkeypatch)
         spectral._lapack.cache_clear()
 
 
-@pytest.mark.parametrize("routine", ["_DSTEMR", "_DLARRB", "_DLANEG"])
+def _reach_solve(base, spec):
+    cp.decompose(base, reach=40.0)
+
+
+def _full_solve(base, spec):
+    cp.decompose(base)
+
+
+def _zero_separation_column(base, spec):
+    from cylpot.cylinder import StableAxialEvaluator
+
+    StableAxialEvaluator(base, mu1=float(spec.mu[0])).zero_separation_values(np.arange(base.n), 0)
+
+
+# A call that reaches each routine through the loader.
+_CALLS_OF_LOADED_ROUTINES = {
+    "_DSTEMR": _reach_solve,
+    "_DLARRB": _reach_solve,
+    "_DLANEG": _reach_solve,
+    "_DPTTRF": _reach_solve,
+    "_DSTEBZ": _reach_solve,
+    "_DPTEQR": _full_solve,
+    "_DPTSV": _zero_separation_column,
+}
+
+
+@pytest.mark.parametrize("routine", list(_CALLS_OF_LOADED_ROUTINES))
 def test_faked_signature_of_each_loaded_routine_raises(routine, cap_small, monkeypatch):
-    # A reach solve calls all three routines through the loader; faking the
-    # exported signature of any one of them fails before its first call.
+    # Faking the exported signature of any one routine fails before its
+    # first call, in a call that reaches it.
     from scipy.linalg import cython_lapack
 
     from cylpot import EigensolverError, spectral
 
     name, kinds, restype = getattr(spectral, routine)
+    _CALLS_OF_LOADED_ROUTINES[routine](*cap_small)  # passes unfaked
     target = cython_lapack.__pyx_capi__[name]
     real = spectral._capsule_name
     fake = real(target).decode().replace("int *", "long long *")
@@ -415,9 +442,86 @@ def test_faked_signature_of_each_loaded_routine_raises(routine, cap_small, monke
     spectral._lapack.cache_clear()
     try:
         with pytest.raises(EigensolverError, match=f"exports {name} as .*long long"):
-            cp.decompose(cap_small[0], reach=40.0)
+            _CALLS_OF_LOADED_ROUTINES[routine](*cap_small)
     finally:
         spectral._lapack.cache_clear()
+
+
+def _zero_separation_by_wrapper(stable, y, x):
+    """The s = 0 column summed through scipy's dptsv wrapper: the reference."""
+    from scipy.linalg.lapack import dptsv
+
+    rhs = np.zeros(stable._diag.size)
+    rhs[x] = 1.0
+    acc = np.zeros(y.shape)
+    for w, qw in zip(*stable._zero_rule):
+        z, info = dptsv(stable._diag + (stable._shift + w * w), stable._off, rhs)[2:]
+        assert info == 0
+        acc += z[y] * qw
+    return acc / math.pi * stable._scale[y] * stable._scale[x]
+
+
+@pytest.mark.parametrize("fixture", ["cap_small", "chain_default", "two_node_path"])
+def test_direct_lapack_calls_bit_identical_to_scipy_wrappers(fixture, request):
+    # scipy's f2py wrappers stay the reference for each routine cylpot calls
+    # through the cython_lapack pointers, and the bands are left untouched.
+    from scipy.linalg import lapack
+
+    from cylpot.cylinder import StableAxialEvaluator
+    from cylpot.spectral import _bracket, _ldl_factor, _path_eigenvalues, mass_scaled_bands
+
+    if fixture == "two_node_path":
+        base = cp.build_graph(edges=[[0, 1, 0.7]], mass=[1.0, 2.0], dirichlet_leak=[1.5, 0.0],
+                              d=2, b=0.5)
+    else:
+        base = request.getfixturevalue(fixture)[0]
+    _, diag, off = mass_scaled_bands(base)
+    bands = diag.copy(), off.copy()
+    n = base.n
+    piv, ell, info = lapack.dpttrf(diag, off)
+    assert info == 0
+    factor = _ldl_factor(diag, off)
+    assert np.array_equal(factor.d, piv) and np.array_equal(factor.lld, ell * ell * piv[:-1])
+    for first, last in ((1, 2), (1, n), (n, n), (n // 2, n // 2 + 1)):
+        m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, first, last, 0.0, b"E")
+        assert info == 0 and m == last - first + 1
+        assert np.array_equal(_bracket(diag, off, first, last), w[:m])
+    vals, _, _, info = lapack.dpteqr(diag, off, np.zeros((1, 1)), compute_z=0)
+    assert info == 0 and np.array_equal(_path_eigenvalues(diag, off), vals[::-1])
+    stable = StableAxialEvaluator(base, mu1=float(cp.decompose(base).mu[0]))
+    for x in (0, n - 1):
+        y = np.arange(n)
+        assert np.array_equal(stable.zero_separation_values(y, x),
+                              _zero_separation_by_wrapper(stable, y, x))
+    assert np.array_equal(diag, bands[0]) and np.array_equal(off, bands[1])
+
+
+def test_dpttrf_and_dpteqr_name_the_same_leading_minor():
+    from scipy.linalg import lapack
+
+    from cylpot.spectral import _ldl_factor, _path_eigenvalues
+
+    # Pivots 2, 1.5 and 0.1 - 1/1.5 < 0: the leading minor of order 3.
+    diag, off = np.array([2.0, 2.0, 0.1, 2.0, 2.0]), np.full(4, -1.0)
+    assert lapack.dpttrf(diag, off)[2] == 3
+    assert lapack.dpteqr(diag, off, np.zeros((1, 1)), compute_z=0)[3] == 3
+    for solve in (_ldl_factor, _path_eigenvalues):
+        with pytest.raises(NotPositiveDefiniteError, match="leading minor of order 3 "):
+            solve(diag, off)
+
+
+def test_missing_cython_lapack_extension_names_the_directory(tmp_path, monkeypatch):
+    import re
+    import sys
+
+    import scipy
+
+    from cylpot import spectral
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(f"in {tmp_path / 'linalg'}") + "$"):
+        spectral._load_cython_lapack()
 
 
 def test_stemr_vectors_reject_sizes_before_the_call():
