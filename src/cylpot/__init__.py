@@ -9,6 +9,7 @@ from .base import (
     MassError,
     OffDiagonalSignError,
     ParameterError,
+    ScaleError,
     SchemaError,
     build_arc,
     build_cap,

@@ -31,6 +31,7 @@ __all__ = [
     "AsymmetryError",
     "MassError",
     "OffDiagonalSignError",
+    "ScaleError",
     "BaseOperator",
     "ChainSpec",
     "DEFAULT_NECK_RATIO",
@@ -71,6 +72,11 @@ class MassError(BaseSpecError):
 
 class OffDiagonalSignError(BaseSpecError):
     """A conductance (negated off-diagonal stiffness entry) is negative."""
+
+
+class ScaleError(BaseSpecError):
+    """The base's mass-scaled operator has entries whose squares overflow
+    float64, which the eigensolvers' norms and pivot bounds form."""
 
 
 # Committed default chain configuration, frozen after bring-up tuning.

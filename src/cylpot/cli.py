@@ -404,6 +404,11 @@ def _converge_reach(base, nodes, s_min: float) -> float:
     """
     m = base.mass
     floor = float(np.min(m[nodes])) * float(m[base.reference_node])
+    if not 0.0 < floor < math.inf:
+        raise ParameterError(
+            f"converge bounds its modes by the mass products m_i m_ref of the "
+            f"{base.kind} base with n = {base.n}, which leave float64 ({floor!r})"
+        )
     return (math.log(1.0 / _EPS) - 0.5 * math.log(floor)) / s_min
 
 

@@ -105,9 +105,33 @@ def _prefix_products(ratios: np.ndarray):
     return man, exp
 
 
+# Positive nodes and their weights of the 12-point Gauss-Legendre rule: the
+# float64 values of numpy's leggauss(12), whose nodes are exactly odd and
+# weights exactly even.  Written out, the default rule imports no
+# numpy.polynomial.
+_GAUSS12_NODES = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                  0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_GAUSS12_WEIGHTS = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                    0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array of finite values, by sort and mask: plain
+    np.unique imports numpy.ma to test for a masked array."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _gauss_panel_rule(edges: Sequence[float], order: int = 12):
     """Composite Gauss-Legendre nodes/weights over the given panel edges."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    if order == 12:
+        x, w = np.array(_GAUSS12_NODES), np.array(_GAUSS12_WEIGHTS)
+        x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    else:
+        x, w = np.polynomial.legendre.leggauss(order)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -375,7 +399,7 @@ class GreenEvaluator:
         # quarter-octave ladder of mode counts, and g_i = -log(phi_1(i) sqrt(m_i)).
         n = spec.n
         ladder = np.minimum(n, np.ceil(2.0 ** (np.arange(4 * n.bit_length() + 1) / 4.0)))
-        self._ladder = np.unique(ladder).astype(int)
+        self._ladder = _unique(ladder).astype(int)
         phi1 = np.asarray(spec.ground_state, dtype=float)
         self._ground_depth = -np.log(phi1 * np.sqrt(spec.mass))
 
@@ -422,7 +446,7 @@ class GreenEvaluator:
         depend on the batch it arrives in.
         """
         g = self._ground_depth
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # s = 0 or subnormal
             reach = (math.log(1.01 / (_EPS * _HEALTH_SWITCH)) + g[i] + g[j]) / s
         keep = np.searchsorted(self._float64_modes.delta, reach, side="right")
         formed = self.spec.modes
@@ -442,7 +466,7 @@ class GreenEvaluator:
         per pair."""
         tail = np.zeros(s.size)
         mag = np.zeros(s.size)
-        seps = np.unique(s)
+        seps = _unique(s)
         width = int(keep.max(initial=0))
         table = None
         if 2 * seps.size <= s.size and seps.size * width <= _CHUNK_TERMS:

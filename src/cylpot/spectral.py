@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy  # the package alone: scipy/linalg/__init__.py stays unrun
 
-from .base import BaseOperator
+from .base import BaseOperator, ScaleError
 
 __all__ = [
     "SpectralError",
@@ -178,12 +178,24 @@ def mass_scaled_bands(base: BaseOperator):
     Forms the bands from the diagonal and the edge list, with the operation
     order of the dense product (K * s[None, :]) * s[:, None], so they are
     bit-identical to the diagonals of that matrix.
+
+    Raises ScaleError, before any LAPACK call, when an entry's square
+    overflows: norms, pivot bounds and shifts of the solvers square them.
     """
     s = 1.0 / np.sqrt(base.mass)
     band = np.zeros(base.n - 1)
     path = base.edges[:, 1] - base.edges[:, 0] == 1
     band[base.edges[path, 0]] = -base.conductance[path]
-    return s, (base.diagonal * s) * s, (band * s[1:]) * s[:-1]
+    with np.errstate(over="ignore"):
+        diag, off = (base.diagonal * s) * s, (band * s[1:]) * s[:-1]
+    top = float(max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0)))
+    if not math.isfinite(top * top):
+        raise ScaleError(
+            f"the mass-scaled operator of the {base.kind} base with n = {base.n} has "
+            f"entries up to {top:.3e}, whose squares overflow float64: its mass "
+            "weights are too small for its conductances"
+        )
+    return s, diag, off
 
 
 def _tridiagonal_matvec(diag, off, x: np.ndarray) -> np.ndarray:
@@ -321,6 +333,12 @@ def _load_cython_lapack():
     module already imported is used as it is; otherwise the extension file
     is loaded under its own name, so a later scipy.linalg import finds it
     in sys.modules and never initialises it a second time.
+
+    Loading the extension starts scipy's own OpenBLAS, whose worker threads
+    would only serve cylpot's tridiagonal calls while they spin beside
+    numpy's pool.  It starts with one thread: OPENBLAS_NUM_THREADS is 1 for
+    the dlopen in module_from_spec, then restored (numpy's library, loaded
+    already, keeps its threads).
     """
     name = "scipy.linalg.cython_lapack"
     if name in sys.modules:
@@ -330,7 +348,15 @@ def _load_cython_lapack():
         path = os.path.join(folder, "cython_lapack" + suffix)
         if os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
+            threads = os.environ.get("OPENBLAS_NUM_THREADS")
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            try:
+                module = importlib.util.module_from_spec(spec)
+            finally:
+                if threads is None:
+                    del os.environ["OPENBLAS_NUM_THREADS"]
+                else:
+                    os.environ["OPENBLAS_NUM_THREADS"] = threads
             sys.modules[name] = module
             spec.loader.exec_module(module)
             return module

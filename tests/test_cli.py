@@ -363,6 +363,59 @@ def test_converge_on_fewer_than_3_nodes_exits_2_before_decompose(doc, tmp_path, 
     assert not out.exists()
 
 
+def test_converge_names_the_base_whose_mass_products_underflow(tmp_path, capsys, monkeypatch):
+    # The masses of this thin high-dimensional cap are about 1e-192: their
+    # products underflow to 0, so converge cannot bound its modes.
+    _forbid_decompose(monkeypatch)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"type": "cap", "d": 9, "theta0": 3.7e-24, "n": 7}))
+    out = tmp_path / "o"
+    code = main(["converge", "--base", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ParameterError: converge bounds its modes by the mass "
+                          "products m_i m_ref of the cap base with n = 7")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge", "green"])
+def test_base_too_small_for_float64_is_a_scale_error(command, tmp_path, capfd):
+    # On an arc of length 1e-100 the mass-scaled operator reaches 2e202:
+    # rejected before LAPACK, which would print to stdout, and before numpy
+    # warns of an overflow.
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps({"type": "arc", "d": 2, "L": 1e-100, "n": 9}))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,node\n1.0,3\n")
+    argv = [command, "--base", str(path), "--out", str(tmp_path / "o")]
+    if command == "green":
+        argv += ["--points", str(pts), "--pole-u", "0.0", "--pole-node", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ScaleError: the mass-scaled operator of the arc base "
+                          "with n = 9 has entries up to 2.000e+202")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
+def test_green_at_subnormal_separation_writes_the_zero_separation_value(tmp_path):
+    # s = 1.4e-318 overflows the truncation reach to inf, which keeps every
+    # mode: the value of s = 0, without a floating-point warning.
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"type": "cap", "d": 12, "theta0": 1.0, "n": 20}))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,node\n0.0,3\n1.4e-318,3\n-1.4e-318,3\n")
+    out = tmp_path / "g"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["green", "--base", str(path), "--points", str(pts), "--pole-u", "0.0",
+                     "--pole-node", "3", "--out", str(out)]) == 0
+    rows = (out / "green.csv").read_text().splitlines()[1:]
+    assert [r.split(",", 1)[1] for r in rows] == [rows[0].split(",", 1)[1]] * 3
+
+
 @pytest.mark.parametrize("mutation, err", MALFORMED_DOCUMENTS)
 def test_malformed_base_document_exits_2_before_decompose(mutation, err, tmp_path, capsys,
                                                           monkeypatch):
@@ -488,13 +541,14 @@ def test_chain_demo_neck_ratio_default():
     assert args.neck_ratio == DEFAULT_NECK_RATIO
 
 
-def _run_python(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this cylpot."""
-    env = dict(os.environ)
+def _run_python(code: str, *args: str, env=None) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this cylpot, in ``env`` (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(cylpot.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
     return out.stdout.strip()
@@ -525,7 +579,9 @@ def test_verify_run_does_not_import_scipy_stats(arc_doc, tmp_path):
 def test_path_base_commands_do_not_import_scipy_linalg(tmp_path):
     # Every LAPACK call on a path base goes through the cython_lapack
     # pointers: converge's reach solve and s = 0 column on a cap, and the
-    # full and refined solves of chain-demo and green on a chain.
+    # full and refined solves of chain-demo and green on a chain.  Neither
+    # do they load numpy.ma (np.unique's masked-array test) or
+    # numpy.polynomial (the default panel rule is written out).
     cap = tmp_path / "cap.json"
     cap.write_text(json.dumps({"type": "cap", "d": 4, "theta0": 2 * math.pi / 5, "n": 301}))
     chain = tmp_path / "chain.json"
@@ -542,9 +598,10 @@ def test_path_base_commands_do_not_import_scipy_linalg(tmp_path):
     code = (
         "import sys, cylpot.cli; "
         f"codes = [cylpot.cli.main(argv) for argv in {runs!r}]; "
-        "print(codes, 'scipy.linalg' in sys.modules)"
+        "print(codes, [m for m in ('scipy.linalg', 'numpy.ma', 'numpy.polynomial') "
+        "if m in sys.modules])"
     )
-    assert _run_python(code).splitlines()[-1] == "[0, 0, 0] False"
+    assert _run_python(code).splitlines()[-1] == "[0, 0, 0] []"
     record = json.loads((tmp_path / "c" / "converge.json").read_text())
     assert record["zero_separation_cells"] > 0  # the dptsv column ran
 
@@ -571,6 +628,63 @@ def test_cython_lapack_is_one_module_in_either_import_order(cylpot_first, scipy_
         "scipy.linalg.lapack.dpttrf([2.0, 2.0], [-1.0])[2])",
     ])
     assert _run_python(code).splitlines()[-1] == "True 301 True 3 0"
+
+
+# Run in a fresh interpreter: the OpenBLAS thread counts of numpy's library
+# and of scipy's (which cython_lapack links) after numpy, after the optional
+# scipy import and after cylpot, read as perfbench's worker does, and
+# whether os.environ came through the cylpot import unchanged.
+_BLAS_THREADS = """
+import ctypes, json, os, sys
+
+def threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    out = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name, symbol in (("numpy", "scipy_openblas_get_num_threads64_"),
+                             ("scipy", "scipy_openblas_get_num_threads")):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                out[name] = fn()
+    return out
+
+import numpy
+counts = [threads()]
+if sys.argv[1] == "1":
+    import scipy.linalg
+counts.append(threads())
+environ = dict(os.environ)
+import cylpot
+counts.append(threads())
+print(json.dumps([counts, dict(os.environ) == environ]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["cylpot-first", "scipy-first"])
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+def test_cylpot_starts_scipy_openblas_with_one_thread(threads, scipy_first):
+    # cylpot's tridiagonal LAPACK calls need no pool of their own: loading
+    # cython_lapack starts scipy's OpenBLAS with one thread and restores
+    # OPENBLAS_NUM_THREADS; numpy's library and a scipy library that
+    # scipy.linalg started first keep their threads.
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = _run_python(_BLAS_THREADS, "1" if scipy_first else "0", env=env)
+    (numpy_only, before, after), environ_kept = json.loads(out.splitlines()[-1])
+    if set(after) != {"numpy", "scipy"}:
+        pytest.skip(f"no scipy_openblas thread symbols in both libraries: {after}")
+    assert environ_kept
+    assert after["numpy"] == numpy_only["numpy"]
+    if scipy_first:
+        assert after["scipy"] == before["scipy"] == numpy_only["numpy"]
+    else:
+        assert "scipy" not in before and after["scipy"] == 1
 
 
 def _fmt(x) -> str:

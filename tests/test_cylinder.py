@@ -856,3 +856,31 @@ def test_screen_with_each_separation_twice_keeps_its_memory(chain_default):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 3.0, 0.5, 1.0, 1.0], [2.5], [], [7.0, 7.0, 7.0], np.arange(5.0)[::-1],
+], ids=["repeats", "one", "empty", "one-value", "descending"])
+def test_sort_and_mask_unique_matches_np_unique(values):
+    from cylpot.cylinder import _unique
+
+    a = np.asarray(values, dtype=float)
+    got, want = _unique(a), np.unique(a)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_panel_rule_is_numpy_leggauss_bit_for_bit(order):
+    # The default order-12 rule is written out; other orders call leggauss.
+    from cylpot.cylinder import _gauss_panel_rule
+
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_panel_rule((-1.0, 1.0), order)
+    assert np.array_equal(nodes.view(np.int64), x.view(np.int64))
+    assert np.array_equal(weights.view(np.int64), w.view(np.int64))
+    edges = StableAxialEvaluator._EDGES
+    nodes, weights = _gauss_panel_rule(edges, order)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (np.asarray(edges[:-1]) + np.asarray(edges[1:]))[:, None]
+    assert np.array_equal(nodes, (mid + half * x).ravel())
+    assert np.array_equal(weights, (half * w).ravel())
