@@ -273,14 +273,20 @@ def cmd_spectrum(args) -> int:
 
 
 def _read_points(path) -> tuple:
-    """(u, node) columns of a points CSV; empty rows and a header row whose
-    first field is "u" are skipped.  SchemaError for a row that is not two
-    fields of a number and an integer, ParameterError for a non-finite u."""
+    """(u, node) columns of a points CSV; empty rows are skipped, and so is
+    the first non-empty row when its first field is "u" (the header).
+    SchemaError for any other row that is not two fields of a number and an
+    integer (a blank u included), ParameterError for a non-finite u."""
     us, nodes = [], []
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         for line, row in enumerate(csv.reader(fh), 1):
-            if not row or row[0].strip().lower() in ("u", ""):
+            if not "".join(row).strip():
                 continue
+            if first:
+                first = False
+                if row[0].strip().lower() == "u":
+                    continue
             if len(row) != 2:
                 raise SchemaError(f"points row {line} has {len(row)} fields, not 2 (u, node)")
             try:

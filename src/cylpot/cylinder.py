@@ -342,6 +342,50 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
+def _sum_distinct_pairs(modes: _Modes, s, i, j, keep):
+    """GreenEvaluator._mode_sums of every pair, without the search for
+    repeated neighbours.  Pairs keeping the same number of modes K are summed
+    together in chunks of at most _CHUNK_TERMS terms, each a C-ordered
+    (K, pairs) block that _sum_in_order adds row by row, mode by mode.  The
+    rows are gathered from phi.T, a C-contiguous (modes, n) view for the
+    eigendata decompose returns.
+
+    When the separations repeat (at most half as many distinct ones as
+    pairs) and their decay rows fit one chunk, each distinct row is formed
+    once and gathered per pair: the same values as forming them per pair."""
+    tail = np.zeros(s.size)
+    mag = np.zeros(s.size)
+    seps = _unique(s)
+    width = int(keep.max(initial=0))
+    table = None
+    if 2 * seps.size <= s.size and seps.size * width <= _CHUNK_TERMS:
+        table = np.exp(-seps * modes.delta[:width, None])
+        col = np.searchsorted(seps, s)
+    phi_t = modes.phi.T
+    order = np.argsort(keep, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
+        if not group.size:
+            continue
+        K = int(keep[group[0]])
+        step = max(1, _CHUNK_TERMS // K)
+        for lo in range(0, group.size, step):
+            idx = group[lo : lo + step]
+            terms = np.take(phi_t[:K], i[idx], axis=1)
+            terms *= np.take(phi_t[:K], j[idx], axis=1)
+            terms /= modes.two_sqrt_mu[:K, None]
+            if table is None:
+                decays = np.multiply(-s[idx], modes.delta[:K, None])
+                np.exp(decays, out=decays)
+            else:
+                decays = np.take(table[:K], col[idx], axis=1)
+            # Float64 weights times 80-bit decays (the extended sums of a
+            # float64 base) are 80-bit products: not in place then.
+            terms = np.multiply(terms, decays, out=terms if terms.dtype == decays.dtype else None)
+            tail[idx] = _sum_in_order(terms)
+            mag[idx] = _sum_in_order(np.abs(terms, out=terms))
+    return tail, mag
+
+
 def _raise_if_lost(logs, pairs, routes: str) -> None:
     """Raise NumericalLossError naming the first lost (nan) pair of the
     broadcast ``pairs`` (pu, pnode, qu, qnode), whose flat values are ``logs``."""
@@ -457,39 +501,20 @@ class GreenEvaluator:
     def _mode_sums(modes: _Modes, s, i, j, keep):
         """Signed and absolute sums of the kept mode terms
         w_k e^{-s delta_k}, w_k = phi_k(i) phi_k(j) / (2 sqrt(mu_k)), of each
-        pair, rounded to float64.  Pairs keeping the same number of modes are
-        summed together in chunks of at most _CHUNK_TERMS terms.
+        pair, rounded to float64 (see _sum_distinct_pairs).
 
-        When the separations repeat (at most half as many distinct ones as
-        pairs) and their decay rows fit one chunk, each distinct row is
-        formed once and gathered per pair: the same values as forming them
-        per pair."""
-        tail = np.zeros(s.size)
-        mag = np.zeros(s.size)
-        seps = _unique(s)
-        width = int(keep.max(initial=0))
-        table = None
-        if 2 * seps.size <= s.size and seps.size * width <= _CHUNK_TERMS:
-            table = np.exp(-seps * modes.delta[:width, None])
-            col = np.searchsorted(seps, s)
-        order = np.argsort(keep, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
-            if not group.size:
-                continue
-            K = int(keep[group[0]])
-            step = max(1, _CHUNK_TERMS // K)
-            for lo in range(0, group.size, step):
-                idx = group[lo : lo + step]
-                weights = modes.phi[i[idx], :K] * modes.phi[j[idx], :K] / modes.two_sqrt_mu[:K]
-                if table is None:
-                    decays = np.exp(-s[idx] * modes.delta[:K, None])
-                else:
-                    decays = np.take(table[:K], col[idx], axis=1)
-                # C order, so that _sum_in_order adds the modes row by row.
-                terms = np.multiply(weights.T, decays, order="C")
-                tail[idx] = _sum_in_order(terms)
-                mag[idx] = _sum_in_order(np.abs(terms))
-        return tail, mag
+        A pair whose (s, i, j, keep) equals the previous pair's in the flat
+        batch takes that pair's sums, found by one neighbour comparison (the
+        symmetry sweep places its two bitwise-equal sides next to each
+        other); only the others are summed."""
+        repeat = np.zeros(s.size, dtype=bool)
+        repeat[1:] = (s[1:] == s[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1]) & (
+            keep[1:] == keep[:-1]
+        )
+        first = np.flatnonzero(~repeat)
+        tail, mag = _sum_distinct_pairs(modes, s[first], i[first], j[first], keep[first])
+        owner = np.cumsum(~repeat) - 1
+        return tail[owner], mag[owner]
 
     def _log_values(self, modes: _Modes, w, s, tail, mag):
         """log G: the factored mode-1 decay times the tail; nan for pairs

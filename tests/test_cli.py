@@ -291,6 +291,12 @@ _MALFORMED = [
      "ParameterError", False),
     (["green", "--pole-u", "nan", "--pole-node", "0", "--points", "{file}"], "u,node\n1.0,3\n",
      "ParameterError", False),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"],
+     "u,node\n0.5,3\n,4\nu,5\n1.0,6\n", "SchemaError", False),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"],
+     "u,node\n0.5,3\nu,5\n1.0,6\n", "SchemaError", False),
+    (["green", "--pole-u", "0", "--pole-node", "0", "--points", "{file}"], "0.5,3\nu,node\n",
+     "SchemaError", False),
     (["converge", "--tol-rate", "-1"], None, "ParameterError", False),
     (["converge", "--tol-rate", "nan"], None, "ParameterError", False),
     (["verify", "--tol-exact", "nan"], None, "ParameterError", False),
@@ -316,7 +322,8 @@ _MALFORMED = [
     (["chernoff", "--atoms", "{file}"], "0.5\n1.5\n", "ParameterError", False),
 ]
 _MALFORMED_IDS = [
-    "one-field", "bad-node", "nan-u", "inf-u", "nan-pole-u", "negative-tol-rate",
+    "one-field", "bad-node", "nan-u", "inf-u", "nan-pole-u", "blank-u", "second-header",
+    "header-after-a-point", "negative-tol-rate",
     "nan-tol-rate", "nan-tol-exact", "negative-tol-exact", "pole-node-past-n",
     "negative-pole-node", "points-node-past-n", "count-past-sobol", "nan-t0", "zero-t0",
     "inf-t0", "nan-lambda", "one-bead-node", "nan-L", "negative-L", "nan-eps", "eps-1",
@@ -339,8 +346,24 @@ def test_malformed_input_exits_2_before_loading(argv, text, error, loads, arc_do
     code = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_points_file_has_a_header_only_as_its_first_non_empty_row(tmp_path):
+    # Empty rows are skipped anywhere; after the first non-empty row every
+    # row is a point, so a blank or "u" first field there names its row.
+    from cylpot.cli import _read_points
+
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n , \nu,node\n0.5,3\n\n1.0,6\n")
+    assert _read_points(pts) == ([0.5, 1.0], [3, 6])
+    pts.write_text("0.5,3\n1.0,6\n")
+    assert _read_points(pts) == ([0.5, 1.0], [3, 6])
+    for text in ("u,node\n0.5,3\n,4\nu,5\n1.0,6\n", "u,node\n0.5,3\nu,5\n1.0,6\n"):
+        pts.write_text(text)
+        with pytest.raises(cylpot.SchemaError, match="^points row 3 "):
+            _read_points(pts)
 
 
 @pytest.mark.parametrize("doc", [

@@ -811,30 +811,54 @@ def test_mode_sums_add_modes_left_to_right(dtype):
     # over the modes, bit for bit.  With a separation per pair each chunk
     # forms its own decays; with 99 separations shared by all pairs the
     # 99 x 328 decay table fits one chunk and the pairs gather from it.
+    # The eigendata comes C-ordered, F-ordered (as decompose returns it), and
+    # as float64 weights with decays of the tested dtype (the extended sums
+    # of a float64 base, whose products must stay in that dtype).  The
+    # batches come as drawn, in runs of 1-3 equal neighbours (summed once
+    # and shared), and with runs where a neighbour matches in (s, i, j) but
+    # keeps another number of modes (summed on its own).
     from cylpot.cylinder import _CHUNK_TERMS, _Modes
 
     rng = np.random.default_rng(7)
     n, formed = 50, 328
     sm = np.sort(rng.uniform(1.0, 40.0, formed)).astype(dtype)
-    modes = _Modes(rng.standard_normal((n, formed)).astype(dtype), 2.0 * sm, sm - sm[0], sm[0])
+    phi = rng.standard_normal((n, formed)).astype(dtype)
+    layouts = {
+        "C": _Modes(phi, 2.0 * sm, sm - sm[0], sm[0]),
+        "F": _Modes(np.asfortranarray(phi), 2.0 * sm, sm - sm[0], sm[0]),
+        "float64 weights": _Modes(np.asfortranarray(phi.astype(float)),
+                                  (2.0 * sm).astype(float), sm - sm[0], sm[0]),
+    }
     keep = np.repeat([3, 17, 64, 200, 328], [_CHUNK_TERMS // K + 5 for K in (3, 17, 64, 200, 328)])
     keep = rng.permutation(np.concatenate([keep, [9, 100, 250]]))
     i, j = rng.integers(0, n, keep.size), rng.integers(0, n, keep.size)
     per_pair = rng.uniform(0.0, 2.0, keep.size)
     assert 99 * formed <= _CHUNK_TERMS
     shared = rng.choice(rng.uniform(0.0, 2.0, 99), keep.size)
-    for s in (per_pair, shared):
-        tail, mag = GreenEvaluator._mode_sums(modes, s, i, j, keep)
-        for K in np.unique(keep):
-            rows = np.flatnonzero(keep == K)
-            weights = modes.phi[i[rows], :K] * modes.phi[j[rows], :K] / modes.two_sqrt_mu[:K]
-            terms = weights * np.exp(-s[rows, None] * modes.delta[:K])
-            want_tail, want_mag = terms[:, 0].copy(), np.abs(terms[:, 0])
-            for k in range(1, K):
-                want_tail = want_tail + terms[:, k]
-                want_mag = want_mag + np.abs(terms[:, k])
-            assert np.array_equal(tail[rows], want_tail.astype(float))
-            assert np.array_equal(mag[rows], want_mag.astype(float))
+    runs = np.repeat(np.arange(keep.size), rng.integers(1, 4, keep.size))
+    other = keep[runs]
+    second = np.flatnonzero(runs[1:] == runs[:-1])[::2] + 1
+    other[second] = np.where(other[second] == 3, 9, 3)
+    batches = {"drawn": (slice(None), keep), "runs": (runs, keep[runs]),
+               "runs, other keep": (runs, other)}
+    for modes in layouts.values():
+        for s in (per_pair, shared):
+            for at, kept in batches.values():
+                tail, mag = GreenEvaluator._mode_sums(modes, s[at], i[at], j[at], kept)
+                _assert_left_to_right(modes, s[at], i[at], j[at], kept, tail, mag)
+
+
+def _assert_left_to_right(modes, s, i, j, keep, tail, mag):
+    for K in np.unique(keep):
+        rows = np.flatnonzero(keep == K)
+        weights = modes.phi[i[rows], :K] * modes.phi[j[rows], :K] / modes.two_sqrt_mu[:K]
+        terms = weights * np.exp(-s[rows, None] * modes.delta[:K])
+        want_tail, want_mag = terms[:, 0].copy(), np.abs(terms[:, 0])
+        for k in range(1, K):
+            want_tail = want_tail + terms[:, k]
+            want_mag = want_mag + np.abs(terms[:, k])
+        assert np.array_equal(tail[rows], want_tail.astype(float))
+        assert np.array_equal(mag[rows], want_mag.astype(float))
 
 
 def test_screen_with_each_separation_twice_keeps_its_memory(chain_default):

@@ -11,6 +11,7 @@ from cylpot.verify import (
     check_boundary_harnack,
     check_green_monotonicity,
     check_iu_ratio,
+    check_normalization,
     check_ratio_limit,
     check_reflection,
     check_small_time_ratio,
@@ -78,6 +79,44 @@ def test_symmetry_sweep_is_structural(chain_default):
     assert rep.extras["escalated"] == 0 and rep.extras["screened"] == 2000
     assert rep.extras["skipped_unresolvable"] > 0
     assert rep.passed and rep.max_violation <= 1e-13
+
+
+def test_symmetry_screen_sums_each_sample_once(chain_default, monkeypatch):
+    # The two sides of a sample are neighbours in the screen's flat batch
+    # with the same (s, i, j), so the screen sums one pair per sample.
+    from cylpot import cylinder
+
+    summed = []
+    sum_pairs = cylinder._sum_distinct_pairs
+
+    def counted(modes, s, i, j, keep):
+        summed.append(s.size)
+        return sum_pairs(modes, s, i, j, keep)
+
+    monkeypatch.setattr(cylinder, "_sum_distinct_pairs", counted)
+    rep = check_symmetry_identity(_evaluator(chain_default), count=2000, seed=13)
+    assert rep.extras["escalated"] == 0
+    assert summed[0] == 2000 and sum(summed) == 2000
+
+
+@pytest.mark.parametrize("fixture", ["chain_default", "arc_small"])
+def test_normalization_compares_batched_numerators_with_one_pair_values(
+    fixture, request, monkeypatch
+):
+    ev = _evaluator(request.getfixturevalue(fixture))
+    rep = check_normalization(ev)
+    assert rep.sample_count == 15 and rep.config == {"poles": 15}
+    assert rep.max_violation == 0.0
+    # Batched values one ulp up (log_green's one-pair calls, 0-d, untouched):
+    # the suite sees the difference.
+    many = GreenEvaluator.log_green_many
+
+    def nudged(self, *args, **kwargs):
+        logs = many(self, *args, **kwargs)
+        return logs if logs.ndim == 0 else np.nextafter(logs, np.inf)
+
+    monkeypatch.setattr(GreenEvaluator, "log_green_many", nudged)
+    assert check_normalization(ev).max_violation > 0.0
 
 
 def _two_kernel_harnack_constant(ev, grid_max, densify):
