@@ -312,11 +312,11 @@ def cmd_green(args) -> int:
         raise ParameterError(f"points node {bad[0]} is out of range for {base.n} nodes")
     spec = decompose(base)
     ev = GreenEvaluator(spec=spec, base=base)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pole = CylinderPoint(args.pole_u, args.pole_node)
     logs = ev.log_green_many(us, nodes, pole.u, pole.node)
     count = len(us)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "green.csv",
         ("u", "node", "v", "nodePole", "value", "logValue"),
@@ -364,9 +364,6 @@ def cmd_converge(args) -> int:
         dev = ev.martin_deviation_from_f_plus(pole, u_grid, nodes)
         sups.append(float(np.max(np.abs(dev))))
     sups = np.asarray(sups)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "converge.csv", ("v", "sup_deviation"), (poles_v, sups))
     sm = np.sqrt(np.asarray(spec.mu, dtype=float))
     expected = -(sm[1] - sm[0])
     # Fit where the next-order mode's predicted contamination is below 1%,
@@ -380,6 +377,9 @@ def cmd_converge(args) -> int:
     rel_dev = abs(fit.alpha_hat - expected) / abs(expected)
     decreasing = bool(np.all(np.diff(sups) < 0.0))
     passed = decreasing and rel_dev <= args.tol_rate
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "converge.csv", ("v", "sup_deviation"), (poles_v, sups))
     write_summary(
         out / "converge.json",
         {

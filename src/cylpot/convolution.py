@@ -188,8 +188,8 @@ def chernoff_bound(a: Sequence[float], L: float, beta: float) -> float:
         raise ValueError("beta must be positive")
     a = np.asarray(a, dtype=float)
     log_factors = np.log1p(0.5 * np.expm1(-beta * a))
-    try:
-        return math.exp(beta * L + float(np.sum(log_factors)))
+    try:  # as Python floats, beta * L past the float range is inf, unwarned
+        return math.exp(float(beta) * L + float(np.sum(log_factors)))
     except OverflowError:
         return math.inf
 
@@ -205,14 +205,17 @@ def chernoff_threshold_details(L: float, eps: float) -> ChernoffThreshold:
 
     Uses the simplified bound e^{beta L} exp(-(beta/2) e^{-beta} sum a_k),
     valid for delays a_k <= 1: the bound drops below eps once
-    sum a_k >= (log(1/eps) + beta L) * 2 e^{beta} / beta.
+    sum a_k >= (log(1/eps) + beta L) * 2 e^{beta} / beta.  From L near
+    1e306 those products overflow to inf at the large betas, and past the
+    float range at every beta, so the threshold is then inf.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if L <= 0.0:
         raise ValueError("L must be positive")
     betas = np.arange(_BETA_STEP, _BETA_MAX + 0.5 * _BETA_STEP, _BETA_STEP)
-    need = (math.log(1.0 / eps) + betas * L) * 2.0 * np.exp(betas) / betas
+    with np.errstate(over="ignore"):
+        need = (math.log(1.0 / eps) + betas * L) * 2.0 * np.exp(betas) / betas
     best = int(np.argmin(need))
     return ChernoffThreshold(threshold=float(need[best]), beta=float(betas[best]))
 

@@ -378,9 +378,7 @@ def _sum_distinct_pairs(modes: _Modes, s, i, j, keep):
                 np.exp(decays, out=decays)
             else:
                 decays = np.take(table[:K], col[idx], axis=1)
-            # Float64 weights times 80-bit decays (the extended sums of a
-            # float64 base) are 80-bit products: not in place then.
-            terms = np.multiply(terms, decays, out=terms if terms.dtype == decays.dtype else None)
+            terms *= decays
             tail[idx] = _sum_in_order(terms)
             mag[idx] = _sum_in_order(np.abs(terms, out=terms))
     return tail, mag
@@ -426,19 +424,11 @@ class GreenEvaluator:
         if base.is_tridiagonal and base.n >= 2:
             self._stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
         self.run_record = {"zero_separation": 0, "truncation_bound": 0.0}
-        # Mode tables of the two working precisions: the float64 screen (the
-        # eigendata itself on float64 bases, a copy on refined chains), and
-        # the 80-bit sums, which accumulate the decays in longdouble (on
-        # refined chains that is the eigendata as stored).
-        delta = sm - sm[0]
-        self._float64_modes = _Modes(
-            np.asarray(spec.eigenvectors, dtype=float), (2.0 * sm).astype(float),
-            delta.astype(float), float(sm[0]),
-        )
-        self._extended_modes = _Modes(
-            spec.eigenvectors, 2.0 * sm, delta.astype(np.longdouble), sm[0]
-        )
-        self._screen_is_exact = spec.eigenvectors.dtype == np.float64
+        # The mode table at the eigendata's precision, and its float64
+        # screen: the same table on float64 bases, a copy on refined chains.
+        self._modes = self._screen_modes = _Modes(spec.eigenvectors, 2.0 * sm, sm - sm[0], sm[0])
+        if spec.eigenvectors.dtype != np.float64:
+            self._screen_modes = _Modes._make(a.astype(float) for a in self._modes)
         # Truncation data of the batched mode sums (see _mode_counts): the
         # quarter-octave ladder of mode counts, and g_i = -log(phi_1(i) sqrt(m_i)).
         n = spec.n
@@ -492,7 +482,7 @@ class GreenEvaluator:
         g = self._ground_depth
         with np.errstate(divide="ignore", over="ignore"):  # s = 0 or subnormal
             reach = (math.log(1.01 / (_EPS * _HEALTH_SWITCH)) + g[i] + g[j]) / s
-        keep = np.searchsorted(self._float64_modes.delta, reach, side="right")
+        keep = np.searchsorted(self._screen_modes.delta, reach, side="right")
         formed = self.spec.modes
         rounded = np.minimum(self._ladder[np.searchsorted(self._ladder, keep)], formed)
         return np.where(keep <= formed, rounded, 0)
@@ -524,21 +514,21 @@ class GreenEvaluator:
         logs[~(tail > _HEALTH_SWITCH * mag)] = np.nan
         return logs
 
-    def _screen(self, w, s, i, j, keep, exact: bool):
+    def _screen(self, w, s, i, j, keep):
         """Float64 pass: (log values, bound); lost pairs hold nan.
 
-        ``bound`` certifies |log value - log value at the target precision|:
-        0 when ``exact`` (the target is this float64 pass itself), inf where
-        the health conclusion could flip at the target precision.  The
-        float64 sums differ from the target's (same modes, same order) by at
-        most (K + 6 + s delta_K) eps * magnitude: K - 1 summation roundings,
-        a few per term for the weight, exp and product, and s delta eps for
-        the rounded exp argument.
+        ``bound`` certifies |log value - log value at eigendata precision|:
+        0 on float64 eigendata, where this pass is that value, and inf where
+        the health conclusion could flip at eigendata precision.  On 80-bit
+        eigendata the float64 sums differ from the 80-bit ones (same modes,
+        same order) by at most (K + 6 + s delta_K) eps * magnitude: K - 1
+        summation roundings, a few per term for the weight, exp and product,
+        and s delta eps for the rounded exp argument.
         """
-        modes = self._float64_modes
+        modes = self._screen_modes
         tail, mag = self._mode_sums(modes, s, i, j, keep)
         logs = self._log_values(modes, w, s, tail, mag)
-        if exact:
+        if modes is self._modes:
             return logs, np.zeros(s.size)
         lost = np.isnan(logs)
         err = (keep + 6 + s * modes.delta[keep - 1]) * _EPS * mag
@@ -553,7 +543,7 @@ class GreenEvaluator:
         return logs, np.where(sure, bound, np.inf)
 
     def screen_many(self, pu, pnode, qu, qnode):
-        """Float64 preview of log_green_many at eigendata precision.
+        """Float64 preview of log_green_many's mode sums.
 
         Returns (log_values, bound) in the broadcast shape of the inputs,
         lost pairs nan: ``bound`` certifies the distance of each log value
@@ -563,30 +553,27 @@ class GreenEvaluator:
         finite bound are certainly lost at eigendata precision.
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
-        logs, bound = self._screen(w, s, i, j, keep, exact=self._screen_is_exact)
+        logs, bound = self._screen(w, s, i, j, keep)
         return logs.reshape(shape), bound.reshape(shape)
 
-    def log_green_many(self, pu, pnode, qu, qnode, extended: bool = False,
-                       allow_stable: bool = True):
+    def log_green_many(self, pu, pnode, qu, qnode, allow_stable: bool = True):
         """log G((pu, pnode); (qu, qnode)) for broadcast arrays of pairs.
 
-        Returns the log values in the broadcast shape: the mode sum in
-        eigendata precision (80-bit with ``extended=True``), and where the
-        signed sum has lost its digits and ``allow_stable`` is set,
-        resolvent quadrature (tridiagonal bases).  A lost pair holds nan
-        with ``allow_stable=False``; with ``allow_stable=True`` a pair with
-        no positive value on any route raises NumericalLossError.  Trailing
-        modes below one ulp of the sum are dropped (see _mode_counts); a
-        pair's eigenmode value does not depend on its batch.  A float64
-        screen runs first, and pairs it certifies as lost skip the 80-bit
-        sums.  A pair beyond the formed modes raises ValueError on every
-        route setting (see the class docstring).
+        Returns the log values in the broadcast shape: the mode sum at the
+        eigendata's precision, and where the signed sum has lost its digits
+        and ``allow_stable`` is set, resolvent quadrature (tridiagonal
+        bases).  A lost pair holds nan with ``allow_stable=False``; with
+        ``allow_stable=True`` a pair with no positive value on any route
+        raises NumericalLossError.  Trailing modes below one ulp of the sum
+        are dropped (see _mode_counts); a pair's eigenmode value does not
+        depend on its batch.  On 80-bit eigendata the float64 screen runs
+        first, and pairs it certifies as lost skip the 80-bit sums.  A pair
+        beyond the formed modes raises ValueError (see the class docstring).
         """
         shape, w, s, i, j, keep = self._pairs(pu, pnode, qu, qnode)
-        exact = self._screen_is_exact and not extended
-        logs, bound = self._screen(w, s, i, j, keep, exact)
-        if not exact:
-            modes = self._extended_modes
+        logs, bound = self._screen(w, s, i, j, keep)
+        modes = self._modes
+        if modes is not self._screen_modes:
             todo = ~(np.isnan(logs) & np.isfinite(bound))
             logs = np.full(s.size, np.nan, dtype=self.sqrt_mu.dtype)
             tail, mag = self._mode_sums(modes, s[todo], i[todo], j[todo], keep[todo])
@@ -616,16 +603,14 @@ class GreenEvaluator:
     ) -> float:
         """log G(p; q), computed against the factored mode-1 decay.
 
-        With ``extended=True`` the mode sum accumulates in 80-bit floats,
-        which buys the exactness suites two extra digits of headroom against
-        cancellation; the eigendata itself stays double precision.  When the
-        signed sum has lost its digits and ``allow_stable`` is set, the value
-        is recomputed by resolvent quadrature (tridiagonal bases); with
-        ``allow_stable=False`` such evaluations raise NumericalLossError
-        instead.  One-pair form of log_green_many.
+        When the signed sum has lost its digits and ``allow_stable`` is set,
+        the value is recomputed by resolvent quadrature (tridiagonal bases);
+        with ``allow_stable=False`` such evaluations raise NumericalLossError
+        instead.  One-pair form of log_green_many.  ``extended`` is ignored;
+        it stays only because perfbench/tracer.py's wrapper passes it.
         """
         pair = (p[0], p[1], q[0], q[1])
-        logs = self.log_green_many(*pair, extended, allow_stable)
+        logs = self.log_green_many(*pair, allow_stable=allow_stable)
         _raise_if_lost(logs, pair, "the eigenmode route")
         return logs[()]
 

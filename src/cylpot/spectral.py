@@ -615,7 +615,7 @@ def _check_ground_eigenvalue(vals: np.ndarray) -> None:
 
 def decompose(
     base: BaseOperator,
-    refine_low_band: Optional[bool] = None,
+    refine_low_band: bool = True,
     refine_cutoff: float = 50.0,
     modes: Optional[int] = None,
     reach: Optional[float] = None,
@@ -641,11 +641,11 @@ def decompose(
     which forms every mode, so there ``modes`` and ``reach`` are lower
     bounds.
 
-    ``refine_low_band`` reruns the eigenpairs below ``refine_cutoff``
-    through extended-precision Rayleigh-quotient iteration; the default
-    (None) turns this on exactly for chain bases, whose deep-separation
-    Green sums need the extra digits.  A refined solve also forms every
-    mode, so the eigenvalues it reports do not depend on ``modes``.
+    On chain bases, whose deep-separation Green sums need the extra
+    digits, ``refine_low_band`` (on by default; other bases ignore it)
+    reruns the eigenpairs below ``refine_cutoff`` through 80-bit
+    Rayleigh-quotient iteration.  A refined solve also forms every mode, so
+    the eigenvalues it reports do not depend on ``modes``.
 
     The residual of each formed eigenpair is measured in the solver's
     frame, ||A psi - lam psi||_2 = ||K phi - lam M phi||_{M^-1}, relative to
@@ -670,12 +670,11 @@ def decompose(
         raise ValueError(f"reach must be non-negative, got {reach}")
     m = base.mass
     tridiagonal = base.is_tridiagonal
-    if refine_low_band is None:
-        refine_low_band = tridiagonal and base.kind == "chain"
+    refine = refine_low_band and tridiagonal and base.kind == "chain"
     if tridiagonal:
         s, diag, off = mass_scaled_bands(base)
         band = None
-        if reach is not None and not refine_low_band and (modes or 1) < base.n:
+        if reach is not None and not refine and (modes or 1) < base.n:
             band = _reach_band(diag, off, 0.25 * base.b * base.b, reach, modes or 1)
         if band is not None:
             vals, psi = band
@@ -687,17 +686,15 @@ def decompose(
                 modes = max(modes or 1, int(np.searchsorted(sm - sm[0], reach, side="right")))
             # stemr returns its eigenvalues ascending, so its columns pair with
             # the dqds list by index (the residual check would catch a mismatch).
-            full = modes is None or modes >= base.n or refine_low_band
+            full = modes is None or modes >= base.n or refine
             psi = _stemr_vectors(diag, off, base.n if full else modes)[1]
-            if refine_low_band:
+            if refine:
                 vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
                 s = s.astype(np.longdouble)
 
         def apply(x):
             return _tridiagonal_matvec(diag, off, x)
     else:
-        if refine_low_band:
-            raise EigensolverError("low-band refinement requires a tridiagonal base")
         s = 1.0 / np.sqrt(m)
         # eigh reads a single triangle, so exact symmetry of the scaled
         # matrix is not load-bearing.

@@ -232,13 +232,14 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     r Green values one sample compares.  ``metric(logs, k)`` maps the (len(k),
     r) log values of samples k to their measured values; it must move by at
     most 1 per unit change of any one log value.  The float64 screen settles
-    a sample when its certified bound cannot change the outcome (certainly
-    lost, or certainly healthy with value + bound <= slack); every other
-    sample is measured once in 80-bit arithmetic (the eigendata precision of
-    refined chains), and skipped if a mode sum is lost there.  A sweep that
-    resolves no sample measured nothing and is ``insufficient``.  ``table``
-    maps names to per-sample columns; their resolved rows and the measured
-    values, as ``"violation"``, become the report's ``samples``.
+    a sample it measured exactly (all bounds 0: float64 eigendata) or whose
+    certified bound cannot change the outcome (certainly lost, or certainly
+    healthy with value + bound <= slack); every other sample is measured
+    once in 80-bit arithmetic (the eigendata precision of refined chains),
+    and skipped if a mode sum is lost there.  A sweep that resolves no
+    sample measured nothing and is ``insufficient``.  ``table`` maps names
+    to per-sample columns; their resolved rows and the measured values, as
+    ``"violation"``, become the report's ``samples``.
     """
     logs, bound = ev.screen_many(*pairs)
     count = logs.shape[0]
@@ -252,9 +253,9 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
         np.abs(logs[live]).sum(axis=1) + np.abs(values[live])
     )
     settled = skipped.copy()
-    settled[live] = values[live] + np.where((bound[live] == 0.0).all(axis=1), 0.0, err) <= slack
+    settled[live] = (bound[live] == 0.0).all(axis=1) | (values[live] + err <= slack)
     k = np.flatnonzero(~settled)
-    lg = ev.log_green_many(*(a[k] for a in pairs), extended=True, allow_stable=False)
+    lg = ev.log_green_many(*(a[k] for a in pairs), allow_stable=False)
     gone = np.isnan(lg).any(axis=1)
     skipped[k[gone]] = True
     values[k[~gone]] = metric(lg[~gone], k[~gone])
@@ -418,7 +419,7 @@ def _harnack_constant(
     # the same mode sum, and its drift factors cancel in every triple.
     apart = levels[None, :] >= levels[:, None] + 1.0
     lo, hi = np.nonzero(apart)
-    logs = ev.log_green_many(levels[lo], x0, levels[hi], x0, extended=True)
+    logs = ev.log_green_many(levels[lo], x0, levels[hi], x0)
     table = np.full((levels.size, levels.size), np.nan, dtype=logs.dtype)
     table[lo, hi] = logs
     # Triples u < v < w whose two steps are at least one unit, so that all
@@ -604,12 +605,19 @@ def check_ratio_limit(
     evaluator (resolvent quadrature where a mode sum lost its digits; it
     raises NumericalLossError when a Green value has no positive value on
     any route); the report tracks its deviation from the limit along
-    y_sequence.  Informational: max_violation is 0.
+    y_sequence.  Informational: max_violation is 0.  ParameterError when
+    the limit is not a positive normal float, past |b|(rho - rho')/2 of
+    about 708.
     """
     b = ev.spec.b
+    log_limit = -0.5 * b * (rho - rho_prime)
+    normal = np.finfo(float)
+    if not math.log(normal.tiny) <= log_limit <= math.log(normal.max):
+        raise ParameterError(f"the limit e^(-b(rho - rho')/2) at b = {b!r} and rho - rho' = "
+                             f"{rho - rho_prime!r} is not a positive normal float")
     logs = ev.log_green_many([rho, rho_prime], np.asarray(y_sequence, dtype=int)[:, None], 0.0, x)
     ratios = np.exp((logs[:, 0] - logs[:, 1]).astype(float))
-    limit = math.exp(-0.5 * b * (rho - rho_prime))
+    limit = math.exp(log_limit)
     devs = np.abs(ratios / limit - 1.0)
     # Informational suite: whether the final deviation is small enough is a
     # property of the base (chains converge, arcs need not), so thresholds

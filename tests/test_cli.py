@@ -147,6 +147,34 @@ def test_green_loss_exits_2_without_traceback(chain_shortcut, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: NumericalLossError: ")
 
 
+def test_green_loss_leaves_no_out_directory(cyclic_graph, tmp_path, capsys):
+    # G((0, 25); (0, 0)) is lost on the cyclic graph, which has no route
+    # below the health switch: --out is made only once the values exist.
+    doc = tmp_path / "cycle.json"
+    doc.write_text(json.dumps(cyclic_graph))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,node\n0.0,25\n")
+    out = tmp_path / "green"
+    code = main(["green", "--base", str(doc), "--points", str(pts),
+                 "--pole-u", "0.0", "--pole-node", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: NumericalLossError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_converge_writes_nothing_when_its_rate_fit_fails(arc_doc, tmp_path, capsys,
+                                                        monkeypatch):
+    def failed_fit(values):
+        raise ValueError("exponent fit requires positive values")
+
+    monkeypatch.setattr("cylpot.cli.fit_exponent", failed_fit)
+    out = tmp_path / "conv"
+    assert main(["converge", "--base", str(arc_doc), "--out", str(out), "--v-max", "30"]) == 2
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert not out.exists()
+
+
 def test_converge_command(arc_doc, tmp_path):
     out = tmp_path / "conv"
     code = main(
@@ -519,6 +547,21 @@ def test_chernoff_long_tail_bound_saturates_without_traceback(tmp_path, capsys):
     assert code in (0, 1) and "Traceback" not in err
     meta = json.loads((out / "chernoff.json").read_text())
     assert meta["exact_tail"] == 1.0 and meta["best_bound"] >= 1.0
+
+
+@pytest.mark.parametrize("tail_len, threshold", [("1e306", 2.0020010003334168e306),
+                                                  ("1e308", None)])
+def test_chernoff_near_the_float_range_is_quiet(tail_len, threshold, tmp_path):
+    # The beta grid's products overflow at the large betas, and from
+    # L = 1e308 at every one: the threshold keeps its finite value (the
+    # least product) or is inf, written as null, with no warning.
+    out = tmp_path / "ch"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["chernoff", "--out", str(out), "--L", tail_len])
+    assert code == 0
+    meta = json.loads((out / "chernoff.json").read_text())
+    assert meta["threshold"]["value"] == threshold
 
 
 def test_chain_demo_lambda_below_minus_lambda1_is_a_parameter_error(tmp_path, capsys):

@@ -457,7 +457,7 @@ def graph_small():
     return base, cp.decompose(base)
 
 
-def _oracle_log_green(ev, p, q, extended=False):
+def _oracle_log_green(ev, p, q):
     """Per-pair log G over every mode, as log_green computed it before the
     batched route: (log G or None when the sum fails the health switch,
     tail, magnitude)."""
@@ -467,23 +467,18 @@ def _oracle_log_green(ev, p, q, extended=False):
     delta = sqrt_mu - sqrt_mu[0]
     phi = ev.spec.eigenvectors
     weights = phi[p.node] * phi[q.node] / (2.0 * sqrt_mu)
-    if extended:
-        decay = np.exp(np.longdouble(-s) * delta.astype(np.longdouble))
-        tail = float(np.dot(weights.astype(np.longdouble), decay))
-    else:
-        decay = np.exp(-s * delta)
-        tail = float(np.dot(weights, decay))
+    decay = np.exp(-s * delta)
+    tail = float(np.dot(weights, decay))
     magnitude = float(np.dot(np.abs(weights), decay))
     if tail <= 1e-8 * magnitude:
         return None, tail, magnitude
     return -0.5 * ev.spec.b * w - s * sqrt_mu[0] + math.log(tail), tail, magnitude
 
 
-@pytest.mark.parametrize("extended", [False, True])
 @pytest.mark.parametrize(
     "fixture", ["arc_small", "cap_small", "chain_default", "one_node", "graph_small"]
 )
-def test_log_green_many_matches_per_pair_oracle(fixture, extended, request):
+def test_log_green_many_matches_per_pair_oracle(fixture, request):
     base, spec = request.getfixturevalue(fixture)
     ev = GreenEvaluator(spec=spec, base=base)
     rng = np.random.default_rng(17)
@@ -491,13 +486,13 @@ def test_log_green_many_matches_per_pair_oracle(fixture, extended, request):
     pu, qu = rng.uniform(-6.0, 6.0, m), rng.uniform(-6.0, 6.0, m)
     pu[:30] = qu[:30]  # s = 0 keeps every mode
     pn, qn = rng.integers(0, base.n, m), rng.integers(0, base.n, m)
-    logs = ev.log_green_many(pu, pn, qu, qn, extended=extended, allow_stable=False)
+    logs = ev.log_green_many(pu, pn, qu, qn, allow_stable=False)
     lost = np.isnan(logs)
     eps64 = np.finfo(float).eps
-    work = np.longdouble if extended else spec.eigenvectors.dtype
+    work = spec.eigenvectors.dtype
     sm = np.asarray(ev.sqrt_mu, dtype=float)
     for k in range(m):
-        want, tail, mag = _oracle_log_green(ev, P(pu[k], int(pn[k])), P(qu[k], int(qn[k])), extended)
+        want, tail, mag = _oracle_log_green(ev, P(pu[k], int(pn[k])), P(qu[k], int(qn[k])))
         assert bool(lost[k]) == (want is None)
         if want is None:
             continue
@@ -515,7 +510,7 @@ def test_log_green_many_matches_per_pair_oracle(fixture, extended, request):
 def test_sides_across_a_rung_sum_their_own_mode_counts(chain_default):
     base, spec = chain_default
     ev = GreenEvaluator(spec=spec, base=base)
-    delta, ladder, g = ev._float64_modes.delta, ev._ladder, ev._ground_depth
+    delta, ladder, g = ev._screen_modes.delta, ev._ladder, ev._ground_depth
     i, j = 3, 6
     # The separation at which the count of pair (i, j) steps down to a ladder
     # rung: two sides a hair apart on either side of it keep different counts.
@@ -535,9 +530,8 @@ def test_sides_across_a_rung_sum_their_own_mode_counts(chain_default):
         assert logs[0, side] == -0.5 * spec.b * -s - s * sm[0] + np.log(tail)
 
 
-@pytest.mark.parametrize("extended", [False, True])
 @pytest.mark.parametrize("fixture", ["chain_default", "arc_small", "cap_small", "graph_small"])
-def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, extended, request):
+def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, request):
     # A pair's eigenmode value is the same in an (m, 3) batch, in the flat
     # batch and alone; the resolvent route is left out (allow_stable=False).
     base, spec = request.getfixturevalue(fixture)
@@ -547,14 +541,13 @@ def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, extended, reques
     pu, qu = rng.uniform(-6.0, 6.0, (m, 3)), rng.uniform(-6.0, 6.0, (m, 3))
     pu[:5] = qu[:5]  # s = 0 keeps every mode
     pn, qn = rng.integers(0, base.n, (m, 3)), rng.integers(0, base.n, (m, 3))
-    grid = ev.log_green_many(pu, pn, qu, qn, extended=extended, allow_stable=False)
-    flat = ev.log_green_many(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel(),
-                             extended=extended, allow_stable=False)
+    grid = ev.log_green_many(pu, pn, qu, qn, allow_stable=False)
+    flat = ev.log_green_many(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel(), allow_stable=False)
     assert grid.shape == (m, 3)
     assert np.array_equal(grid.ravel(), flat, equal_nan=True)
     for k, (a, b, c, d) in enumerate(zip(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel())):
         try:
-            one = ev.log_green(P(a, int(b)), P(c, int(d)), extended, allow_stable=False)
+            one = ev.log_green(P(a, int(b)), P(c, int(d)), allow_stable=False)
         except cp.NumericalLossError:
             one = np.nan
         assert np.array_equal(flat[k], one, equal_nan=True)
@@ -765,13 +758,13 @@ def test_partial_evaluator_routes(cap_partial):
     ev = GreenEvaluator(spec=spec, base=base)
     nodes = np.arange(0, base.n, 7)
     want = ev_full.log_green_many(3.0, nodes, 0.0, 40)
-    for kwargs in ({}, {"allow_stable": False}, {"extended": True}):
+    for kwargs in ({}, {"allow_stable": False}):
         far = ev.log_green_many(3.0, nodes, 0.0, 40, **kwargs)
         assert np.max(np.abs(far - want)) <= 1e-9
     screen, bound = ev.screen_many(3.0, nodes, 0.0, 40)
     assert np.array_equal(screen, far) and not bound.any()
     beyond = f"needs more than the {spec.modes} formed modes"
-    for kwargs in ({}, {"allow_stable": False}, {"extended": True}):
+    for kwargs in ({}, {"allow_stable": False}):
         with pytest.raises(ValueError, match=beyond):
             ev.log_green_many(1.5, nodes, 1.5, 40, **kwargs)
         with pytest.raises(ValueError, match=beyond):
@@ -811,10 +804,8 @@ def test_mode_sums_add_modes_left_to_right(dtype):
     # over the modes, bit for bit.  With a separation per pair each chunk
     # forms its own decays; with 99 separations shared by all pairs the
     # 99 x 328 decay table fits one chunk and the pairs gather from it.
-    # The eigendata comes C-ordered, F-ordered (as decompose returns it), and
-    # as float64 weights with decays of the tested dtype (the extended sums
-    # of a float64 base, whose products must stay in that dtype).  The
-    # batches come as drawn, in runs of 1-3 equal neighbours (summed once
+    # The eigendata comes C-ordered and F-ordered (as decompose returns it).
+    # The batches come as drawn, in runs of 1-3 equal neighbours (summed once
     # and shared), and with runs where a neighbour matches in (s, i, j) but
     # keeps another number of modes (summed on its own).
     from cylpot.cylinder import _CHUNK_TERMS, _Modes
@@ -826,8 +817,6 @@ def test_mode_sums_add_modes_left_to_right(dtype):
     layouts = {
         "C": _Modes(phi, 2.0 * sm, sm - sm[0], sm[0]),
         "F": _Modes(np.asfortranarray(phi), 2.0 * sm, sm - sm[0], sm[0]),
-        "float64 weights": _Modes(np.asfortranarray(phi.astype(float)),
-                                  (2.0 * sm).astype(float), sm - sm[0], sm[0]),
     }
     keep = np.repeat([3, 17, 64, 200, 328], [_CHUNK_TERMS // K + 5 for K in (3, 17, 64, 200, 328)])
     keep = rng.permutation(np.concatenate([keep, [9, 100, 250]]))

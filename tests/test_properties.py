@@ -131,7 +131,7 @@ def test_zero_separation_rule_matches_the_mode_sum_on_random_paths(n, d, seed):
     i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
     u = rng.uniform(-5.0, 5.0, 300)
     beyond = "needs more than the 1 formed modes"
-    for kwargs in ({}, {"allow_stable": False}, {"extended": True}):
+    for kwargs in ({}, {"allow_stable": False}):
         with pytest.raises(ValueError, match=beyond):
             ev.log_green_many(u, i, u, j, **kwargs)
     with pytest.raises(ValueError, match=beyond):

@@ -163,6 +163,21 @@ def test_refinement_consistent_with_plain_solve(chain_default):
     assert np.max(np.abs(phi_r - phi_p)) <= 1e-7 * np.max(np.abs(phi_p))
 
 
+def test_refine_low_band_is_honoured_only_on_chains(arc_small, chain_default, cyclic_graph):
+    # On by default: chains refine to 80-bit eigendata, and every other
+    # base, a dense one included, ignores the flag either way.
+    assert chain_default[1].eigenvectors.dtype == np.longdouble
+    assert cp.decompose(chain_default[0], refine_low_band=False).eigenvectors.dtype == np.float64
+    base, spec = arc_small
+    for flag in (True, False):
+        again = cp.decompose(base, refine_low_band=flag)
+        assert np.array_equal(again.eigenvectors, spec.eigenvectors)
+    graph = cp.load_base(cyclic_graph)
+    dense = [cp.decompose(graph, refine_low_band=flag) for flag in (True, False)]
+    assert dense[0].eigenvectors.dtype == np.float64
+    assert np.array_equal(dense[0].eigenvectors, dense[1].eigenvectors)
+
+
 def _solve_shifted_reference(diag, off, shift, rhs):
     """Scalar per-row pivoted elimination for one shifted system."""
     n = diag.shape[0]

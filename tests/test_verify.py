@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def _two_kernel_harnack_constant(ev, grid_max, densify):
     lo, hi = np.nonzero(levels[None, :] >= levels[:, None] + 1.0)
     logs = ev.log_green_many(
         np.stack([levels[lo], levels[hi]], 1), x0,
-        np.stack([levels[hi], levels[lo]], 1), x0, extended=True,
+        np.stack([levels[hi], levels[lo]], 1), x0,
     )
     table = np.full((levels.size, levels.size, 2), np.nan, dtype=logs.dtype)
     table[lo, hi] = logs
@@ -157,7 +158,7 @@ def _dense_harnack_constant(ev, grid_max, densify):
     x0 = ev.reference.node
     levels = _harnack_levels(ev, grid_max, densify)
     lo, hi = np.nonzero(levels[None, :] >= levels[:, None] + 1.0)
-    logs = ev.log_green_many(levels[lo], x0, levels[hi], x0, extended=True)
+    logs = ev.log_green_many(levels[lo], x0, levels[hi], x0)
     table = np.full((levels.size, levels.size), np.nan, dtype=logs.dtype)
     table[lo, hi] = logs
     ratio = table[:, None, :] - table[:, :, None] - table[None, :, :]
@@ -356,6 +357,20 @@ def test_ratio_limit_with_a_lost_pair_is_an_error(chain_shortcut):
     assert rep.note.startswith("NumericalLossError")
 
 
+@pytest.mark.parametrize("b", [3000.0, -3000.0])
+def test_ratio_limit_past_the_float_range_is_a_parameter_error(b):
+    # e^(-b/2) at rho - rho' = 1 underflows (b > 0) or overflows (b < 0):
+    # a named error before any exp, with no floating-point warning.
+    base = cp.build_arc(3.0, 50, b=b)
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_suite(ev, ("ratio_limit",))["ratio_limit"]
+    assert rep.status == "error" and not rep.passed
+    assert rep.note.startswith("ParameterError: ")
+    assert f"b = {b!r}" in rep.note and "rho - rho' = 1.0" in rep.note
+
+
 def _mirrored_chain_graph():
     """The 12-bead default chain mirrored about its anchor, as a 208-node
     graph: nodes 103 and 104 are the two anchors, each with a leak of 8.0,
@@ -516,25 +531,26 @@ def test_deep_pair_near_the_slack_is_remeasured(chain_default):
     assert rep.max_violation == native[0, 0] - (0.5 * b * rho + native[0, 1])
 
 
-def test_unsettled_sample_is_measured_in_80_bit_on_float64_base(arc_small):
-    """On float64 eigendata the screen is exact, and a sample it leaves
-    unsettled is measured once in 80-bit: the report carries that value.
+def test_sample_near_the_slack_settles_on_its_screen_value_on_float64_base(arc_small):
+    """On float64 eigendata the screen is the eigendata-precision value
+    (every bound 0), so a sample settles on it however near the slack it
+    lies: nothing is re-measured.
 
-    Found by scanning rho over np.geomspace(1e-12, 1e-7, 2000) at this
-    (u, v, i, j): 1259 of the shifts meet every assertion below; this one
-    is the closest to the sample the eigendata of a full MRRR solve gave."""
+    The pinned sample was found by scanning rho over
+    np.geomspace(1e-12, 1e-7, 2000) at this (u, v, i, j); its violation,
+    about -3.1e-11, is above the sweep's -1e-8 slack."""
     ev = _evaluator(arc_small)
     u, v, rho, i, j = -0.57038289364972, -0.24275770748896, 1.5438115904375312e-10, 81, 21
     pu = np.array([[u, u + rho]])
     # v >= u + rho/2 and b = 0: the violation is log G(u) - log G(u + rho).
-    lg64 = ev.log_green_many(pu, i, v, j, allow_stable=False)
-    lg80 = ev.log_green_many(pu, i, v, j, extended=True, allow_stable=False)
-    assert ev.spec.b == 0.0 and not np.isnan(lg80).any()
-    v64, v80 = lg64[0, 0] - lg64[0, 1], lg80[0, 0] - lg80[0, 1]
-    assert v64 > -1e-8 and v64 != v80
+    screen, bound = ev.screen_many(pu, i, v, j)
+    lg = ev.log_green_many(pu, i, v, j, allow_stable=False)
+    assert ev.spec.b == 0.0 and not bound.any() and np.array_equal(screen, lg)
+    v64 = lg[0, 0] - lg[0, 1]
+    assert -1e-8 < v64 < 0.0
     rep = check_green_monotonicity(ev, samples=[(u, v, rho, i, j)])
-    assert rep.extras["escalated"] == 1 and rep.extras["screened"] == 0
-    assert rep.max_violation == v80
+    assert rep.extras["escalated"] == 0 and rep.extras["screened"] == 1
+    assert rep.max_violation == v64
 
 
 def test_run_suite_rejects_bad_count_and_seed(arc_small):
