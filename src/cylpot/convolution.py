@@ -115,7 +115,9 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
     to ENUMERATION_LIMIT factors (merging after each factor).  Sorted atoms
     merge by neighbour gap: a run in which each atom lies within 1e-12 of
     the one before becomes one atom at the run's lowest point, whatever the
-    run's total span.
+    run's total span.  Grid atoms never merge, since the grid step is at
+    least 1/_GRID_DENOMINATOR_CAP, so the grid path reads its atoms off the
+    DP buffer in reverse tick order without sorting.
 
     Each grid step halves the sum (p + q) where the textbook step adds the
     halves 0.5 p + 0.5 q; halving is exact above the subnormal range, so
@@ -147,16 +149,19 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
             # copy of an overlapping in-place add.
             edge = min(k, top + 1)
             np.multiply(pmf[:edge], 0.5, out=spare[:edge])
-            mid = spare[k : top + 1]
-            np.add(pmf[k : top + 1], pmf[: top + 1 - edge], out=mid)
-            mid *= 0.5
+            np.add(pmf[k : top + 1], pmf[: top + 1 - edge], out=spare[k : top + 1])
+            spare[k : top + 1] *= 0.5
             np.multiply(pmf[top + 1 - edge : top + 1], 0.5,
                         out=spare[top + k + 1 - edge : top + k + 1])
             pmf, spare = spare, pmf
             top += k
         del spare
-        keep = pmf > 0.0
-        support, probs = _merge_atoms(-step * np.arange(total + 1)[keep], pmf[keep])
+        ticks = np.flatnonzero(pmf > 0.0)[::-1]
+        probs = pmf[ticks]
+        del pmf
+        support = -step * ticks
+        del ticks
+        support += 0.0  # -step * 0 is -0.0
     elif a.size > ENUMERATION_LIMIT:
         raise ConvolutionCapacityError(
             f"{a.size} factors exceed the enumeration limit of "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -178,6 +179,73 @@ def _sobol_directions(dims: int) -> np.ndarray:
     return v
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list:
+    """The eight 32-bit words ``np.random.SeedSequence(seed).generate_state(8)``
+    gives: the seed's 32-bit words, lowest first, hashed into a pool of four
+    words and mixed together, then drawn from the pool round-robin with a
+    second hash (numpy's constants).  ValueError on a negative seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words, hash_b = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _random_bits(seed: int, count: int) -> np.ndarray:
+    """``np.random.default_rng(seed).integers(2, size=count, dtype=np.uint32)``
+    bit for bit, as int64, without importing numpy.random.
+
+    default_rng is PCG64 (O'Neill 2014) seeded from SeedSequence: a 128-bit
+    LCG whose 64-bit XSL-RR outputs numpy splits into two 32-bit draws, low
+    half first.  Lemire's bounded draw (2019) of {0, 1} from a 32-bit x is
+    x >> 31 and never rejects, so each output gives two bits."""
+    w = _seed_words(seed)
+    w64 = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = (w64[2] << 64 | w64[3]) << 1 & _MASK128 | 1
+    state = ((inc + (w64[0] << 64 | w64[1])) * _PCG64_MULT + inc) & _MASK128
+    out = []
+    for _ in range((count + 1) // 2):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        out.append((x >> rot | x << (64 - rot)) & _MASK64)
+    out = np.array(out, dtype=np.uint64)
+    return np.stack([out >> 31 & 1, out >> 63], axis=1).ravel()[:count].astype(np.int64)
+
+
 def _sobol(dims: int, count: int, seed: int) -> np.ndarray:
     """First `count` points of scipy's scrambled Sobol sequence, drawn in a
     power-of-two block to keep its balance properties: bit for bit
@@ -185,7 +253,8 @@ def _sobol(dims: int, count: int, seed: int) -> np.ndarray:
 
     The scrambling is scipy's: a random digital shift, then a random lower
     unit-triangular (LMS) matrix per dimension applied to the direction
-    numbers over GF(2), the shift drawn first from ``default_rng(seed)``.
+    numbers over GF(2), the shift drawn first from ``default_rng(seed)``
+    (reproduced by _random_bits).
     Point k is the shift XORed with the direction numbers of the lowest zero
     bit of 0, ..., k-1 (Gray-code order).
     """
@@ -193,9 +262,9 @@ def _sobol(dims: int, count: int, seed: int) -> np.ndarray:
     block = 1 << max(0, (count - 1).bit_length())
     if block > 1 << bits:
         raise ValueError(f"at most 2**{bits} Sobol points can be drawn, got {count}")
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(dims, bits), dtype=np.uint32) @ (1 << np.arange(bits))
-    lsm = np.tril(rng.integers(2, size=(dims, bits, bits), dtype=np.uint32)).astype(np.int64)
+    draws = _random_bits(seed, dims * bits * (bits + 1))
+    shift = draws[: dims * bits].reshape(dims, bits) @ (1 << np.arange(bits))
+    lsm = np.tril(draws[dims * bits :].reshape(dims, bits, bits))
     lsm[:, np.arange(bits), np.arange(bits)] = 1
     msb = np.arange(bits - 1, -1, -1)  # weight exponent of bit column i
     digits = _sobol_directions(dims)[:, :, None] >> msb & 1  # (dims, j, i)

@@ -579,6 +579,29 @@ def test_sobol_port_matches_scipy(dims):
         _sobol(dims, 2**30 + 1, 0)
 
 
+@pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6])
+def test_scramble_bits_match_numpy_random(dims):
+    # _sobol's scramble bits are default_rng(seed)'s two draws, the digital
+    # shift then the LMS matrices, reproduced without importing numpy.random;
+    # the seeds span one to five 32-bit entropy words.
+    from cylpot.verify import _random_bits
+
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, np.uint64(2**63 + 7)):
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(2, size=(dims, 30), dtype=np.uint32)
+        lsm = rng.integers(2, size=(dims, 30, 30), dtype=np.uint32)
+        bits = _random_bits(seed, dims * 930)
+        assert np.array_equal(bits[: dims * 30].reshape(dims, 30), shift), seed
+        assert np.array_equal(bits[dims * 30 :].reshape(dims, 30, 30), lsm), seed
+
+
+def test_sobol_rejects_a_negative_seed():
+    from cylpot.verify import _sobol
+
+    with pytest.raises(ValueError, match="non-negative"):
+        _sobol(3, 8, -1)
+
+
 def test_sobol_draws_at_most_six_dimensions():
     # Only the direction numbers of the six dimensions the sweeps draw are
     # embedded.
