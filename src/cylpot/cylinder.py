@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import BaseOperator, ParameterError
-from .spectral import _DPTSV, SpectralData, _doubles, _int, _lapack, mass_scaled_bands
+from .spectral import (_DPTSV, SpectralData, _doubles, _gershgorin, _int, _lapack,
+                       mass_scaled_bands)
 
 __all__ = [
     "CylinderPoint",
@@ -95,9 +96,10 @@ def _prefix_products(ratios: np.ndarray):
     """Prefix products P_y = prod_{j<y} ratios[j] down the first axis of a
     positive (n-1, ...) array, as (mantissa, exponent) arrays of shape
     (n, ...) with P = mantissa * 2**exponent; one rounding per factor, as in
-    a running product, but no underflow."""
+    a running product, but no underflow.  Each factor moves the exponent by
+    at most 1074, so int32, frexp's own type, holds it for n below 2e6."""
     man = np.empty((ratios.shape[0] + 1,) + ratios.shape[1:])
-    exp = np.empty(man.shape, dtype=np.int64)
+    exp = np.empty(man.shape, dtype=np.int32)
     man[0], exp[0] = 0.5, 1
     for j in range(ratios.shape[0]):
         man[j + 1], step = np.frexp(man[j] * ratios[j])
@@ -206,12 +208,9 @@ class StableAxialEvaluator:
         if np.any(self._off == 0.0):
             raise ValueError("stable axial evaluation needs a connected path")
         self._w, self._qw = _gauss_panel_rule(self._EDGES)
-        off = np.abs(self._off)
-        top = self._diag.copy()  # Gershgorin row bounds of A
-        top[:-1] += off
-        top[1:] += off
         self._zero_rule = _sech_trapezoid_rule(
-            mu1, float(top.max()) + self._shift, self._TAU_STEP, self._TAU_PAD
+            mu1, _gershgorin(self._diag, self._off)[1] + self._shift,
+            self._TAU_STEP, self._TAU_PAD,
         )
         self._factors = None
 

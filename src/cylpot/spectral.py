@@ -58,15 +58,12 @@ _RESIDUAL_BLOCK = 256
 #           work, iwork, pivmin, spdiam, twist, info
 #   dlaneg: n, d, lld, sigma, pivmin, r
 #   dpttrf: n, d, e, info
-#   dstebz: range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
-#           iblock, isplit, work, iwork, info
 #   dpteqr: compz, n, d, e, z, ldz, work, info
 #   dptsv:  n, nrhs, d, e, b, ldb, info
 _DSTEMR = ("dstemr", "cciddddiiiddiiiidiiii", "void")
 _DLARRB = ("dlarrb", "iddiiddiddddiddii", "void")
 _DLANEG = ("dlaneg", "iddddi", "int")
 _DPTTRF = ("dpttrf", "iddi", "void")
-_DSTEBZ = ("dstebz", "cciddiidddiidiidii", "void")
 _DPTEQR = ("dpteqr", "cidddidi", "void")
 _DPTSV = ("dptsv", "iidddii", "void")
 _CTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
@@ -453,6 +450,18 @@ def _not_positive_definite(order: int) -> NotPositiveDefiniteError:
     )
 
 
+def _gershgorin(diag: np.ndarray, off: np.ndarray):
+    """The Gershgorin interval (lo, hi), which holds every eigenvalue of the
+    symmetric tridiagonal (diag, off): the extreme row ends diag -/+ |off|."""
+    off = np.abs(off)
+    low, top = diag.copy(), diag.copy()
+    low[:-1] -= off
+    low[1:] -= off
+    top[:-1] += off
+    top[1:] += off
+    return float(low.min()), float(top.max())
+
+
 class _Factor(NamedTuple):
     """L D L^T of a positive-definite tridiagonal T = (diag, off), in the
     form that dlarrb and dlaneg take, with the scalars they need."""
@@ -460,8 +469,8 @@ class _Factor(NamedTuple):
     d: np.ndarray       # the pivots D
     lld: np.ndarray     # L_i^2 D_i
     pivmin: float       # smallest pivot magnitude a Sturm count allows
-    spdiam: float       # width of T's Gershgorin interval
-    tnorm: float        # largest magnitude in that interval
+    lo: float           # T's Gershgorin interval [lo, hi]
+    hi: float
 
 
 def _ldl_factor(diag: np.ndarray, off: np.ndarray) -> _Factor:
@@ -474,12 +483,8 @@ def _ldl_factor(diag: np.ndarray, off: np.ndarray) -> _Factor:
         raise _not_positive_definite(info.value)
     if info.value != 0:
         raise EigensolverError(f"dpttrf failed with info={info.value}")
-    radius = np.zeros(diag.size)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off)))  # as dlarre
-    return _Factor(d, ell * ell * d[:-1], pivmin, hi - lo, max(abs(lo), abs(hi)))
+    return _Factor(d, ell * ell * d[:-1], pivmin, *_gershgorin(diag, off))
 
 
 def _count_below(factor: _Factor, sigma: float) -> int:
@@ -490,43 +495,24 @@ def _count_below(factor: _Factor, sigma: float) -> int:
                              _real(sigma), _real(factor.pivmin), _int(n))
 
 
-def _bracket(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Eigenvalues ``first`` to ``last`` (1-based), ascending, of the
-    tridiagonal (diag, off) by LAPACK's bisection dstebz, to its default
-    absolute accuracy of about eps * ||T||."""
-    d, e = _band_copies(diag, off)
-    n = d.size
-    w = np.empty(n)
-    iblock, isplit = np.empty((2, n), dtype=np.intc)
-    work = np.empty(4 * n)
-    iwork = np.empty(3 * n, dtype=np.intc)
-    m, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
-    _lapack(*_DSTEBZ)(
-        b"I", b"E", _int(n), _real(0.0), _real(0.0), _int(first), _int(last),
-        _real(0.0), _doubles(d), _doubles(e),                   # abstol 0: eps * ||T||
-        ctypes.byref(m), ctypes.byref(nsplit), _doubles(w),
-        _ints(iblock), _ints(isplit), _doubles(work), _ints(iwork), ctypes.byref(info),
-    )
-    if info.value != 0 or m.value != last - first + 1:
-        raise EigensolverError(f"dstebz failed with info={info.value}, finding {m.value} of "
-                               f"{last - first + 1} eigenvalues")
-    return w[:m.value]
-
-
-def _refine(factor: _Factor, w: np.ndarray, first: int) -> None:
-    """Bisect eigenvalues first + 1 .. len(w) of the factored matrix in
-    place with LAPACK's dlarrb, from the estimates w[first:] of error about
-    eps * ||T||, until each bracket's half-width is at most eps times its
-    end: within an ulp or two.  Sturm counts on L D L^T keep relative
-    accuracy in the low band.  dlarrb widens a bracket that misses its
-    eigenvalue, so it would never return for an index above n."""
-    count, n = w.size, factor.d.size
-    if w.dtype != np.float64 or not w.flags.c_contiguous or count > n:
-        raise ValueError(f"need at most n = {n} contiguous doubles, got {count} {w.dtype}")
-    if first >= count:
-        return
-    eps = np.finfo(float).eps
-    werr = np.full(count, 2.0 * eps * factor.tnorm)
+def _bisect(factor: _Factor, known, estimates, unknown: int) -> np.ndarray:
+    """``known``, then the next len(estimates) + ``unknown`` eigenvalues of
+    the factored matrix, ascending, by LAPACK's dlarrb: bisection on L D L^T,
+    which keeps relative accuracy in the low band, to brackets of half-width
+    eps times their end, within an ulp or two.  ``estimates`` (dstemr's,
+    within about 0.2 eps * ||T||) start at half-width 0.25 eps * ||T||, the
+    others from the Gershgorin interval, at least eps * ||T|| wide.  dlarrb
+    widens a missed bracket in doubling steps, so it would never return for
+    an index above n, nor from a bracket of width 0 (a one-point interval)."""
+    eps, lo, hi, n = np.finfo(float).eps, factor.lo, factor.hi, factor.d.size
+    first, guessed = len(known), len(estimates)
+    count = first + guessed + unknown
+    if count > n:
+        raise ValueError(f"need at most n = {n} eigenvalues, got {count}")
+    tnorm = max(abs(lo), abs(hi))
+    w = np.concatenate([known, estimates, np.full(unknown, 0.5 * (lo + hi))], dtype=float)
+    werr = np.concatenate([np.zeros(first), np.full(guessed, 0.25 * eps * tnorm),
+                           np.full(unknown, max(0.5 * (hi - lo), eps * tnorm))])
     wgap = np.zeros(count)  # read only through rtol1 = 0
     work = np.empty(2 * count)
     iwork = np.empty(2 * count, dtype=np.intc)
@@ -535,10 +521,11 @@ def _refine(factor: _Factor, w: np.ndarray, first: int) -> None:
         _int(n), _doubles(factor.d), _doubles(factor.lld), _int(first + 1), _int(count),
         _real(0.0), _real(eps), _int(0),                       # rtol1, rtol2, offset
         _doubles(w), _doubles(wgap), _doubles(werr), _doubles(work), _ints(iwork),
-        _real(factor.pivmin), _real(factor.spdiam), _int(n), ctypes.byref(info),
+        _real(factor.pivmin), _real(hi - lo), _int(n), ctypes.byref(info),
     )
     if info.value != 0:
         raise EigensolverError(f"dlarrb failed with info={info.value}")
+    return w
 
 
 def _reach_band(diag, off, c: float, reach: float, modes: int):
@@ -547,15 +534,14 @@ def _reach_band(diag, off, c: float, reach: float, modes: int):
     (diag, off): the eigenvalues of modes 1..K+1 (mode K+1 is the first
     dropped one) and the (n, K) eigenvectors; None when K would be n.
 
-    Only the low band is solved, in O(nK): lam_1 and lam_2 by bisection,
-    K by one Sturm count, the K vectors by dstemr, and the K + 1 values
-    refined by bisection on the dpttrf factor to dqds-grade relative
-    accuracy.
+    Only the low band is solved, in O(nK), by bisection on the dpttrf
+    factor to dqds-grade relative accuracy: lam_1, lam_2 and lam_(K+1) from
+    the Gershgorin interval, the others from the values of dstemr, which
+    forms the K vectors; K comes from one Sturm count.
     """
     n = diag.size
     factor = _ldl_factor(diag, off)
-    vals = _bracket(diag, off, 1, 2)
-    _refine(factor, vals, 0)
+    vals = _bisect(factor, [], [], 2)
     _check_ground_eigenvalue(vals)
     # Count up to slightly past the threshold (sqrt(mu_1) + reach)^2 - c,
     # so that every mode the rule below keeps is formed; a mode in the
@@ -565,9 +551,8 @@ def _reach_band(diag, off, c: float, reach: float, modes: int):
     if count >= n:
         return None
     w, psi = _stemr_vectors(diag, off, count)
-    if count > 1:  # values of modes 1..count+1, the first two refined already
-        vals = np.concatenate([vals, w[2:], _bracket(diag, off, count + 1, count + 1)])
-        _refine(factor, vals, 2)
+    if count > 1:  # values of modes 1..count+1, the first two bisected already
+        vals = _bisect(factor, vals, w[2:], 1)
     sm = np.sqrt(vals + c)
     # At most count by the margin above; the min only guards rounding.
     formed = min(count, max(modes, int(np.searchsorted(sm - sm[0], reach, side="right"))))

@@ -375,9 +375,9 @@ def check_normalization(ev: GreenEvaluator) -> VerificationReport:
     Each kernel's denominator G(reference; pole) is the one-pair value that
     martin_kernel stores; the numerators come from one log_green_many batch
     over all poles.  Eigenmode values are elementwise, so the two routes
-    agree bit for bit.  The violation is |log K_pole(reference)|, taken in
-    the evaluator's working precision, so one ulp of difference shows on
-    80-bit eigendata as well."""
+    agree bit for bit, and the report is marked structural.  The violation
+    is |log K_pole(reference)|, taken in the evaluator's working precision,
+    so one ulp of difference shows on 80-bit eigendata as well."""
     n = ev.spec.n
     poles = [
         CylinderPoint(du, node)
@@ -398,6 +398,7 @@ def check_normalization(ev: GreenEvaluator) -> VerificationReport:
         max_violation=worst,
         tolerance=_FIXED_TOL["normalization"],
         config={"poles": len(poles)},
+        extras={"structural": True},
     )
 
 

@@ -638,6 +638,35 @@ def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule(chain_deep):
         assert np.max(np.abs(np.asarray(modes, dtype=float) - fine)) <= bound
 
 
+# Health bands (tail/mag of the 80-bit mode sum) and the largest
+# |log StableAxialEvaluator.values - log mode sum| allowed in each.  Seen
+# on five level grids and poles: 3.3e-8, 3.5e-10 and 4.4e-12.  Above 1e-2,
+# near the diagonal, the panel rule is off by up to 9.5 in log G and is not
+# positive on 6 of these pairs; no route sends such pairs to it.
+_PANEL_RULE_HEALTH_BANDS = [(1e-8, 1e-6, 5e-8), (1e-6, 1e-4, 1e-9), (1e-4, 1e-2, 1e-11)]
+
+
+def test_panel_resolvent_agrees_with_mode_sum_by_health_band(chain_deep):
+    # A green-style batch on the benchmark's deep chain: pole (0, 0) and 13
+    # jittered axial levels over every node.  The panel rule's agreement
+    # with the 80-bit mode sum, band by band, is its measured domain.
+    base, spec = chain_deep
+    ev = GreenEvaluator(spec=spec, base=base)
+    levels = -6.0 + np.arange(13) + np.random.default_rng(0).uniform(-0.3, 0.3, 13)
+    s = np.abs(np.repeat(levels, base.n))
+    i, j = np.tile(np.arange(base.n), 13), np.zeros(13 * base.n, dtype=int)
+    tail, mag = GreenEvaluator._mode_sums(ev._modes, s, i, j, ev._mode_counts(s, i, j))
+    health = np.asarray(tail / mag, dtype=float)
+    panel = StableAxialEvaluator(base, mu1=float(spec.mu[0])).values(s, i, j)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lost or not positive
+        modes = np.asarray(np.log(tail) - s * ev._modes.sqrt_mu1, dtype=float)
+        panel = np.log(panel)
+    for lo, hi, bound in _PANEL_RULE_HEALTH_BANDS:
+        band = (health > lo) & (health <= hi)
+        assert band.sum() >= 300, (lo, hi)
+        assert np.max(np.abs(panel[band] - modes[band])) <= bound, (lo, hi)
+
+
 def test_cosine_rows_per_distinct_separation_bit_identical(chain_default):
     # A green-style batch: 13 separations over every node, pole node 0, plus
     # pairs with their own separations.  Each block shares one cosine row

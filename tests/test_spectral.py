@@ -430,7 +430,6 @@ _CALLS_OF_LOADED_ROUTINES = {
     "_DLARRB": _reach_solve,
     "_DLANEG": _reach_solve,
     "_DPTTRF": _reach_solve,
-    "_DSTEBZ": _reach_solve,
     "_DPTEQR": _full_solve,
     "_DPTSV": _zero_separation_column,
 }
@@ -483,7 +482,7 @@ def test_direct_lapack_calls_bit_identical_to_scipy_wrappers(fixture, request):
     from scipy.linalg import lapack
 
     from cylpot.cylinder import StableAxialEvaluator
-    from cylpot.spectral import _bracket, _ldl_factor, _path_eigenvalues, mass_scaled_bands
+    from cylpot.spectral import _ldl_factor, _path_eigenvalues, mass_scaled_bands
 
     if fixture == "two_node_path":
         base = cp.build_graph(edges=[[0, 1, 0.7]], mass=[1.0, 2.0], dirichlet_leak=[1.5, 0.0],
@@ -497,10 +496,6 @@ def test_direct_lapack_calls_bit_identical_to_scipy_wrappers(fixture, request):
     assert info == 0
     factor = _ldl_factor(diag, off)
     assert np.array_equal(factor.d, piv) and np.array_equal(factor.lld, ell * ell * piv[:-1])
-    for first, last in ((1, 2), (1, n), (n, n), (n // 2, n // 2 + 1)):
-        m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, first, last, 0.0, b"E")
-        assert info == 0 and m == last - first + 1
-        assert np.array_equal(_bracket(diag, off, first, last), w[:m])
     vals, _, _, info = lapack.dpteqr(diag, off, np.zeros((1, 1)), compute_z=0)
     assert info == 0 and np.array_equal(_path_eigenvalues(diag, off), vals[::-1])
     stable = StableAxialEvaluator(base, mu1=float(cp.decompose(base).mu[0]))
@@ -681,6 +676,42 @@ def test_reach_values_within_2_ulps_of_dqds_error_against_40_digits(cap_small):
         assert err_reach <= err_dqds + 2 * np.spacing(float(exact)), k
 
 
+def test_gershgorin_interval_holds_every_eigenvalue(cap_small):
+    from cylpot.spectral import _gershgorin, _path_eigenvalues, mass_scaled_bands
+
+    # Rows [2, -1, .], [-1, 3, 0.5], [., 0.5, 4]: ends 1, 1.5, 3.5 and 3, 4.5, 4.5.
+    assert _gershgorin(np.array([2.0, 3.0, 4.0]), np.array([-1.0, 0.5])) == (1.0, 4.5)
+    assert _gershgorin(np.array([2.5]), np.empty(0)) == (2.5, 2.5)
+    _, diag, off = mass_scaled_bands(cap_small[0])
+    lo, hi = _gershgorin(diag, off)
+    vals = _path_eigenvalues(diag, off)
+    assert lo <= vals[0] and vals[-1] <= hi
+
+
+@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
+def test_bisection_does_not_depend_on_its_start(fixture, request):
+    # The reach solve bisects lam_1, lam_2 and lam_(K+1) from the Gershgorin
+    # interval and the others from dstemr's values at half-width
+    # 0.25 eps ||T||, and dlarrb widens a bracket that misses.  Starting
+    # every value from either, or from estimates 8 eps ||T|| off, gives the
+    # same eigenvalues within 2 ulps.
+    from cylpot.spectral import _bisect, _ldl_factor, _stemr_vectors, mass_scaled_bands
+
+    _, diag, off = mass_scaled_bands(request.getfixturevalue(fixture)[0])
+    factor = _ldl_factor(diag, off)
+    estimates = _stemr_vectors(diag, off, 20)[0]
+    start = 8.0 * np.finfo(float).eps * max(abs(factor.lo), abs(factor.hi))
+    want = _bisect(factor, [], [], 20)
+    for guess in (estimates, estimates + start, estimates - start):
+        got = _bisect(factor, [], guess, 0)
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 2.0
+    mixed = _bisect(factor, want[:2], estimates[2:19], 1)
+    assert np.array_equal(mixed[:2], want[:2])
+    assert np.max(np.abs(mixed - want) / np.spacing(want)) <= 2.0
+    with pytest.raises(ValueError, match="at most n"):
+        _bisect(factor, [], [], diag.size + 1)
+
+
 @pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
 def test_path_eigenvalues_top_half_within_16_ulps_of_80_bit(fixture, request):
     # Measured worst: 13.1 ulps on cap_small (MRRR: 3.7).
@@ -829,6 +860,18 @@ def test_reach_solve_on_tiny_paths_and_infinite_reach(cap_small):
     spec = cp.decompose(base, reach=math.inf)
     assert np.array_equal(spec.known_eigenvalues, full.known_eigenvalues)
     assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+
+
+def test_reach_solve_rejects_a_disconnected_path_with_equal_rows():
+    # Zero conductances and equal leaks: every eigenvalue is 1, so the
+    # Gershgorin interval is one point.  Its bisection bracket still has a
+    # width that dlarrb can widen (from width 0 it would never return), and
+    # the solve stops at the ground state check.
+    base = cp.build_graph(edges=[[0, 1, 0.0], [1, 2, 0.0]], mass=[1.0, 1.0, 1.0],
+                          dirichlet_leak=[1.0, 1.0, 1.0], d=3)
+    assert base.is_tridiagonal
+    with pytest.raises(DegenerateGroundStateError):
+        cp.decompose(base, reach=1.0)
 
 
 def test_reach_solve_on_a_30000_node_cap_meets_the_hemisphere_oracle():

@@ -120,6 +120,15 @@ def test_normalization_compares_batched_numerators_with_one_pair_values(
     assert check_normalization(ev).max_violation > 0.0
 
 
+def test_normalization_report_is_structural(arc_small):
+    # Its numerators and denominators agree by construction, like the two
+    # sides of the symmetry sweep, and verify.json says so for both.
+    reports = run_suite(_evaluator(arc_small), ("normalization", "symmetry"), count=200)
+    for name in ("normalization", "symmetry"):
+        assert reports[name].passed
+        assert reports[name].to_dict()["extras"]["structural"] is True
+
+
 def _two_kernel_harnack_constant(ev, grid_max, densify):
     """The Harnack constant over the kernel and its transpose, as the
     suite computed it before it dropped the transpose."""
