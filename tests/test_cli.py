@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -581,6 +583,21 @@ def test_chernoff_command_atoms_file(tmp_path):
     assert meta["delays"] == 10 and meta["delay_sum"] == 5.0
 
 
+def test_chernoff_distribution_bytes_are_pinned(tmp_path):
+    # cap-large's recipe: 400 delays on the 1/1000 grid give 195,981 rows,
+    # which write_csv splits over processes on two or more CPUs.  The digest
+    # is that of the repr-based writer the encoder replaced; the grid DP is
+    # IEEE arithmetic alone, so it holds on every platform.
+    rng = random.Random(20261020)
+    atoms = tmp_path / "atoms.txt"
+    atoms.write_text("".join(f"{rng.randint(1, 1000) / 1000!r}\n" for _ in range(400)))
+    assert main(["chernoff", "--atoms", str(atoms), "--out", str(tmp_path / "ch")]) == 0
+    data = (tmp_path / "ch" / "distribution.csv").read_bytes()
+    assert len(data.splitlines()) == 195_982
+    assert (hashlib.sha256(data).hexdigest()
+            == "cf748fd7b11116c14d53b767b1fa94b4f39def70d71a0e7204116d7ee3b17e23")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -622,13 +639,15 @@ def _run_python(code: str, *args: str, env=None) -> str:
 
 def test_cli_import_defers_slow_scipy_modules():
     # scipy.linalg's import loads numpy.f2py, numpy.testing and numpy.ma;
-    # the scipy package itself stays, since callers read its version.
+    # the scipy package itself stays, since callers read its version.  The
+    # CSV formatter's tables wait for the first CSV as well.
     slow = ("scipy.integrate", "scipy.stats", "scipy.linalg", "numpy.f2py")
     code = (
         "import sys, cylpot.cli; "
-        f"print(sorted(m for m in {slow!r} if m in sys.modules), 'scipy' in sys.modules)"
+        f"print(sorted(m for m in {slow!r} if m in sys.modules), 'scipy' in sys.modules, "
+        "cylpot.csvtext._tables.cache_info().currsize)"
     )
-    assert _run_python(code) == "[] True"
+    assert _run_python(code) == "[] True 0"
 
 
 def test_verify_run_does_not_import_scipy_stats(arc_doc, tmp_path):
@@ -795,19 +814,26 @@ def _assert_same_bytes(tmp_path, header, columns):
 
 def _mixed_columns(repeat: int = 1):
     """Header and columns of every cell kind write_csv formats, each column
-    repeated ``repeat`` times (3 * repeat rows)."""
+    repeated ``repeat`` times (3 * repeat rows): the integer extremes, the
+    float thresholds of repr's fixed and exponent layouts, and non-ASCII
+    text among them."""
     ld = np.longdouble
     columns = (
         [True, np.bool_(False), np.True_],
         [3, np.int64(-7), 2**62],
+        np.array([-(2**63), 2**63 - 1, -1], dtype=np.int64),
+        np.array([2**63, 2**64 - 1, 7], dtype=np.uint64),
         [1.0 / 3.0, np.float64(-0.0), np.float64(5e-324)],
         np.array([math.inf, -math.inf, math.nan]),
+        np.array([1e-5, 1e-4, 1e15]),
+        np.array([1e16, 2.0**53 - 1, 2.0**53 + 2]),
         np.array([ld(1) / ld(3), ld(2) ** 70 + 1, -ld(1) / ld(7)]),
         np.array([0.1, 2.5, -3e38], dtype=np.float32),
         ["plain", "a,b", 'say "hi"'],
-        ["x", "", "line\nbreak"],
+        ["Größe µ", "", "line\nbreak"],
     )
-    header = ("flag", "n", "x", "edge", "wide", "single", "text", 'odd,"name"')
+    header = ("flag", "n", "extreme", "big", "x", "edge", "low", "high", "wide", "single", "text",
+              'odd,"name"')
     return header, tuple(
         np.tile(col, repeat) if isinstance(col, np.ndarray) else col * repeat for col in columns
     )
@@ -853,14 +879,14 @@ def _count_forks(monkeypatch) -> list:
 
 def _fail_in_children(monkeypatch) -> None:
     """Make write_csv's formatting raise in every forked child."""
-    parent, csv_lines = os.getpid(), cylpot.cli._csv_lines
+    parent, encode_rows = os.getpid(), cylpot.cli.encode_rows
 
-    def lines(cells):
+    def encode(columns):
         if os.getpid() != parent:
             raise MemoryError("formatting failed in a worker")
-        return csv_lines(cells)
+        return encode_rows(columns)
 
-    monkeypatch.setattr("cylpot.cli._csv_lines", lines)
+    monkeypatch.setattr("cylpot.cli.encode_rows", encode)
 
 
 def test_parallel_csv_matches_row_writer(tmp_path, monkeypatch):
@@ -885,10 +911,10 @@ def test_csv_below_two_workers_never_forks(tmp_path, monkeypatch):
 
 
 def test_csv_transient_memory_is_one_block(tmp_path):
-    # A table's cell texts are formatted a block at a time, so the traced
-    # peak does not grow with the table.  Measured on two float columns of
-    # 200k rows: 1.07 MB with 4096-row blocks, 4.26 MB with 16384-row ones;
-    # the whole table's texts take 28 MB.
+    # A table's cells are formatted a block at a time, so the traced peak
+    # does not grow with the table.  Measured on two float columns of 200k
+    # rows: 1.6 MB with 4096-row blocks, 2.4 MB with 6144-row ones; the
+    # whole table's slots and masks take 45 MB.
     import tracemalloc
 
     rows = 200_000
@@ -927,18 +953,24 @@ def test_failed_csv_worker_raises_and_restores_affinity(tmp_path, monkeypatch):
     pids = _split_csv(monkeypatch)
     _fail_in_children(monkeypatch)
     mask = os.sched_getaffinity(0)
-    with pytest.raises(OSError, match=r"CSV worker for rows 13\.\.26 .* exited with status 1"):
+    with pytest.raises(OSError, match=r"CSV worker for rows 13\.\.26 .* exited with status 1: "
+                                      r"MemoryError: formatting failed in a worker$"):
         write_csv(tmp_path / "t.csv", *_mixed_columns(13))
     assert len(pids) == 2 and not (tmp_path / "t.csv").exists()
     assert os.sched_getaffinity(0) == mask
 
 
-def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capsys):
-    # The default 20 unit delays give 21 atoms: three parts of 7 rows.
+def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capfd):
+    # The default 20 unit delays give 21 atoms: three parts of 7 rows.  The
+    # children print nothing (capfd sees their file descriptors too); the
+    # one error line names what failed in them.
     pids = _split_csv(monkeypatch)
     _fail_in_children(monkeypatch)
     assert main(["chernoff", "--out", str(tmp_path / "ch")]) == 2
-    assert capsys.readouterr().err.startswith("error: OSError: CSV worker for rows 7..14")
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: OSError: CSV worker for rows 7..14")
+    assert lines[0].endswith("exited with status 1: MemoryError: formatting failed in a worker")
     assert len(pids) == 2 and not (tmp_path / "ch" / "distribution.csv").exists()
 
 
@@ -948,17 +980,17 @@ def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
     # each child alone on another one (a child elsewhere fails the write).
     monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
     cpus = sorted(os.sched_getaffinity(0))
-    parent, csv_lines, seen = os.getpid(), cylpot.cli._csv_lines, []
+    parent, encode_rows, seen = os.getpid(), cylpot.cli.encode_rows, []
 
-    def lines(cells):
+    def encode(columns):
         where = os.sched_getaffinity(0)
         if os.getpid() == parent:
             seen.append(where)
         elif len(where) != 1 or where == {cpus[0]}:
             raise AssertionError(f"worker runs on {where}")
-        return csv_lines(cells)
+        return encode_rows(columns)
 
-    monkeypatch.setattr("cylpot.cli._csv_lines", lines)
+    monkeypatch.setattr("cylpot.cli.encode_rows", encode)
     _assert_same_bytes(tmp_path, *_mixed_columns(13))
     assert seen[0] == set(cpus) and seen[1:] == [{cpus[0]}] * (len(seen) - 1)
     assert os.sched_getaffinity(0) == set(cpus)
