@@ -259,19 +259,29 @@ class StableAxialEvaluator:
     def values(self, s, y, x) -> np.ndarray:
         """V(s; y, x) of each pair of the 1-D arrays s >= 0, y and x (scalars
         broadcast) on the panel rule: (1/pi) sum_w qw cos(s w) [T_w^{-1}]_{yx}.
-        Pairs go in blocks of _CHUNK_TERMS // W, and each pair sums its own
-        row in order, so its value does not depend on its batch; a block
-        evaluates one cosine row per distinct separation."""
+        Each distinct (y, x) forms its resolvent row once, in blocks of
+        step = _CHUNK_TERMS // W rows; the pairs of a block gather their
+        rows step at a time, with one cosine row per distinct separation.
+        Each pair sums its own row in order, so its value does not depend
+        on its batch."""
         s, y, x = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)), y, x)
         vals = np.empty(y.shape)
         step = max(1, _CHUNK_TERMS // self._w.size)
-        for lo in range(0, y.size, step):
-            blk = slice(lo, lo + step)
-            terms = self.resolvent(y[blk], x[blk])
-            sep, row = np.unique(s[blk], return_inverse=True)
-            terms *= np.cos(sep[:, None] * self._w)[row]
-            terms *= self._qw
-            vals[blk] = np.cumsum(terms, axis=1)[:, -1]
+        n = self._diag.size
+        key = y * n + x
+        keys = _unique(key)
+        row_of = np.searchsorted(keys, key)
+        order = np.argsort(row_of, kind="stable")
+        bounds = np.searchsorted(row_of[order], np.arange(0, keys.size + step, step))
+        for first, a, b in zip(range(0, keys.size, step), bounds[:-1], bounds[1:]):
+            rows = self.resolvent(*np.divmod(keys[first : first + step], n))
+            for lo in range(a, b, step):
+                idx = order[lo : min(lo + step, b)]
+                terms = rows[row_of[idx] - first]
+                sep, cos_row = np.unique(s[idx], return_inverse=True)
+                terms *= np.cos(sep[:, None] * self._w)[cos_row]
+                terms *= self._qw
+                vals[idx] = np.cumsum(terms, axis=1)[:, -1]
         return vals / math.pi * self._scale[y] * self._scale[x]
 
     def zero_separation_values(self, y, x) -> np.ndarray:
@@ -346,12 +356,17 @@ def _sum_distinct_pairs(modes: _Modes, s, i, j, keep):
     repeated neighbours.  Pairs keeping the same number of modes K are summed
     together in chunks of at most _CHUNK_TERMS terms, each a C-ordered
     (K, pairs) block that _sum_in_order adds row by row, mode by mode.  The
-    rows are gathered from phi.T, a C-contiguous (modes, n) view for the
-    eigendata decompose returns.
+    weights phi_k(i) phi_k(j) / (2 sqrt(mu_k)) are gathered from phi.T, a
+    C-contiguous (modes, n) view for the eigendata decompose returns.
 
     When the separations repeat (at most half as many distinct ones as
     pairs) and their decay rows fit one chunk, each distinct row is formed
-    once and gathered per pair: the same values as forming them per pair."""
+    once and gathered per pair.  Likewise, when the weight rows of the
+    distinct node pairs (i, j), formed at the largest K, take at most half
+    the terms of the per-pair weights, each distinct pair's row is formed
+    once, for a block of _CHUNK_TERMS // width distinct pairs at a time,
+    and the pairs of that block gather it.  Either way the values are those
+    formed per pair."""
     tail = np.zeros(s.size)
     mag = np.zeros(s.size)
     seps = _unique(s)
@@ -361,17 +376,40 @@ def _sum_distinct_pairs(modes: _Modes, s, i, j, keep):
         table = np.exp(-seps * modes.delta[:width, None])
         col = np.searchsorted(seps, s)
     phi_t = modes.phi.T
-    order = np.argsort(keep, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(keep[order])) + 1):
+    nodes = phi_t.shape[1]
+    block = rows = None
+    group_of = keep
+    pair_terms = int(keep.sum())
+    if 0 < 2 * width <= pair_terms:  # else even one distinct row is too many
+        pair_key = i * nodes + j
+        pair_keys = _unique(pair_key)
+        if 2 * pair_keys.size * width <= pair_terms:
+            per = max(1, _CHUNK_TERMS // width)
+            block, rows = np.divmod(np.searchsorted(pair_keys, pair_key), per)
+            # Each block's groups of equal K are neighbours in this order.
+            group_of = block * (width + 1) + keep
+    order = np.argsort(group_of, kind="stable")
+    weights_of = None
+    for group in np.split(order, np.flatnonzero(np.diff(group_of[order])) + 1):
         if not group.size:
             continue
         K = int(keep[group[0]])
+        if rows is not None and weights_of != block[group[0]]:
+            weights_of = block[group[0]]
+            pi, pj = np.divmod(pair_keys[weights_of * per : (weights_of + 1) * per], nodes)
+            # The operations of the per-pair weights below, so the same bits.
+            weights = np.take(phi_t[:width], pi, axis=1)
+            weights *= np.take(phi_t[:width], pj, axis=1)
+            weights /= modes.two_sqrt_mu[:width, None]
         step = max(1, _CHUNK_TERMS // K)
         for lo in range(0, group.size, step):
             idx = group[lo : lo + step]
-            terms = np.take(phi_t[:K], i[idx], axis=1)
-            terms *= np.take(phi_t[:K], j[idx], axis=1)
-            terms /= modes.two_sqrt_mu[:K, None]
+            if rows is None:
+                terms = np.take(phi_t[:K], i[idx], axis=1)
+                terms *= np.take(phi_t[:K], j[idx], axis=1)
+                terms /= modes.two_sqrt_mu[:K, None]
+            else:
+                terms = np.take(weights[:K], rows[idx], axis=1)
             if table is None:
                 decays = np.multiply(-s[idx], modes.delta[:K, None])
                 np.exp(decays, out=decays)

@@ -15,7 +15,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,6 +237,29 @@ def sample_axial_tuples(
     return axial, nodes
 
 
+def _screen_sides(ev: GreenEvaluator, pairs):
+    """ev.screen_many of the (samples, r) ``pairs``, except that a sample
+    whose deepest side (largest |pu - qu|, the first on ties) is certainly
+    lost leaves its other sides unsummed: they hold nan with bound 0,
+    certainly lost as well, which skips the sample either way.  The deepest
+    sides go in one call, and the other sides of the remaining samples in a
+    second.  When every sample's sides share their separation and nodes,
+    they are one mode sum, so all sides go in one call, where
+    GreenEvaluator._mode_sums sums each sample once."""
+    pu, pnode, qu, qnode = pairs = np.broadcast_arrays(*pairs)
+    depth = np.abs(pu - qu)
+    if all((a == a[:, :1]).all() for a in (depth, pnode, qnode)):
+        return ev.screen_many(*pairs)
+    logs, bound = np.full(pu.shape, np.nan), np.zeros(pu.shape)
+    deep = np.zeros(pu.shape, dtype=bool)
+    deep[np.arange(pu.shape[0]), np.argmax(depth, axis=1)] = True
+    logs[deep], bound[deep] = ev.screen_many(*(a[deep] for a in pairs))
+    lost = np.isnan(logs[deep]) & np.isfinite(bound[deep])
+    rest = ~deep & ~lost[:, None]
+    logs[rest], bound[rest] = ev.screen_many(*(a[rest] for a in pairs))
+    return logs, bound
+
+
 def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
            table: dict, **report) -> VerificationReport:
     """Screen -> re-measure -> classify, shared by the exactness sweeps.
@@ -244,17 +267,18 @@ def _sweep(suite: str, ev: GreenEvaluator, pairs, metric, slack: float,
     ``pairs`` holds (pu, pnode, qu, qnode) arrays of shape (samples, r): the
     r Green values one sample compares.  ``metric(logs, k)`` maps the (len(k),
     r) log values of samples k to their measured values; it must move by at
-    most 1 per unit change of any one log value.  The float64 screen settles
-    a sample it measured exactly (all bounds 0: float64 eigendata) or whose
-    certified bound cannot change the outcome (certainly lost, or certainly
-    healthy with value + bound <= slack); every other sample is measured
-    once in 80-bit arithmetic (the eigendata precision of refined chains),
-    and skipped if a mode sum is lost there.  A sweep that resolves no
-    sample measured nothing and is ``insufficient``.  ``table`` maps names
-    to per-sample columns; their resolved rows and the measured values, as
-    ``"violation"``, become the report's ``samples``.
+    most 1 per unit change of any one log value.  The float64 screen
+    (_screen_sides) settles a sample it measured exactly (all bounds 0:
+    float64 eigendata) or whose certified bound cannot change the outcome
+    (certainly lost, or certainly healthy with value + bound <= slack);
+    every other sample is measured once in 80-bit arithmetic (the
+    eigendata precision of refined chains), and skipped if a mode sum is
+    lost there.  A sweep that resolves no sample measured nothing and is
+    ``insufficient``.  ``table`` maps names to per-sample columns; their
+    resolved rows and the measured values, as ``"violation"``, become the
+    report's ``samples``.
     """
-    logs, bound = ev.screen_many(*pairs)
+    logs, bound = _screen_sides(ev, pairs)
     count = logs.shape[0]
     values = metric(logs, np.arange(count)).astype(ev.sqrt_mu.dtype)
     skipped = (np.isnan(logs) & np.isfinite(bound)).any(axis=1)
@@ -423,12 +447,13 @@ def _harnack_levels(ev: GreenEvaluator, grid_max: int, densify: int = 1) -> np.n
     return np.asarray(sorted(set(levels)), dtype=float)
 
 
-def _harnack_constant(
-    ev: GreenEvaluator, grid_max: int, densify: int = 1
-) -> Tuple[float, int]:
-    """Smallest C for the chain inequalities on the level grid."""
+def _harnack_constants(ev: GreenEvaluator, grids) -> List[Tuple[float, int]]:
+    """Smallest C for the chain inequalities, and the triple count, on the
+    level grid of each (grid_max, densify) of ``grids``.  The grids share
+    one log_green_many batch over the union of their level pairs."""
     x0 = ev.reference.node
-    levels = _harnack_levels(ev, grid_max, densify)
+    grids = [_harnack_levels(ev, grid_max, densify) for grid_max, densify in grids]
+    levels = np.asarray(sorted(set().union(*grids)), dtype=float)
     # Level pairs a < c at least one unit apart.  The transpose G(c; a) has
     # the same mode sum, and its drift factors cancel in every triple.
     apart = levels[None, :] >= levels[:, None] + 1.0
@@ -436,12 +461,17 @@ def _harnack_constant(
     logs = ev.log_green_many(levels[lo], x0, levels[hi], x0)
     table = np.full((levels.size, levels.size), np.nan, dtype=logs.dtype)
     table[lo, hi] = logs
-    # Triples u < v < w whose two steps are at least one unit, so that all
-    # three log values exist: log G(u;w) - log G(u;v) - log G(v;w).
-    u, v, w = np.nonzero(apart[:, :, None] & apart[None, :, :])
-    ratio = table[u, w] - table[u, v] - table[v, w]
-    worst = float(np.max(np.abs(ratio), initial=0.0))
-    return math.exp(worst), int(u.size)
+    constants = []
+    for grid in grids:
+        idx = np.searchsorted(levels, grid)
+        near, grid_table = apart[np.ix_(idx, idx)], table[np.ix_(idx, idx)]
+        # Triples u < v < w whose two steps are at least one unit, so that
+        # all three log values exist: log G(u;w) - log G(u;v) - log G(v;w).
+        u, v, w = np.nonzero(near[:, :, None] & near[None, :, :])
+        ratio = grid_table[u, w] - grid_table[u, v] - grid_table[v, w]
+        worst = float(np.max(np.abs(ratio), initial=0.0))
+        constants.append((math.exp(worst), int(u.size)))
+    return constants
 
 
 def check_boundary_harnack(ev: GreenEvaluator, grid_max: int = 10) -> VerificationReport:
@@ -453,8 +483,8 @@ def check_boundary_harnack(ev: GreenEvaluator, grid_max: int = 10) -> Verificati
     C); the grid is then doubled (denser block, denser tail) and
     max_violation, the relative drift of C, is held to _FIXED_TOL["harnack"].
     """
-    c_base, n_base = _harnack_constant(ev, grid_max, densify=1)
-    c_double, n_double = _harnack_constant(ev, 2 * grid_max, densify=2)
+    (c_base, n_base), (c_double, n_double) = _harnack_constants(
+        ev, ((grid_max, 1), (2 * grid_max, 2)))
     drift = abs(c_double / c_base - 1.0)
     return VerificationReport(
         suite="harnack",

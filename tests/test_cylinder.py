@@ -534,6 +534,9 @@ def test_sides_across_a_rung_sum_their_own_mode_counts(chain_default):
 def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, request):
     # A pair's eigenmode value is the same in an (m, 3) batch, in the flat
     # batch and alone; the resolvent route is left out (allow_stable=False).
+    # The nodes come as drawn, and as 18 node pairs each repeated over ten
+    # separations, whose weight rows the batches form once (both precisions
+    # on the refined chain).
     base, spec = request.getfixturevalue(fixture)
     ev = GreenEvaluator(spec=spec, base=base)
     rng = np.random.default_rng(23)
@@ -541,22 +544,27 @@ def test_eigenmode_values_do_not_depend_on_batch_shape(fixture, request):
     pu, qu = rng.uniform(-6.0, 6.0, (m, 3)), rng.uniform(-6.0, 6.0, (m, 3))
     pu[:5] = qu[:5]  # s = 0 keeps every mode
     pn, qn = rng.integers(0, base.n, (m, 3)), rng.integers(0, base.n, (m, 3))
-    grid = ev.log_green_many(pu, pn, qu, qn, allow_stable=False)
-    flat = ev.log_green_many(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel(), allow_stable=False)
-    assert grid.shape == (m, 3)
-    assert np.array_equal(grid.ravel(), flat, equal_nan=True)
-    for k, (a, b, c, d) in enumerate(zip(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel())):
-        try:
-            one = ev.log_green(P(a, int(b)), P(c, int(d)), allow_stable=False)
-        except cp.NumericalLossError:
-            one = np.nan
-        assert np.array_equal(flat[k], one, equal_nan=True)
+    repeated = (np.repeat(pn[: m // 10], 10, axis=0), np.repeat(qn[: m // 10], 10, axis=0))
+    for pn, qn in ((pn, qn), repeated):
+        grid = ev.log_green_many(pu, pn, qu, qn, allow_stable=False)
+        flat = ev.log_green_many(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel(),
+                                 allow_stable=False)
+        assert grid.shape == (m, 3)
+        assert np.array_equal(grid.ravel(), flat, equal_nan=True)
+        for k, (a, b, c, d) in enumerate(zip(pu.ravel(), pn.ravel(), qu.ravel(), qn.ravel())):
+            try:
+                one = ev.log_green(P(a, int(b)), P(c, int(d)), allow_stable=False)
+            except cp.NumericalLossError:
+                one = np.nan
+            assert np.array_equal(flat[k], one, equal_nan=True)
 
 
 def test_resolvent_values_do_not_depend_on_batch(chain_default):
     # Every pair the eigenmode route loses (656 of 984 here) takes the
     # resolvent route, and its value is the same in the flat batch, in the
-    # (3, n) batch and alone.
+    # (3, n) batch and alone.  Each node pair repeats over the three
+    # separations, and its resolvent row is formed once per batch: so also
+    # with the batch shuffled, and with pole columns 0 and 5 in one batch.
     base, spec = chain_default
     ev = GreenEvaluator(spec=spec, base=base)
     u, nodes = np.array([0.3, 1.3, 4.0]), np.arange(base.n)
@@ -568,6 +576,10 @@ def test_resolvent_values_do_not_depend_on_batch(chain_default):
     alone = [ev.log_green_many(a, b, 0.0, 0) for a, b in zip(pu[lost], pn[lost])]
     assert np.array_equal(grid.ravel()[lost], flat[lost])
     assert np.array_equal(np.asarray(alone), flat[lost])
+    perm = np.random.default_rng(4).permutation(pu.size)
+    assert np.array_equal(ev.log_green_many(pu[perm], pn[perm], 0.0, 0), flat[perm])
+    two = ev.log_green_many(np.tile(pu, 2), np.tile(pn, 2), 0.0, np.repeat([0, 5], pu.size))
+    assert np.array_equal(two, np.concatenate([flat, ev.log_green_many(pu, pn, 0.0, 5)]))
 
 
 @pytest.mark.parametrize("pu, qu", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, -np.inf)])
@@ -613,58 +625,107 @@ _DEEP_CHAIN_LEVELS = [
 ]
 
 
+# Panel edges of the fine and finer resolvent rules, far finer than the
+# default panels, and their Gauss orders.
+_FINE_RULE = (np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(40.0, 200.5, 1.0)]), 16)
+_FINER_RULE = (np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)]), 20)
+
+
+def _rule_values(base, spec, s, y, x, rule):
+    """StableAxialEvaluator.values on the Gauss ``rule`` (edges, order),
+    summed over pieces of at most 2048 rule nodes, so that each piece's
+    factorization tables stay small."""
+    from cylpot.cylinder import _gauss_panel_rule
+
+    w, qw = _gauss_panel_rule(*rule)
+    total = 0.0
+    for part in np.array_split(np.arange(w.size), -(-w.size // 2048)):
+        stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
+        stable._w, stable._qw = w[part], qw[part]
+        total = total + stable.values(s, y, x)
+    return total
+
+
 def test_chain_deep_eigenmode_sum_matches_fine_resolvent_rule(chain_deep):
     # The benchmark's deep chain, where the 80-bit mode sum is healthy: the
     # eigenmode log G against resolvent quadrature on rules far finer than
     # the default panels.
-    from cylpot.cylinder import _gauss_panel_rule
-
     base, spec = chain_deep
     ev = GreenEvaluator(spec=spec, base=base)
 
-    def reference(u, nodes, edges, order):
-        stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
-        stable._w, stable._qw = _gauss_panel_rule(edges, order)
-        return -0.5 * base.b * u + np.log(stable.values(abs(u), nodes, 0))
+    def reference(u, nodes, rule):
+        return -0.5 * base.b * u + np.log(_rule_values(base, spec, abs(u), nodes, 0, rule))
 
-    fine_edges = np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(40.0, 200.5, 1.0)])
-    finer_edges = np.concatenate([np.arange(0.0, 40.0, 0.05), np.arange(40.0, 400.5, 1.0)])
     for u, nodes, bound in _DEEP_CHAIN_LEVELS:
         modes = ev.log_green_many(u, nodes, 0.0, 0, allow_stable=False)
         assert not np.isnan(modes).any()
-        fine = reference(u, nodes, fine_edges, 16)
-        finer = reference(u, nodes, finer_edges, 20)
+        fine = reference(u, nodes, _FINE_RULE)
+        finer = reference(u, nodes, _FINER_RULE)
         assert np.max(np.abs(fine - finer)) <= 1e-12  # the reference has converged
         assert np.max(np.abs(np.asarray(modes, dtype=float) - fine)) <= bound
 
 
+def _green_style_batch(chain_deep, levels=slice(None)):
+    """A green-style batch on the benchmark's deep chain: pole (0, 0) and 13
+    jittered axial levels (or those picked by ``levels``) over every node.
+    Returns (s, i, j, tail, mag, health) with the 80-bit mode sums."""
+    base, spec = chain_deep
+    ev = GreenEvaluator(spec=spec, base=base)
+    u = (-6.0 + np.arange(13) + np.random.default_rng(0).uniform(-0.3, 0.3, 13))[levels]
+    s = np.abs(np.repeat(u, base.n))
+    i, j = np.tile(np.arange(base.n), u.size), np.zeros(u.size * base.n, dtype=int)
+    tail, mag = GreenEvaluator._mode_sums(ev._modes, s, i, j, ev._mode_counts(s, i, j))
+    return s, i, j, tail, mag, np.asarray(tail / mag, dtype=float)
+
+
 # Health bands (tail/mag of the 80-bit mode sum) and the largest
 # |log StableAxialEvaluator.values - log mode sum| allowed in each.  Seen
-# on five level grids and poles: 3.3e-8, 3.5e-10 and 4.4e-12.  Above 1e-2,
-# near the diagonal, the panel rule is off by up to 9.5 in log G and is not
-# positive on 6 of these pairs; no route sends such pairs to it.
+# on five level grids and poles: 3.3e-8, 3.5e-10 and 4.4e-12.  That is the
+# mode sum's own error: in each band the panel rule is within 4.4e-13 of
+# the converged fine rule (test_panel_resolvent_matches_fine_rule_by_health_band).
+# Above 1e-2, near the diagonal, the panel rule is off by up to 9.5 in
+# log G and is not positive on 6 of these pairs; no route sends such pairs
+# to it.
 _PANEL_RULE_HEALTH_BANDS = [(1e-8, 1e-6, 5e-8), (1e-6, 1e-4, 1e-9), (1e-4, 1e-2, 1e-11)]
 
 
 def test_panel_resolvent_agrees_with_mode_sum_by_health_band(chain_deep):
-    # A green-style batch on the benchmark's deep chain: pole (0, 0) and 13
-    # jittered axial levels over every node.  The panel rule's agreement
-    # with the 80-bit mode sum, band by band, is its measured domain.
+    # The panel rule's agreement with the 80-bit mode sum on the green-style
+    # batch, band by band.
     base, spec = chain_deep
-    ev = GreenEvaluator(spec=spec, base=base)
-    levels = -6.0 + np.arange(13) + np.random.default_rng(0).uniform(-0.3, 0.3, 13)
-    s = np.abs(np.repeat(levels, base.n))
-    i, j = np.tile(np.arange(base.n), 13), np.zeros(13 * base.n, dtype=int)
-    tail, mag = GreenEvaluator._mode_sums(ev._modes, s, i, j, ev._mode_counts(s, i, j))
-    health = np.asarray(tail / mag, dtype=float)
+    s, i, j, tail, mag, health = _green_style_batch(chain_deep)
     panel = StableAxialEvaluator(base, mu1=float(spec.mu[0])).values(s, i, j)
     with np.errstate(divide="ignore", invalid="ignore"):  # lost or not positive
-        modes = np.asarray(np.log(tail) - s * ev._modes.sqrt_mu1, dtype=float)
+        modes = np.asarray(np.log(tail) - s * np.sqrt(spec.mu[0]), dtype=float)
         panel = np.log(panel)
     for lo, hi, bound in _PANEL_RULE_HEALTH_BANDS:
         band = (health > lo) & (health <= hi)
         assert band.sum() >= 300, (lo, hi)
         assert np.max(np.abs(panel[band] - modes[band])) <= bound, (lo, hi)
+
+
+# Health bands of the 80-bit mode sum up to 1e-2, lost pairs included.  On
+# all 13 levels of the green-style batch (2712, 183, 142, 179, 152 and 344
+# pairs) the panel rule is within 4.4e-13 of the fine rule in every band,
+# while the 80-bit mode sum is off by 1.9e-8, 3.0e-9, 3.5e-10, 1.6e-11 and
+# 1.1e-12 in the healthy ones.
+_FINE_RULE_HEALTH_BANDS = [(-math.inf, 1e-8), (1e-8, 1e-7), (1e-7, 1e-6), (1e-6, 1e-5),
+                           (1e-5, 1e-4), (1e-4, 1e-2)]
+
+
+def test_panel_resolvent_matches_fine_rule_by_health_band(chain_deep):
+    # Levels 0, 3, 6, 9 and 12 of the green-style batch: the default panel
+    # rule against the fine rule, which the test above finds converged to
+    # 1e-12 against the finer rule.
+    base, spec = chain_deep
+    s, i, j, _, _, health = _green_style_batch(chain_deep, [0, 3, 6, 9, 12])
+    panel = StableAxialEvaluator(base, mu1=float(spec.mu[0])).values(s, i, j)
+    fine = _rule_values(base, spec, s, i, j, _FINE_RULE)
+    for lo, hi in _FINE_RULE_HEALTH_BANDS:
+        band = (health > lo) & (health <= hi)
+        assert band.sum() >= 40, (lo, hi)
+        assert np.all(panel[band] > 0.0)
+        assert np.max(np.abs(np.log(panel[band]) - np.log(fine[band]))) <= 1e-12, (lo, hi)
 
 
 def test_cosine_rows_per_distinct_separation_bit_identical(chain_default):
@@ -836,7 +897,9 @@ def test_mode_sums_add_modes_left_to_right(dtype):
     # The eigendata comes C-ordered and F-ordered (as decompose returns it).
     # The batches come as drawn, in runs of 1-3 equal neighbours (summed once
     # and shared), and with runs where a neighbour matches in (s, i, j) but
-    # keeps another number of modes (summed on its own).
+    # keeps another number of modes (summed on its own).  On 12 of the nodes
+    # (144 node pairs) each distinct pair's weight row is formed once, 99
+    # pairs to a block, and the pairs gather it.
     from cylpot.cylinder import _CHUNK_TERMS, _Modes
 
     rng = np.random.default_rng(7)
@@ -864,6 +927,8 @@ def test_mode_sums_add_modes_left_to_right(dtype):
             for at, kept in batches.values():
                 tail, mag = GreenEvaluator._mode_sums(modes, s[at], i[at], j[at], kept)
                 _assert_left_to_right(modes, s[at], i[at], j[at], kept, tail, mag)
+            tail, mag = GreenEvaluator._mode_sums(modes, s, i % 12, j % 12, keep)
+            _assert_left_to_right(modes, s, i % 12, j % 12, keep, tail, mag)
 
 
 def _assert_left_to_right(modes, s, i, j, keep, tail, mag):

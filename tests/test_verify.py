@@ -20,7 +20,7 @@ from cylpot.verify import (
     run_suite,
     sample_axial_tuples,
 )
-from cylpot.verify import _harnack_constant, _harnack_levels
+from cylpot.verify import _harnack_constants, _harnack_levels
 
 
 def _evaluator(pair):
@@ -100,6 +100,53 @@ def test_symmetry_screen_sums_each_sample_once(chain_default, monkeypatch):
     assert summed[0] == 2000 and sum(summed) == 2000
 
 
+def test_sweep_screens_no_side_of_a_certainly_lost_sample(chain_deep, monkeypatch):
+    # Monotonicity screens each sample's deeper side (the larger |u - v|)
+    # first, and the other side only of samples not certainly lost there.
+    # Its report is the one from screening every side.  The symmetry
+    # sweep's sides share separation and nodes: one screen call.
+    from cylpot import verify
+
+    ev = _evaluator(chain_deep)
+    rng = np.random.default_rng(11)
+    u, v = rng.uniform(-6.0, 6.0, (2, 3000))
+    rho = rng.uniform(0.05, 4.0, 3000)
+    i, j = rng.integers(0, ev.spec.n, (2, 3000))
+    samples = list(zip(u, v, rho, i, j))
+    calls = []
+    screen = ev.screen_many
+
+    def recorded(*pairs):
+        calls.append((pairs, screen(*pairs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ev, "screen_many", recorded)
+    got = check_green_monotonicity(ev, samples=samples)
+    (deep_pairs, (logs, bound)), (rest_pairs, _) = calls
+    deeper = np.abs(u + rho - v) > np.abs(u - v)
+    assert np.array_equal(deep_pairs[0], np.where(deeper, u + rho, u))
+    lost = np.isnan(logs) & np.isfinite(bound)
+    assert 0 < np.count_nonzero(lost) < lost.size
+    assert np.array_equal(rest_pairs[0], np.where(deeper, u, u + rho)[~lost])
+    assert np.array_equal(rest_pairs[1], i[~lost]) and np.array_equal(rest_pairs[3], j[~lost])
+
+    monkeypatch.setattr(verify, "_screen_sides", lambda ev, pairs: screen(*pairs))
+    want = check_green_monotonicity(ev, samples=samples)
+    assert got.extras == want.extras and got.extras["skipped_unresolvable"] > 0
+    # Equal values of one dtype (80-bit values carry unused padding bytes).
+    assert got.max_violation.dtype == want.max_violation.dtype
+    assert got.max_violation == want.max_violation
+    assert got.samples.keys() == want.samples.keys()
+    for name, col in want.samples.items():
+        assert got.samples[name].dtype == col.dtype and np.array_equal(got.samples[name], col)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(ev, "screen_many", recorded)
+    calls.clear()
+    check_symmetry_identity(ev, count=2000, seed=13)
+    assert len(calls) == 1 and calls[0][0][0].shape == (2000, 2)
+
+
 @pytest.mark.parametrize("fixture", ["chain_default", "arc_small"])
 def test_normalization_compares_batched_numerators_with_one_pair_values(
     fixture, request, monkeypatch
@@ -154,9 +201,9 @@ def test_harnack_transpose_adds_nothing(fixture, request):
         ev = GreenEvaluator(spec=cp.decompose(base), base=base)
     else:
         ev = _evaluator(request.getfixturevalue(fixture))
-    for grid_max, densify in ((10, 1), (20, 2)):
-        got, triples = _harnack_constant(ev, grid_max, densify)
-        want, want_triples = _two_kernel_harnack_constant(ev, grid_max, densify)
+    grids = ((10, 1), (20, 2))
+    for (got, triples), grid in zip(_harnack_constants(ev, grids), grids):
+        want, want_triples = _two_kernel_harnack_constant(ev, *grid)
         assert triples == want_triples
         assert abs(got / want - 1.0) <= 1e-14
 
@@ -178,10 +225,12 @@ def _dense_harnack_constant(ev, grid_max, densify):
 
 @pytest.mark.parametrize("fixture", ["chain_default", "arc_small", "cap_small", "one_node"])
 def test_harnack_constant_bit_identical_to_dense_table(fixture, request):
+    # The two grids read one batch over the union of their level pairs; each
+    # constant equals its own grid's dense table bit for bit.
     ev = _evaluator(request.getfixturevalue(fixture))
-    for grid_max, densify in ((10, 1), (20, 2)):
-        got = _harnack_constant(ev, grid_max, densify)
-        assert got == _dense_harnack_constant(ev, grid_max, densify)
+    grids = ((10, 1), (20, 2))
+    got = _harnack_constants(ev, grids)
+    assert got == [_dense_harnack_constant(ev, *grid) for grid in grids]
 
 
 def test_harnack_stability_on_arc(arc_small):
