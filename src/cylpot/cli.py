@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectral
 from .base import (
     DEFAULT_NECK_RATIO,
     BaseSpecError,
@@ -73,14 +73,6 @@ def _write_range(fh, columns, start: int, stop: int) -> None:
     for lo in range(start, stop, _WRITE_BLOCK):
         hi = min(lo + _WRITE_BLOCK, stop)
         fh.write(encode_rows([col[lo:hi] for col in columns]))
-
-
-def _worker_cpus() -> list:
-    """The CPUs this process may run on, in order; none where the platform
-    cannot fork a process or place it on a CPU."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
-        return []
-    return sorted(os.sched_getaffinity(0))
 
 
 def _fork_range(columns, start: int, stop: int, cpu: int):
@@ -175,7 +167,7 @@ def write_csv(path: Path, header, columns) -> None:
     rows = len(columns[0]) if columns else 0
     if len(columns) < 2 or any(col.shape != (rows,) for col in columns):
         raise ValueError("CSV needs two or more 1-D columns of equal length")
-    cpus = _worker_cpus()
+    cpus = spectral._worker_cpus()
     parts = min(len(cpus), rows // _ROWS_PER_WORKER)
     fh = open(path, "wb")
     try:
@@ -542,7 +534,7 @@ def cmd_chernoff(args) -> int:
         raise ParameterError(f"L must be positive and finite, got {args.tail_len}")
     if not 0.0 < args.eps < 1.0:
         raise ParameterError(f"eps must lie in (0, 1), got {args.eps}")
-    delays = _read_atoms(args.atoms) if args.atoms else [1.0] * 20
+    delays = np.array(_read_atoms(args.atoms) if args.atoms else [1.0] * 20)
     dist = exact_convolution(delays)
     exact = tail_mass(dist, args.tail_len)
     betas = np.arange(0.05, 5.0001, 0.05)

@@ -117,7 +117,9 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
     the one before becomes one atom at the run's lowest point, whatever the
     run's total span.  Grid atoms never merge, since the grid step is at
     least 1/_GRID_DENOMINATOR_CAP, so the grid path reads its atoms off the
-    DP buffer in reverse tick order without sorting.
+    DP buffer in reverse tick order without sorting.  The law on the grid is
+    a palindrome bit for bit at every step, so the DP holds only its lower
+    half and mirrors the upper half out once, at the end.
 
     Each grid step halves the sum (p + q) where the textbook step adds the
     halves 0.5 p + 0.5 q; halving is exact above the subnormal range, so
@@ -134,28 +136,34 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
     if step is not None:
         ticks = np.rint(a / step).astype(np.int64)
         total = int(np.sum(ticks))
-        pmf = np.zeros(total + 1)
+        pmf = np.zeros(total // 2 + 1)
         pmf[0] = 1.0
-        spare = np.zeros(total + 1)
+        spare = np.zeros_like(pmf)
         top = 0
         for k in ticks:
             if k == 0:
                 continue
-            # new[t] = (old[t] + old[t - k]) * 0.5 on [0, top + k], old being
-            # 0 off [0, top]: the lowest and the highest min(k, top + 1)
-            # ticks only halve one term.  A gap between them (k > top + 1)
-            # lies above the mass the spare buffer held two steps ago, so it
-            # is 0 already.  Writing into a second buffer spares numpy the
-            # copy of an overlapping in-place add.
-            edge = min(k, top + 1)
+            # new[t] = (old[t] + old[t - k]) * 0.5, old being 0 off [0, top].
+            # Both laws are palindromes bit for bit: new[top + k - t] adds
+            # the same two values, and addition commutes.  So the buffers
+            # hold only [0, top // 2], and the step forms new on
+            # [0, (top + k) // 2], where old[t - k] stays in the held half.
+            # old[t] above it is its mirror old[top - t], copied up first;
+            # past top it is 0, since a step writes neither buffer above
+            # (top + k) // 2.  Below k only old[t] is halved.  Writing into
+            # a second buffer spares numpy the copy of an overlapping add.
+            half, mid = top // 2, (top + k) // 2
+            mirror = min(top, mid)
+            pmf[half + 1 : mirror + 1] = pmf[top - mirror : top - half][::-1]
+            edge = min(k, mid + 1)
             np.multiply(pmf[:edge], 0.5, out=spare[:edge])
-            np.add(pmf[k : top + 1], pmf[: top + 1 - edge], out=spare[k : top + 1])
-            spare[k : top + 1] *= 0.5
-            np.multiply(pmf[top + 1 - edge : top + 1], 0.5,
-                        out=spare[top + k + 1 - edge : top + k + 1])
+            if k <= mid:
+                np.add(pmf[k : mid + 1], pmf[: mid + 1 - k], out=spare[k : mid + 1])
+                spare[k : mid + 1] *= 0.5
             pmf, spare = spare, pmf
             top += k
         del spare
+        pmf = np.concatenate((pmf, pmf[: total - pmf.size + 1][::-1]))
         ticks = np.flatnonzero(pmf > 0.0)[::-1]
         probs = pmf[ticks]
         del pmf

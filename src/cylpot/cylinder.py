@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import BaseOperator, ParameterError
 from .spectral import (_DPTSV, SpectralData, _doubles, _gershgorin, _int, _lapack,
-                       mass_scaled_bands)
+                       _run_pair, mass_scaled_bands)
 
 __all__ = [
     "CylinderPoint",
@@ -289,13 +289,33 @@ class StableAxialEvaluator:
         column x on the s = 0 rule: (1/pi) sum_w qw [T_w^{-1}]_{yx}.
 
         Each rule node takes one dptsv solve T_w z = e_x, and the requested
-        rows of z add to the sum in node order, so memory is O(n + len(y))
-        and a row's value does not depend on the other rows requested.
-        dptsv overwrites T_w's bands and e_x, so each node refills the same
-        buffers, whose pointers are made once: d, and e and z from one
-        template (off, e_x) in one copy.
+        rows of z add to the sum in node order, so a row's value does not
+        depend on the other rows requested.  The first half of the rule's
+        nodes is summed as it is solved; _run_pair may solve the second
+        half on this thread meanwhile, whose O(W len(y)) rows wait to be
+        added after.
         """
         y, x = np.atleast_1d(y), operator.index(x)
+        cut = self._zero_rule[0].size // 2
+
+        def first_half():
+            acc = np.zeros(y.shape)
+            for row in self._zero_rule_rows(y, x, slice(None, cut)):
+                acc += row
+            return acc
+
+        acc, later = _run_pair(first_half,
+                               lambda: list(self._zero_rule_rows(y, x, slice(cut, None))),
+                               self._diag.size)
+        for row in later:
+            acc += row
+        return acc / math.pi * self._scale[y] * self._scale[x]
+
+    def _zero_rule_rows(self, y, x: int, part: slice):
+        """Yield qw z[y] of each node (w, qw) of the s = 0 rule in ``part``,
+        in order, z solving T_w z = e_x.  dptsv overwrites T_w's bands and
+        e_x, so each node refills the same buffers, whose pointers are made
+        once: d, and e and z from one template (off, e_x) in one copy."""
         n = self._diag.size
         template = np.zeros(2 * n - 1)
         template[: n - 1] = self._off
@@ -306,16 +326,14 @@ class StableAxialEvaluator:
         solve = _lapack(*_DPTSV)
         args = (_int(n), _int(1), _doubles(d), _doubles(e), _doubles(z), _int(n),
                 ctypes.byref(info))
-        acc = np.zeros(y.shape)
-        for w, qw in zip(*self._zero_rule):
+        for w, qw in zip(self._zero_rule[0][part], self._zero_rule[1][part]):
             np.add(self._diag, self._shift + w * w, out=d)
             ez[:] = template
             solve(*args)
             if info.value:
                 raise NumericalLossError(
                     f"dptsv failed on T_w at w = {w!r} with info={info.value}")
-            acc += z[y] * qw
-        return acc / math.pi * self._scale[y] * self._scale[x]
+            yield z[y] * qw
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ are the roots of alpha**2 + b*alpha = lam_1:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.machinery
@@ -19,6 +20,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -47,6 +49,17 @@ _RESIDUAL_TOL = 1e-6
 
 # Eigenvector columns per block of the residual check and the sign flips.
 _RESIDUAL_BLOCK = 256
+
+# Fewest base nodes on which _run_pair gives its two callables a thread
+# each.  On d = 4 caps (2 vCPUs, numpy 2.4.6, scipy 1.17.1; in process,
+# median of 21 calls), one thread against two: the s = 0 rule's 66 rows
+# took 7.6 against 9.9 ms at n = 800 (the helper's numpy steps wait on the
+# GIL), 10.4-11.9 against 10.6-11.3 at 1000 and 12.4-13.2 against 9.7-10.5
+# at 1250.  A 12-mode decompose and a 51-value bisection gain from n = 328
+# on (4.3 against 3.7 ms, 1.5 against 1.2 ms), while perfbench's whole
+# chain-deep job (n = 328; median of 8 alternating runs in process) took
+# 0.388 against 0.385 s, within its noise.
+_PAIR_NODES = 1000
 
 # LAPACK routines called through the pointers that scipy.linalg.cython_lapack
 # exports, the only way cylpot reaches LAPACK on path bases: (name, kinds of
@@ -390,6 +403,61 @@ def _ints(a: np.ndarray):
     return a.ctypes.data_as(_CTYPES["i"])
 
 
+def _worker_cpus() -> list:
+    """The CPUs this process may run on, in order; none where the platform
+    cannot fork a process or place it on a CPU, which callers take as one."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _run_pair(first, second, nodes: int):
+    """(first(), second()) of two independent callables, for a base of
+    ``nodes`` nodes.
+
+    With at least _PAIR_NODES nodes and two usable CPUs, ``first`` runs on
+    a helper thread placed on the second CPU while ``second`` runs in this
+    thread, placed on the first; ctypes releases the GIL for each LAPACK
+    call, so the two overlap.  Otherwise, or when no thread can start, they
+    run one after the other, here.  Either way first's exception wins, as
+    if run in order; the helper is joined and this thread's CPU mask
+    restored before this returns or raises.  The helper must call no
+    public function of cylpot: a tracer that wraps those keeps one stack.
+    """
+    cpus = _worker_cpus() if nodes >= _PAIR_NODES else []
+    if len(cpus) < 2:
+        return first(), second()
+    done, failed = [], []
+
+    def helper():
+        try:
+            # Placed as the CSV writer's processes are.  Unplaced threads
+            # overlapped as well (n = 3000 cap, 2 vCPUs, in process), so the
+            # speed-up does not rest on the placement, nor do the bits.
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpus[1]})
+            done.append(first())
+        except BaseException as exc:  # noqa: BLE001 - raised in the caller
+            failed.append(exc)
+
+    mask = os.sched_getaffinity(0)
+    thread = threading.Thread(target=helper, name="cylpot-pair")
+    try:
+        thread.start()
+    except RuntimeError:
+        return first(), second()
+    try:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[0]})
+        own = second()
+    finally:
+        os.sched_setaffinity(0, mask)
+        thread.join()
+        if failed:
+            raise failed[0]
+    return done[0], own
+
+
 def _stemr_vectors(diag: np.ndarray, off: np.ndarray, count: int):
     """The ``count`` lowest eigenvalues, ascending, of the symmetric
     tridiagonal (diag, off) and their eigenvectors as an (n, count)
@@ -503,7 +571,10 @@ def _bisect(factor: _Factor, known, estimates, unknown: int) -> np.ndarray:
     within about 0.2 eps * ||T||) start at half-width 0.25 eps * ||T||, the
     others from the Gershgorin interval, at least eps * ||T|| wide.  dlarrb
     widens a missed bracket in doubling steps, so it would never return for
-    an index above n, nor from a bracket of width 0 (a one-point interval)."""
+    an index above n, nor from a bracket of width 0 (a one-point interval).
+
+    Each bracket bisects on its own, so the brackets are cut into two
+    halves, which _run_pair may bisect on two threads."""
     eps, lo, hi, n = np.finfo(float).eps, factor.lo, factor.hi, factor.d.size
     first, guessed = len(known), len(estimates)
     count = first + guessed + unknown
@@ -513,19 +584,33 @@ def _bisect(factor: _Factor, known, estimates, unknown: int) -> np.ndarray:
     w = np.concatenate([known, estimates, np.full(unknown, 0.5 * (lo + hi))], dtype=float)
     werr = np.concatenate([np.zeros(first), np.full(guessed, 0.25 * eps * tnorm),
                            np.full(unknown, max(0.5 * (hi - lo), eps * tnorm))])
-    wgap = np.zeros(count)  # read only through rtol1 = 0
-    work = np.empty(2 * count)
-    iwork = np.empty(2 * count, dtype=np.intc)
+    cut = (first + count) // 2
+    if cut > first:
+        _run_pair(functools.partial(_dlarrb, factor, w, werr, first, cut),
+                  functools.partial(_dlarrb, factor, w, werr, cut, count), n)
+    else:
+        _dlarrb(factor, w, werr, first, count)
+    return w
+
+
+def _dlarrb(factor: _Factor, w: np.ndarray, werr: np.ndarray, first: int, last: int) -> None:
+    """Bisect the brackets w[i] -/+ werr[i] of eigenvalues first..last - 1
+    (from 0) of the factored matrix in place, with LAPACK's dlarrb; see
+    ``_bisect``.  Only those entries of w and werr are read or written, so
+    calls on disjoint ranges may run at once."""
+    eps, lo, hi, n = np.finfo(float).eps, factor.lo, factor.hi, factor.d.size
+    wgap = np.zeros(last - first)  # read only through rtol1 = 0
+    work = np.empty(2 * last)      # dlarrb indexes work by eigenvalue, not offset
+    iwork = np.empty(2 * last, dtype=np.intc)
     info = ctypes.c_int(0)
     _lapack(*_DLARRB)(
-        _int(n), _doubles(factor.d), _doubles(factor.lld), _int(first + 1), _int(count),
-        _real(0.0), _real(eps), _int(0),                       # rtol1, rtol2, offset
-        _doubles(w), _doubles(wgap), _doubles(werr), _doubles(work), _ints(iwork),
-        _real(factor.pivmin), _real(hi - lo), _int(n), ctypes.byref(info),
+        _int(n), _doubles(factor.d), _doubles(factor.lld), _int(first + 1), _int(last),
+        _real(0.0), _real(eps), _int(first),                   # rtol1, rtol2, offset
+        _doubles(w[first:]), _doubles(wgap), _doubles(werr[first:]), _doubles(work),
+        _ints(iwork), _real(factor.pivmin), _real(hi - lo), _int(n), ctypes.byref(info),
     )
     if info.value != 0:
         raise EigensolverError(f"dlarrb failed with info={info.value}")
-    return w
 
 
 def _reach_band(diag, off, c: float, reach: float, modes: int):
@@ -622,9 +707,12 @@ def decompose(
     1..K+1, in O(nK) instead of dqds's O(n^2): lam_1 and lam_2 by
     bisection, K by a Sturm count, and every value refined by bisection on
     the L D L^T factor that dqds works on, to the same relative accuracy
-    (see SpectralData.known_eigenvalues).  Other bases take a dense solve,
-    which forms every mode, so there ``modes`` and ``reach`` are lower
-    bounds.
+    (see SpectralData.known_eigenvalues).  From _PAIR_NODES nodes on, a
+    solve without ``reach`` runs dqds beside dstemr on two threads
+    (``_run_pair``), and a ``reach`` solve bisects two halves of its
+    brackets so; the bits stay those of one thread.  Other bases take a
+    dense solve, which forms every mode, so there ``modes`` and ``reach``
+    are lower bounds.
 
     On chain bases, whose deep-separation Green sums need the extra
     digits, ``refine_low_band`` (on by default; other bases ignore it)
@@ -664,15 +752,23 @@ def decompose(
         if band is not None:
             vals, psi = band
         else:
-            vals = _path_eigenvalues(diag, off)
-            _check_ground_eigenvalue(vals)
-            if reach is not None:
+            def eigenvalues():
+                vals = _path_eigenvalues(diag, off)
+                _check_ground_eigenvalue(vals)
+                return vals
+
+            if reach is not None:  # the mode count waits for the eigenvalues
+                vals = eigenvalues()
                 sm = np.sqrt(vals + 0.25 * base.b * base.b)
                 modes = max(modes or 1, int(np.searchsorted(sm - sm[0], reach, side="right")))
             # stemr returns its eigenvalues ascending, so its columns pair with
             # the dqds list by index (the residual check would catch a mismatch).
             full = modes is None or modes >= base.n or refine
-            psi = _stemr_vectors(diag, off, base.n if full else modes)[1]
+            vectors = functools.partial(_stemr_vectors, diag, off, base.n if full else modes)
+            if reach is None:
+                vals, (_, psi) = _run_pair(eigenvalues, vectors, base.n)
+            else:
+                psi = vectors()[1]
             if refine:
                 vals, psi = _refine_low_band(diag, off, vals, psi, refine_cutoff)
                 s = s.astype(np.longdouble)

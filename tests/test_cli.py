@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -187,6 +188,31 @@ def test_converge_command(arc_doc, tmp_path):
     assert meta["strictly_decreasing"] is True
     assert meta["rel_deviation"] <= 0.10
     assert abs(meta["expected_rate"] + 1.0) <= 1e-3
+
+
+def test_commands_write_the_same_bytes_with_paired_solves(arc_doc, tmp_path, monkeypatch):
+    # spectrum and converge run their solves on two pinned threads when
+    # every base passes the node gate, and one after the other on one CPU:
+    # the same CSV bytes, and after each command the same CPU mask and
+    # thread count (no helper outlives it).
+    mask, threads = os.sched_getaffinity(0), threading.active_count()
+    base = ["--base", str(arc_doc)]
+    tables = {}
+    for force in ("on", "off"):
+        with monkeypatch.context() as patch:
+            if force == "on":
+                patch.setattr("cylpot.spectral._PAIR_NODES", 0)
+            else:
+                patch.setattr("cylpot.spectral._worker_cpus", lambda: [min(mask)])
+            for argv in (["spectrum", *base], ["converge", *base, "--v-max", "30"],
+                         ["chernoff"]):
+                out = tmp_path / force / argv[0]
+                assert main(argv + ["--out", str(out)]) == 0
+                assert os.sched_getaffinity(0) == mask
+                assert threading.active_count() == threads
+                tables[force, argv[0]] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    for command in ("spectrum", "converge", "chernoff"):
+        assert tables["on", command] == tables["off", command]
 
 
 def test_converge_rejects_empty_pole_grid(arc_doc, tmp_path):
@@ -861,7 +887,7 @@ def _split_csv(monkeypatch, workers: int = 3) -> list:
     os.fork returns in this process, as a list that fills as it forks."""
     monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
     cpu = min(os.sched_getaffinity(0))
-    monkeypatch.setattr("cylpot.cli._worker_cpus", lambda: [cpu] * workers)
+    monkeypatch.setattr("cylpot.spectral._worker_cpus", lambda: [cpu] * workers)
     return _count_forks(monkeypatch)
 
 

@@ -284,6 +284,23 @@ def _convolve_in_place(ticks):
     return pmf
 
 
+def _assert_grid_dp_matches_in_place(delays):
+    """exact_convolution's grid route against the full-grid in-place DP,
+    bit for bit: atoms, masses, +0.0 for an atom at 0, and masses that
+    read the same backwards (the law is a palindrome on the grid)."""
+    step = _common_grid(delays)
+    assert step is not None  # the grid route
+    pmf = _convolve_in_place(np.rint(delays / step).astype(np.int64))
+    keep = pmf > 0.0
+    support, probs = _merge_atoms(-step * np.arange(pmf.size)[keep], pmf[keep])
+    dist = exact_convolution(delays)
+    assert dist.support.tobytes() == support.tobytes()
+    assert dist.probabilities.tobytes() == probs.tobytes()
+    assert dist.probabilities.tobytes() == dist.probabilities[::-1].tobytes()
+    assert not np.any(np.signbit(dist.support[dist.support == 0.0]))
+    return dist
+
+
 def test_double_buffered_grid_dp_bit_identical_to_in_place():
     # 300 seeded delay lists with zero ticks, first ticks past the mass
     # (gaps) and denominators up to 10,000, then the 400 delays of the
@@ -299,23 +316,40 @@ def test_double_buffered_grid_dp_bit_identical_to_in_place():
     draw = random.Random("cap-large:3")
     cases.append(np.array([draw.randint(1, 1000) / 1000 for _ in range(400)]))
     for delays in cases:
-        step = _common_grid(delays)
-        assert step is not None  # the grid route
-        pmf = _convolve_in_place(np.rint(delays / step).astype(np.int64))
-        keep = pmf > 0.0
-        support, probs = _merge_atoms(-step * np.arange(pmf.size)[keep], pmf[keep])
-        dist = exact_convolution(delays)
-        assert dist.support.tobytes() == support.tobytes()
-        assert dist.probabilities.tobytes() == probs.tobytes()
-        assert dist.support[-1] == 0.0 and not np.signbit(dist.support[-1])
+        assert _assert_grid_dp_matches_in_place(delays).support[-1] == 0.0
+
+
+def test_half_grid_dp_edge_steps_bit_identical_to_in_place():
+    # Odd and even totals, zero ticks, and gap steps (k > top + 1, which
+    # leave ticks of zero mass between the two copies), on the 1/7 grid.
+    for ticks in ([1], [2], [3, 1], [1, 5], [0, 6, 0, 1, 0], [2, 7, 7, 1],
+                  [7, 7, 7, 7, 6], [1, 1, 1, 1, 3, 7, 7], [0, 0], [5, 3, 7, 2, 6]):
+        delays = np.array(ticks) / 7
+        dist = _assert_grid_dp_matches_in_place(delays)
+        assert dist.atom_count <= 2 ** np.count_nonzero(delays)
+    ticks = _assert_grid_dp_matches_in_place(np.array([1, 5]) / 7).support * 7
+    assert np.allclose(ticks, [-6, -5, -1, 0], rtol=0.0, atol=1e-12)
+
+
+def test_half_grid_dp_bit_identical_in_the_subnormal_range():
+    # 1200 nonzero delays on the 1/40 grid: the outer masses fall through
+    # the subnormals (where halving rounds) to 0, the atom at 0 among them,
+    # and the kept ones still match the full-grid DP bit for bit.
+    delays = np.random.default_rng(1200).integers(1, 41, size=1200) / 40
+    dist = _assert_grid_dp_matches_in_place(delays)
+    assert np.min(dist.probabilities) < np.finfo(float).tiny
+    assert dist.support[-1] < 0.0
 
 
 def test_grid_convolution_peak_memory():
     # 400 delays on the 1/1000 grid, about 200k ticks (the benchmark's
-    # cap-large job at seed 7).  The DP holds two buffers of (ticks + 1)
-    # floats; the atoms are gathered from one of them without sorting or
+    # cap-large job at seed 7).  The DP holds two half-grid buffers of
+    # (ticks // 2 + 1) floats; the law is mirrored out into one full-grid
+    # buffer, and the atoms are gathered from it without sorting or
     # merging.  Traced peak, measured at 194,845 ticks: 4.88 MB, 3.1
-    # buffers; sorting and merging the atoms took 12.67 MB, 8.1 buffers.
+    # buffers (the full law, its ticks and its masses), as with two
+    # full-grid DP buffers; sorting and merging the atoms took 12.67 MB,
+    # 8.1 buffers.
     import tracemalloc
 
     draw = random.Random("cap-large:7")

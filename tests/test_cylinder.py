@@ -785,8 +785,9 @@ def cap_1500_rule():
 
 def test_zero_separation_column_peak_memory_stays_below_one_table(cap_1500_rule):
     # One column solves T_w z = e_x node by node and keeps the requested
-    # rows: n-vectors and one accumulator per pair, about 0.1 MB here.  A
-    # table of every column at every rule node would be n x W doubles.
+    # rows: n-vectors for each half of the rule, one accumulator per pair
+    # and the second half's rows, about 0.25 MB here.  A table of every
+    # column at every rule node would be n x W doubles.
     import tracemalloc
 
     base, rule = cap_1500_rule

@@ -1,4 +1,7 @@
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -892,3 +895,160 @@ def test_reach_forms_every_mode_off_the_plain_path(chain_default, chain_shortcut
     assert spec.modes == base.n
     assert np.array_equal(spec.eigenvectors, full.eigenvectors)
     assert cp.decompose(cp.load_base(chain_shortcut[1]), reach=1.0).modes == chain_shortcut[0].n
+
+
+def _one_cpu(monkeypatch):
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr("cylpot.spectral._worker_cpus", lambda: [cpu])
+
+
+def _solves_both_ways(monkeypatch, solve):
+    """solve() with _run_pair's helper thread forced on (every base passes
+    the node gate), then with one usable CPU; the CPU mask and the thread
+    count are unchanged after each call."""
+    mask, threads = os.sched_getaffinity(0), threading.active_count()
+    results = []
+    for force in ("on", "off"):
+        with monkeypatch.context() as patch:
+            if force == "on":
+                patch.setattr("cylpot.spectral._PAIR_NODES", 0)
+            else:
+                _one_cpu(patch)
+            results.append(solve())
+        assert os.sched_getaffinity(0) == mask
+        assert threading.active_count() == threads
+    return results
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+@pytest.mark.parametrize("fixture", ["arc_small", "cap_small", "chain_default"])
+def test_paired_solves_bit_identical_to_one_thread(fixture, request, monkeypatch):
+    # decompose's dpteqr beside dstemr, _bisect's two halves of brackets and
+    # the two halves of the s = 0 rule give the bits of one thread.
+    from cylpot.cylinder import StableAxialEvaluator
+    from cylpot.spectral import (_bisect, _dlarrb, _ldl_factor, _reach_band, _stemr_vectors,
+                                 mass_scaled_bands)
+
+    base, spec = request.getfixturevalue(fixture)
+    _, diag, off = mass_scaled_bands(base)
+    shift = 0.25 * base.b * base.b
+    stable = StableAxialEvaluator(base, mu1=float(spec.mu[0]))
+    nodes = np.arange(0, base.n, 3)
+
+    def solve():
+        out = []
+        for kwargs in ({}, {"modes": 7}, {"reach": 1.5}):
+            got = cp.decompose(base, **kwargs)
+            out.append((got.known_eigenvalues, got.eigenvectors, np.array(got.eig_residual)))
+        out.append(_reach_band(diag, off, shift, 1.5, 1))
+        out.append(_reach_band(diag, off, shift, 0.0, 2))
+        out.append(stable.zero_separation_values(nodes, base.reference_node))
+        return tuple(out)
+
+    paired, alone = _solves_both_ways(monkeypatch, solve)
+    assert _same(paired, alone)
+    # References: the fixture's solve, one dlarrb call over every bracket,
+    # and the s = 0 rule summed through scipy's dptsv wrapper.
+    assert _same(paired[0], (spec.known_eigenvalues, spec.eigenvectors,
+                             np.array(spec.eig_residual)))
+    factor = _ldl_factor(diag, off)
+    estimates = _stemr_vectors(diag, off, 12)[0]
+    w = np.concatenate([estimates[:11], [0.5 * (factor.lo + factor.hi)]])
+    eps, tnorm = np.finfo(float).eps, max(abs(factor.lo), abs(factor.hi))
+    werr = np.concatenate([np.full(11, 0.25 * eps * tnorm),
+                           [max(0.5 * (factor.hi - factor.lo), eps * tnorm)]])
+    _dlarrb(factor, w, werr, 0, 12)
+    halves = _solves_both_ways(monkeypatch, lambda: _bisect(factor, [], estimates[:11], 1))
+    assert _same(halves[0], w) and _same(halves[1], w)
+    assert _same(paired[-1], _zero_separation_by_wrapper(stable, nodes, base.reference_node))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_pair_runs_the_first_callable_on_a_pinned_helper(monkeypatch):
+    from cylpot.spectral import _run_pair
+
+    cpus = sorted(os.sched_getaffinity(0))
+    main = threading.get_ident()
+
+    def where():
+        return threading.get_ident() != main, os.sched_getaffinity(0)
+
+    monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 10)
+    assert _run_pair(where, where, 10) == ((True, {cpus[1]}), (False, {cpus[0]}))
+    assert _run_pair(where, where, 9) == ((False, set(cpus)), (False, set(cpus)))
+    _one_cpu(monkeypatch)
+    assert _run_pair(where, where, 10) == ((False, set(cpus)), (False, set(cpus)))
+    assert os.sched_getaffinity(0) == set(cpus)
+
+
+def test_helper_exception_reaches_the_caller_first(monkeypatch):
+    # first's exception wins over second's, as if the two ran in order.
+    # Beside the helper, second runs to its end (three calls); in order, it
+    # does not start after first failed (one call).
+    from cylpot.spectral import _run_pair
+
+    class HelperFailed(Exception):
+        pass
+
+    ran = []
+
+    def fails():
+        raise HelperFailed("in the helper")
+
+    def second(exc=None):
+        ran.append(threading.get_ident())
+        if exc is not None:
+            raise exc
+
+    def pairs():
+        for tail in (None, KeyError("in the caller")):
+            with pytest.raises(HelperFailed, match="in the helper"):
+                _run_pair(fails, functools.partial(second, tail), 10**6)
+        with pytest.raises(KeyError, match="in the caller"):
+            _run_pair(lambda: 1, functools.partial(second, KeyError("in the caller")), 10**6)
+        return len(ran)
+
+    assert _solves_both_ways(monkeypatch, pairs) == [3, 4]
+
+
+def test_pair_runs_in_order_when_no_thread_starts(monkeypatch):
+    from cylpot.spectral import _run_pair
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 0)
+    mask, order = os.sched_getaffinity(0), []
+    assert _run_pair(lambda: order.append(1) or "a", lambda: order.append(2) or "b", 5) == (
+        "a", "b")
+    assert order == [1, 2] and os.sched_getaffinity(0) == mask
+
+
+def test_not_positive_definite_wins_over_a_failed_dstemr(monkeypatch):
+    # dpteqr raises NotPositiveDefiniteError; dstemr, run beside it, would
+    # raise EigensolverError.  dpteqr's error is the one raised, as when
+    # dstemr ran only after it.
+    from cylpot.spectral import EigensolverError
+
+    base = cp.build_graph(edges=[[i, i + 1, 1.0] for i in range(9)], mass=[1.0] * 10,
+                          dirichlet_leak=[0.0] * 10, d=3)
+    assert base.is_tridiagonal
+
+    def stemr_fails(*args):
+        raise EigensolverError("dstemr failed")
+
+    def solve():
+        with pytest.raises(NotPositiveDefiniteError):
+            cp.decompose(base)
+        with pytest.raises(NotPositiveDefiniteError):
+            cp.decompose(base, modes=3)
+        return True
+
+    monkeypatch.setattr("cylpot.spectral._stemr_vectors", stemr_fails)
+    assert _solves_both_ways(monkeypatch, solve) == [True, True]
