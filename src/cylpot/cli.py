@@ -75,9 +75,9 @@ def _write_range(fh, columns, start: int, stop: int) -> None:
         fh.write(encode_rows([col[lo:hi] for col in columns]))
 
 
-def _fork_range(columns, start: int, stop: int, cpu: int):
+def _fork_range(columns, start: int, stop: int):
     """(pid, temp file) of a forked child that writes rows [start, stop)
-    into the temp file from CPU ``cpu``; None when fork fails.
+    into the temp file; None when fork fails.
 
     The child runs only numpy formatting and file writes (no BLAS, no
     locks) and leaves through os._exit: status 0 once every row is written,
@@ -93,10 +93,6 @@ def _fork_range(columns, start: int, stop: int, cpu: int):
     if pid == 0:
         code = 1
         try:
-            # A forked child starts on its parent's CPU; placement is what
-            # lets the two run at once, not a condition of correct bytes.
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, {cpu})
             _write_range(tmp, columns, start, stop)
             tmp.flush()
             code = 0
@@ -113,20 +109,17 @@ def _fork_range(columns, start: int, stop: int, cpu: int):
     return pid, tmp
 
 
-def _write_parts(fh, columns, cuts, cpus) -> None:
+def _write_parts(fh, columns, cuts) -> None:
     """Write the row ranges between consecutive ``cuts``: range k > 0 in a
-    child forked onto cpus[k], range 0 (and any range whose fork failed) in
-    this process on cpus[0], appended in order.  Every child is reaped
-    before this returns or raises."""
+    forked child, range 0 (and any range whose fork failed) in this
+    process, appended in order.  Every child is reaped before this returns
+    or raises."""
     workers, live = [], set()
-    mask = os.sched_getaffinity(0)
     try:
-        for lo, hi, cpu in zip(cuts[1:-1], cuts[2:], cpus[1:]):
-            workers.append(_fork_range(columns, lo, hi, cpu))
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork_range(columns, lo, hi))
             if workers[-1] is not None:
                 live.add(workers[-1][0])
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpus[0]})
         _write_range(fh, columns, cuts[0], cuts[1])
         for worker, lo, hi in zip(workers, cuts[1:-1], cuts[2:]):
             if worker is None:
@@ -148,17 +141,16 @@ def _write_parts(fh, columns, cuts, cpus) -> None:
         for worker in workers:
             if worker is not None:
                 worker[1].close()
-        os.sched_setaffinity(0, mask)
 
 
 def write_csv(path: Path, header, columns) -> None:
     """Write a CSV table given column by column, with csv.writer's bytes.
 
     There are at least two columns, each holding one value per row; the
-    lines are formatted and written _WRITE_BLOCK rows at a time.  A table of
-    at least 2 * _ROWS_PER_WORKER rows is cut into min(usable CPUs,
-    rows // _ROWS_PER_WORKER) contiguous ranges, each formatted by its own
-    process placed on its own CPU (forked children write into temporary
+    lines are formatted and written _WRITE_BLOCK rows at a time.  Where the
+    platform can fork, a table of at least 2 * _ROWS_PER_WORKER rows is cut
+    into min(usable CPUs, rows // _ROWS_PER_WORKER) contiguous ranges, each
+    formatted by its own process (forked children write into temporary
     files that are appended in order), so the bytes do not depend on the
     split.  A worker that fails raises OSError; a write that fails leaves
     no file at ``path``.
@@ -167,8 +159,7 @@ def write_csv(path: Path, header, columns) -> None:
     rows = len(columns[0]) if columns else 0
     if len(columns) < 2 or any(col.shape != (rows,) for col in columns):
         raise ValueError("CSV needs two or more 1-D columns of equal length")
-    cpus = spectral._worker_cpus()
-    parts = min(len(cpus), rows // _ROWS_PER_WORKER)
+    parts = min(spectral._usable_cpus(), rows // _ROWS_PER_WORKER) if hasattr(os, "fork") else 1
     fh = open(path, "wb")
     try:
         with fh:
@@ -176,7 +167,7 @@ def write_csv(path: Path, header, columns) -> None:
             if parts < 2:
                 _write_range(fh, columns, 0, rows)
             else:
-                _write_parts(fh, columns, [rows * k // parts for k in range(parts + 1)], cpus)
+                _write_parts(fh, columns, [rows * k // parts for k in range(parts + 1)])
     except BaseException:
         # A table cut short would read as a complete one.
         Path(path).unlink(missing_ok=True)

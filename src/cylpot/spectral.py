@@ -12,7 +12,6 @@ are the roots of alpha**2 + b*alpha = lam_1:
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import importlib.machinery
@@ -403,12 +402,12 @@ def _ints(a: np.ndarray):
     return a.ctypes.data_as(_CTYPES["i"])
 
 
-def _worker_cpus() -> list:
-    """The CPUs this process may run on, in order; none where the platform
-    cannot fork a process or place it on a CPU, which callers take as one."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
-        return []
-    return sorted(os.sched_getaffinity(0))
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 where the platform cannot
+    tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _run_pair(first, second, nodes: int):
@@ -416,42 +415,31 @@ def _run_pair(first, second, nodes: int):
     ``nodes`` nodes.
 
     With at least _PAIR_NODES nodes and two usable CPUs, ``first`` runs on
-    a helper thread placed on the second CPU while ``second`` runs in this
-    thread, placed on the first; ctypes releases the GIL for each LAPACK
-    call, so the two overlap.  Otherwise, or when no thread can start, they
-    run one after the other, here.  Either way first's exception wins, as
-    if run in order; the helper is joined and this thread's CPU mask
-    restored before this returns or raises.  The helper must call no
-    public function of cylpot: a tracer that wraps those keeps one stack.
+    a helper thread while ``second`` runs in this one; ctypes releases the
+    GIL for each LAPACK call, so the two overlap.  Otherwise, or when no
+    thread can start, they run one after the other, here.  Either way
+    first's exception wins, as if run in order, and the helper is joined
+    before this returns or raises.  The helper must call no public function
+    of cylpot: a tracer that wraps those keeps one stack.
     """
-    cpus = _worker_cpus() if nodes >= _PAIR_NODES else []
-    if len(cpus) < 2:
+    if nodes < _PAIR_NODES or _usable_cpus() < 2:
         return first(), second()
     done, failed = [], []
 
     def helper():
         try:
-            # Placed as the CSV writer's processes are.  Unplaced threads
-            # overlapped as well (n = 3000 cap, 2 vCPUs, in process), so the
-            # speed-up does not rest on the placement, nor do the bits.
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, {cpus[1]})
             done.append(first())
         except BaseException as exc:  # noqa: BLE001 - raised in the caller
             failed.append(exc)
 
-    mask = os.sched_getaffinity(0)
     thread = threading.Thread(target=helper, name="cylpot-pair")
     try:
         thread.start()
     except RuntimeError:
         return first(), second()
     try:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpus[0]})
         own = second()
     finally:
-        os.sched_setaffinity(0, mask)
         thread.join()
         if failed:
             raise failed[0]

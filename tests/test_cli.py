@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ import cylpot
 from cylpot.base import DEFAULT_NECK_RATIO
 from cylpot.cli import build_parser, main, write_csv
 from test_base import MALFORMED_DOCUMENTS, mutated_document
+from test_spectral import _started_threads
 
 
 @pytest.fixture()
@@ -191,26 +193,62 @@ def test_converge_command(arc_doc, tmp_path):
 
 
 def test_commands_write_the_same_bytes_with_paired_solves(arc_doc, tmp_path, monkeypatch):
-    # spectrum and converge run their solves on two pinned threads when
-    # every base passes the node gate, and one after the other on one CPU:
-    # the same CSV bytes, and after each command the same CPU mask and
-    # thread count (no helper outlives it).
-    mask, threads = os.sched_getaffinity(0), threading.active_count()
+    # spectrum and converge run their solves on two threads when every base
+    # passes the node gate and two CPUs are usable, and one after the other
+    # on one CPU: the same CSV bytes, and after each command the same thread
+    # count (no helper outlives it).
+    threads = threading.active_count()
     base = ["--base", str(arc_doc)]
     tables = {}
     for force in ("on", "off"):
         with monkeypatch.context() as patch:
             if force == "on":
                 patch.setattr("cylpot.spectral._PAIR_NODES", 0)
+                patch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
             else:
-                patch.setattr("cylpot.spectral._worker_cpus", lambda: [min(mask)])
+                patch.setattr("cylpot.spectral._usable_cpus", lambda: 1)
+            for argv in (["spectrum", *base], ["converge", *base, "--v-max", "30"],
+                         ["chernoff"]):
+                out = tmp_path / force / argv[0]
+                started = _started_threads(patch)
+                assert main(argv + ["--out", str(out)]) == 0
+                paired = force == "on" and argv[0] != "chernoff"
+                assert ("cylpot-pair" in started) == paired, started
+                assert threading.active_count() == threads
+                tables[force, argv[0]] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    for command in ("spectrum", "converge", "chernoff"):
+        assert tables["on", command] == tables["off", command]
+
+
+def test_commands_succeed_where_cpu_placement_is_denied(arc_doc, tmp_path, monkeypatch):
+    # A host may refuse sched_setaffinity.  With the paired solves and the
+    # split CSV writer forced on, each command still exits 0 with the bytes
+    # of a one-CPU run, and never asks where to run.
+    calls = []
+
+    def denied(*args):
+        calls.append(args)
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    base = ["--base", str(arc_doc)]
+    tables = {}
+    for force in ("on", "off"):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_setaffinity", denied, raising=False)
+            if force == "on":
+                patch.setattr("cylpot.spectral._PAIR_NODES", 0)
+                patch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
+                patch.setattr("cylpot.spectral._usable_cpus", lambda: 3)
+            else:
+                patch.setattr("cylpot.spectral._usable_cpus", lambda: 1)
+            started, pids = _started_threads(patch), _count_forks(patch)
             for argv in (["spectrum", *base], ["converge", *base, "--v-max", "30"],
                          ["chernoff"]):
                 out = tmp_path / force / argv[0]
                 assert main(argv + ["--out", str(out)]) == 0
-                assert os.sched_getaffinity(0) == mask
-                assert threading.active_count() == threads
                 tables[force, argv[0]] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        assert ("cylpot-pair" in started) == bool(pids) == (force == "on")
+    assert calls == []
     for command in ("spectrum", "converge", "chernoff"):
         assert tables["on", command] == tables["off", command]
 
@@ -882,12 +920,11 @@ def test_columnar_csv_spans_write_blocks(tmp_path, monkeypatch):
 
 
 def _split_csv(monkeypatch, workers: int = 3) -> list:
-    """Give write_csv a process per 7 rows and ``workers`` CPUs (this test's
-    first CPU, repeated, so the split runs on any machine); the pids that
-    os.fork returns in this process, as a list that fills as it forks."""
+    """Give write_csv a process per 7 rows and ``workers`` usable CPUs, so
+    the split runs on any machine; the pids that os.fork returns in this
+    process, as a list that fills as it forks."""
     monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
-    cpu = min(os.sched_getaffinity(0))
-    monkeypatch.setattr("cylpot.spectral._worker_cpus", lambda: [cpu] * workers)
+    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: workers)
     return _count_forks(monkeypatch)
 
 
@@ -920,10 +957,8 @@ def test_parallel_csv_matches_row_writer(tmp_path, monkeypatch):
     # falls on a block boundary.
     pids = _split_csv(monkeypatch)
     monkeypatch.setattr("cylpot.cli._WRITE_BLOCK", 5)
-    mask = os.sched_getaffinity(0)
     _assert_same_bytes(tmp_path, *_mixed_columns(13))
     assert len(pids) == 2 and 0 not in pids
-    assert os.sched_getaffinity(0) == mask
 
 
 def test_csv_below_two_workers_never_forks(tmp_path, monkeypatch):
@@ -975,15 +1010,13 @@ def test_parallel_csv_formats_in_process_when_fork_fails(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_failed_csv_worker_raises_and_restores_affinity(tmp_path, monkeypatch):
+def test_failed_csv_worker_raises_and_leaves_no_file(tmp_path, monkeypatch):
     pids = _split_csv(monkeypatch)
     _fail_in_children(monkeypatch)
-    mask = os.sched_getaffinity(0)
     with pytest.raises(OSError, match=r"CSV worker for rows 13\.\.26 .* exited with status 1: "
                                       r"MemoryError: formatting failed in a worker$"):
         write_csv(tmp_path / "t.csv", *_mixed_columns(13))
     assert len(pids) == 2 and not (tmp_path / "t.csv").exists()
-    assert os.sched_getaffinity(0) == mask
 
 
 def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capfd):
@@ -1000,26 +1033,15 @@ def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capfd):
     assert len(pids) == 2 and not (tmp_path / "ch" / "distribution.csv").exists()
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
-    # Formatting checks where it runs: the parent on the first usable CPU,
-    # each child alone on another one (a child elsewhere fails the write).
+def test_csv_without_an_affinity_call_is_written_by_one_process(tmp_path, monkeypatch):
+    # Where the platform lacks os.sched_getaffinity, one CPU is assumed: a
+    # table past the split threshold forks nothing and keeps its bytes.
     monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
-    cpus = sorted(os.sched_getaffinity(0))
-    parent, encode_rows, seen = os.getpid(), cylpot.cli.encode_rows, []
-
-    def encode(columns):
-        where = os.sched_getaffinity(0)
-        if os.getpid() == parent:
-            seen.append(where)
-        elif len(where) != 1 or where == {cpus[0]}:
-            raise AssertionError(f"worker runs on {where}")
-        return encode_rows(columns)
-
-    monkeypatch.setattr("cylpot.cli.encode_rows", encode)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    pids = _count_forks(monkeypatch)
+    assert cylpot.spectral._usable_cpus() == 1
     _assert_same_bytes(tmp_path, *_mixed_columns(13))
-    assert seen[0] == set(cpus) and seen[1:] == [{cpus[0]}] * (len(seen) - 1)
-    assert os.sched_getaffinity(0) == set(cpus)
+    assert pids == []
 
 
 def test_columnar_csv_rejects_ragged_columns(tmp_path):

@@ -898,24 +898,39 @@ def test_reach_forms_every_mode_off_the_plain_path(chain_default, chain_shortcut
 
 
 def _one_cpu(monkeypatch):
-    cpu = min(os.sched_getaffinity(0))
-    monkeypatch.setattr("cylpot.spectral._worker_cpus", lambda: [cpu])
+    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 1)
+
+
+def _started_threads(monkeypatch) -> list:
+    """The names of the threads started from here on, as a list that fills
+    as they start."""
+    names, start = [], threading.Thread.start
+
+    def counted(self):
+        names.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
 
 
 def _solves_both_ways(monkeypatch, solve):
     """solve() with _run_pair's helper thread forced on (every base passes
-    the node gate), then with one usable CPU; the CPU mask and the thread
-    count are unchanged after each call."""
-    mask, threads = os.sched_getaffinity(0), threading.active_count()
+    the node gate, two usable CPUs claimed on any runner), then with one
+    usable CPU; the helper starts only in the first call, and the thread
+    count is unchanged after each."""
+    threads = threading.active_count()
     results = []
     for force in ("on", "off"):
         with monkeypatch.context() as patch:
             if force == "on":
                 patch.setattr("cylpot.spectral._PAIR_NODES", 0)
+                patch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
             else:
                 _one_cpu(patch)
+            started = _started_threads(patch)
             results.append(solve())
-        assert os.sched_getaffinity(0) == mask
+        assert ("cylpot-pair" in started) == (force == "on"), started
         assert threading.active_count() == threads
     return results
 
@@ -968,22 +983,32 @@ def test_paired_solves_bit_identical_to_one_thread(fixture, request, monkeypatch
     assert _same(paired[-1], _zero_separation_by_wrapper(stable, nodes, base.reference_node))
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_pair_runs_the_first_callable_on_a_pinned_helper(monkeypatch):
+def test_pair_runs_the_first_callable_on_a_helper_thread(monkeypatch):
     from cylpot.spectral import _run_pair
 
-    cpus = sorted(os.sched_getaffinity(0))
     main = threading.get_ident()
 
-    def where():
-        return threading.get_ident() != main, os.sched_getaffinity(0)
+    def elsewhere():
+        return threading.get_ident() != main
 
     monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 10)
-    assert _run_pair(where, where, 10) == ((True, {cpus[1]}), (False, {cpus[0]}))
-    assert _run_pair(where, where, 9) == ((False, set(cpus)), (False, set(cpus)))
+    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
+    assert _run_pair(elsewhere, elsewhere, 10) == (True, False)
+    assert _run_pair(elsewhere, elsewhere, 9) == (False, False)
     _one_cpu(monkeypatch)
-    assert _run_pair(where, where, 10) == ((False, set(cpus)), (False, set(cpus)))
-    assert os.sched_getaffinity(0) == set(cpus)
+    assert _run_pair(elsewhere, elsewhere, 10) == (False, False)
+
+
+def test_pair_without_an_affinity_call_runs_in_the_caller(monkeypatch):
+    # Where the platform lacks os.sched_getaffinity, one CPU is assumed:
+    # a pair above the gate starts no thread and returns the same values.
+    from cylpot.spectral import _run_pair, _usable_cpus
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _usable_cpus() == 1
+    started = _started_threads(monkeypatch)
+    assert _run_pair(lambda: "a", lambda: "b", 10**6) == ("a", "b")
+    assert started == []
 
 
 def test_helper_exception_reaches_the_caller_first(monkeypatch):
@@ -1024,10 +1049,11 @@ def test_pair_runs_in_order_when_no_thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 0)
-    mask, order = os.sched_getaffinity(0), []
+    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
+    order = []
     assert _run_pair(lambda: order.append(1) or "a", lambda: order.append(2) or "b", 5) == (
         "a", "b")
-    assert order == [1, 2] and os.sched_getaffinity(0) == mask
+    assert order == [1, 2]
 
 
 def test_not_positive_definite_wins_over_a_failed_dstemr(monkeypatch):
