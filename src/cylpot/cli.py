@@ -75,9 +75,10 @@ def _write_range(fh, columns, start: int, stop: int) -> None:
         fh.write(encode_rows([col[lo:hi] for col in columns]))
 
 
-def _fork_range(columns, start: int, stop: int):
+def _fork_range(columns, start: int, stop: int, cpus):
     """(pid, temp file) of a forked child that writes rows [start, stop)
-    into the temp file; None when fork fails.
+    into the temp file, placed on ``cpus`` (one CPU, or none to stay
+    unplaced; see ``spectral._place``); None when fork fails.
 
     The child runs only numpy formatting and file writes (no BLAS, no
     locks) and leaves through os._exit: status 0 once every row is written,
@@ -93,6 +94,7 @@ def _fork_range(columns, start: int, stop: int):
     if pid == 0:
         code = 1
         try:
+            spectral._place(cpus)
             _write_range(tmp, columns, start, stop)
             tmp.flush()
             code = 0
@@ -111,15 +113,19 @@ def _fork_range(columns, start: int, stop: int):
 
 def _write_parts(fh, columns, cuts) -> None:
     """Write the row ranges between consecutive ``cuts``: range k > 0 in a
-    forked child, range 0 (and any range whose fork failed) in this
-    process, appended in order.  Every child is reaped before this returns
-    or raises."""
+    child forked onto usable CPU k (counting from 0), range 0 (and any range
+    whose fork failed) in this process on CPU 0, appended in order.  Where
+    the CPU mask holds fewer CPUs than ranges, no process is placed.  Every
+    child is reaped and this process's CPU mask restored before this
+    returns or raises."""
+    cpus = spectral._worker_cpus(len(cuts) - 1)
     workers, live = [], set()
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            workers.append(_fork_range(columns, lo, hi))
+        for k, (lo, hi) in enumerate(zip(cuts[1:-1], cuts[2:]), 1):
+            workers.append(_fork_range(columns, lo, hi, cpus[k : k + 1]))
             if workers[-1] is not None:
                 live.add(workers[-1][0])
+        spectral._place(cpus[:1])
         _write_range(fh, columns, cuts[0], cuts[1])
         for worker, lo, hi in zip(workers, cuts[1:-1], cuts[2:]):
             if worker is None:
@@ -135,6 +141,7 @@ def _write_parts(fh, columns, cuts) -> None:
                               f"status {code}" + (f": {reason}" if reason else ""))
             shutil.copyfileobj(tmp, fh)
     finally:
+        spectral._place(cpus)
         for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -150,10 +157,10 @@ def write_csv(path: Path, header, columns) -> None:
     lines are formatted and written _WRITE_BLOCK rows at a time.  Where the
     platform can fork, a table of at least 2 * _ROWS_PER_WORKER rows is cut
     into min(usable CPUs, rows // _ROWS_PER_WORKER) contiguous ranges, each
-    formatted by its own process (forked children write into temporary
-    files that are appended in order), so the bytes do not depend on the
-    split.  A worker that fails raises OSError; a write that fails leaves
-    no file at ``path``.
+    formatted by its own process placed on its own CPU (forked children
+    write into temporary files that are appended in order), so the bytes do
+    not depend on the split.  A worker that fails raises OSError; a write
+    that fails leaves no file at ``path``.
     """
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0

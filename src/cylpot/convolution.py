@@ -63,7 +63,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "probabilities", p)
         if s.ndim != 1 or s.shape != p.shape or s.size == 0:
             raise ValueError("support and probabilities must be matching 1-D arrays")
-        if np.any(np.diff(s) <= 0.0):
+        if np.any(s[1:] <= s[:-1]):
             raise ValueError("support points must be strictly increasing")
         if np.any(s > 0.0):
             raise ValueError("support points must be <= 0")
@@ -119,7 +119,7 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
     least 1/_GRID_DENOMINATOR_CAP, so the grid path reads its atoms off the
     DP buffer in reverse tick order without sorting.  The law on the grid is
     a palindrome bit for bit at every step, so the DP holds only its lower
-    half and mirrors the upper half out once, at the end.
+    half, and the atoms of both halves are gathered from it at the end.
 
     Each grid step halves the sum (p + q) where the textbook step adds the
     halves 0.5 p + 0.5 q; halving is exact above the subnormal range, so
@@ -136,9 +136,11 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
     if step is not None:
         ticks = np.rint(a / step).astype(np.int64)
         total = int(np.sum(ticks))
-        pmf = np.zeros(total // 2 + 1)
+        # Both buffers in one block, which then holds the support: the law's
+        # pages are touched once, by the DP.
+        block = np.zeros(2 * (total // 2 + 1))
+        pmf, spare = np.split(block, 2)
         pmf[0] = 1.0
-        spare = np.zeros_like(pmf)
         top = 0
         for k in ticks:
             if k == 0:
@@ -162,13 +164,21 @@ def exact_convolution(a: Sequence[float]) -> DiscreteDistribution:
                 spare[k : mid + 1] *= 0.5
             pmf, spare = spare, pmf
             top += k
-        del spare
-        pmf = np.concatenate((pmf, pmf[: total - pmf.size + 1][::-1]))
-        ticks = np.flatnonzero(pmf > 0.0)[::-1]
-        probs = pmf[ticks]
-        del pmf
-        support = -step * ticks
-        del ticks
+        # The atoms in descending tick order, gathered from the held half
+        # [0, total // 2]: first the upper half's ticks total - t for held
+        # t below (total + 1) // 2, ascending, then the held ticks downwards.
+        # "clip" spares take a copy of ``out``; every index is in range.
+        down = np.flatnonzero(pmf > 0.0)[::-1].copy()
+        upper = int(np.count_nonzero(down < (total + 1) // 2))
+        probs = np.empty(upper + down.size)
+        np.take(pmf, down, out=probs[upper:], mode="clip")
+        probs[:upper] = probs[probs.size - upper :][::-1]
+        support = block[: probs.size]
+        del pmf, spare, block
+        np.subtract(total, down[down.size - upper :][::-1], out=support[:upper])
+        support[upper:] = down
+        del down
+        support *= -step
         support += 0.0  # -step * 0 is -0.0
     elif a.size > ENUMERATION_LIMIT:
         raise ConvolutionCapacityError(

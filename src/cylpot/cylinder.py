@@ -291,24 +291,30 @@ class StableAxialEvaluator:
         Each rule node takes one dptsv solve T_w z = e_x, and the requested
         rows of z add to the sum in node order, so a row's value does not
         depend on the other rows requested.  The first half of the rule's
-        nodes is summed as it is solved; _run_pair may solve the second
-        half on this thread meanwhile, whose O(W len(y)) rows wait to be
-        added after.
+        nodes is summed as it is solved.  So is the second half when
+        _run_pair runs it after the first; when it starts beside the first,
+        its O(W len(y)) rows wait to be added after.
         """
         y, x = np.atleast_1d(y), operator.index(x)
         cut = self._zero_rule[0].size // 2
+        acc, summed = np.zeros(y.shape), []
+
+        def add(rows):
+            for row in rows:
+                np.add(acc, row, out=acc)
 
         def first_half():
-            acc = np.zeros(y.shape)
-            for row in self._zero_rule_rows(y, x, slice(None, cut)):
-                acc += row
-            return acc
+            add(self._zero_rule_rows(y, x, slice(None, cut)))
+            summed.append(True)
 
-        acc, later = _run_pair(first_half,
-                               lambda: list(self._zero_rule_rows(y, x, slice(cut, None))),
-                               self._diag.size)
-        for row in later:
-            acc += row
+        def second_half():
+            rows = self._zero_rule_rows(y, x, slice(cut, None))
+            if not summed:
+                return list(rows)
+            add(rows)
+            return []
+
+        add(_run_pair(first_half, second_half, self._diag.size)[1])
         return acc / math.pi * self._scale[y] * self._scale[x]
 
     def _zero_rule_rows(self, y, x: int, part: slice):

@@ -223,7 +223,7 @@ def test_commands_write_the_same_bytes_with_paired_solves(arc_doc, tmp_path, mon
 def test_commands_succeed_where_cpu_placement_is_denied(arc_doc, tmp_path, monkeypatch):
     # A host may refuse sched_setaffinity.  With the paired solves and the
     # split CSV writer forced on, each command still exits 0 with the bytes
-    # of a one-CPU run, and never asks where to run.
+    # of a one-CPU run.
     calls = []
 
     def denied(*args):
@@ -248,7 +248,12 @@ def test_commands_succeed_where_cpu_placement_is_denied(arc_doc, tmp_path, monke
                 assert main(argv + ["--out", str(out)]) == 0
                 tables[force, argv[0]] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
         assert ("cylpot-pair" in started) == bool(pids) == (force == "on")
-    assert calls == []
+    # Placement was asked for wherever the real mask holds a CPU for each
+    # worker, and refused every time: each thread or process on a CPU of
+    # its own, then the caller's whole mask back.
+    cpus = sorted(os.sched_getaffinity(0))
+    asked = {tuple(mask) for _, mask in calls}
+    assert asked == ({(cpus[0],), (cpus[1],), tuple(cpus)} if len(cpus) >= 2 else set())
     for command in ("spectrum", "converge", "chernoff"):
         assert tables["on", command] == tables["off", command]
 
@@ -1031,6 +1036,50 @@ def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capfd):
     assert lines[0].startswith("error: OSError: CSV worker for rows 7..14")
     assert lines[0].endswith("exited with status 1: MemoryError: formatting failed in a worker")
     assert len(pids) == 2 and not (tmp_path / "ch" / "distribution.csv").exists()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
+    # Each process logs the mask it formats on: the child of range k runs
+    # alone on CPU k of the real mask (counting from 0), the parent formats
+    # the header unplaced and range 0 on CPU 0, and has its whole mask back
+    # afterwards.
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    pids = _split_csv(monkeypatch, workers=min(3, len(cpus)))
+    log, encode_rows = tmp_path / "where.log", cylpot.cli.encode_rows
+
+    def encode(columns):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
+        return encode_rows(columns)
+
+    monkeypatch.setattr("cylpot.cli.encode_rows", encode)
+    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    assert os.sched_getaffinity(0) == mask
+    seen = {}
+    for line in log.read_text().splitlines():
+        pid, where = line.split(" ", 1)
+        seen.setdefault(int(pid), []).append(where)
+    assert len(pids) == min(3, len(cpus)) - 1
+    assert seen.pop(os.getpid()) == [str(cpus), str(cpus[:1])]
+    assert seen == {pid: [str([cpu])] for pid, cpu in zip(pids, cpus[1:])}
+
+
+def test_csv_places_nothing_on_a_mask_of_fewer_cpus_than_parts(tmp_path, monkeypatch):
+    # Three parts claimed over a real mask of two CPUs: the table is still
+    # split, and no process is placed (a placement would raise, in a child
+    # as a failed worker).
+    cpu = min(os.sched_getaffinity(0))
+
+    def placed(*args):
+        raise AssertionError(f"placed on {args}")
+
+    pids = _split_csv(monkeypatch, workers=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu, cpu + 1})
+    monkeypatch.setattr(os, "sched_setaffinity", placed)
+    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    assert len(pids) == 2
 
 
 def test_csv_without_an_affinity_call_is_written_by_one_process(tmp_path, monkeypatch):

@@ -999,6 +999,49 @@ def test_pair_runs_the_first_callable_on_a_helper_thread(monkeypatch):
     assert _run_pair(elsewhere, elsewhere, 10) == (False, False)
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_pair_places_each_thread_on_its_own_cpu(monkeypatch):
+    # Above the gate the helper runs on the second CPU of the real mask and
+    # the caller on the first while second runs; the caller's mask is back
+    # after a normal return and after the helper raised.
+    from cylpot.spectral import _run_pair
+
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+
+    def where():
+        return os.sched_getaffinity(0)
+
+    def fails():
+        raise KeyError("in the helper")
+
+    monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 10)
+    assert _run_pair(where, where, 10) == ({cpus[1]}, {cpus[0]})
+    assert os.sched_getaffinity(0) == mask
+    with pytest.raises(KeyError, match="in the helper"):
+        _run_pair(fails, where, 10)
+    assert os.sched_getaffinity(0) == mask
+    assert _run_pair(where, where, 9) == (mask, mask)
+
+
+def test_pair_places_nothing_on_a_one_cpu_mask(monkeypatch):
+    # Two usable CPUs claimed over a real mask of one: the helper thread
+    # still runs, and no thread is placed (a placement would raise here).
+    from cylpot.spectral import _run_pair
+
+    cpu = min(os.sched_getaffinity(0))
+
+    def placed(*args):
+        raise AssertionError(f"placed on {args}")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
+    monkeypatch.setattr(os, "sched_setaffinity", placed)
+    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
+    started = _started_threads(monkeypatch)
+    assert _run_pair(lambda: "a", lambda: "b", 10**6) == ("a", "b")
+    assert started == ["cylpot-pair"]
+
+
 def test_pair_without_an_affinity_call_runs_in_the_caller(monkeypatch):
     # Where the platform lacks os.sched_getaffinity, one CPU is assumed:
     # a pair above the gate starts no thread and returns the same values.
