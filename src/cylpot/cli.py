@@ -77,8 +77,8 @@ def _write_range(fh, columns, start: int, stop: int) -> None:
 
 def _fork_range(columns, start: int, stop: int, cpus):
     """(pid, temp file) of a forked child that writes rows [start, stop)
-    into the temp file, placed on ``cpus`` (one CPU, or none to stay
-    unplaced; see ``spectral._place``); None when fork fails.
+    into the temp file, placed on ``cpus`` (one CPU; see
+    ``spectral._place``); None when fork fails.
 
     The child runs only numpy formatting and file writes (no BLAS, no
     locks) and leaves through os._exit: status 0 once every row is written,
@@ -111,14 +111,12 @@ def _fork_range(columns, start: int, stop: int, cpus):
     return pid, tmp
 
 
-def _write_parts(fh, columns, cuts) -> None:
+def _write_parts(fh, columns, cuts, cpus) -> None:
     """Write the row ranges between consecutive ``cuts``: range k > 0 in a
-    child forked onto usable CPU k (counting from 0), range 0 (and any range
-    whose fork failed) in this process on CPU 0, appended in order.  Where
-    the CPU mask holds fewer CPUs than ranges, no process is placed.  Every
-    child is reaped and this process's CPU mask restored before this
-    returns or raises."""
-    cpus = spectral._worker_cpus(len(cuts) - 1)
+    child forked onto cpus[k], range 0 (and any range whose fork failed) in
+    this process on cpus[0], appended in order.  Every child is reaped and
+    this process's mask restored to all of ``cpus`` before this returns or
+    raises."""
     workers, live = [], set()
     try:
         for k, (lo, hi) in enumerate(zip(cuts[1:-1], cuts[2:]), 1):
@@ -155,18 +153,20 @@ def write_csv(path: Path, header, columns) -> None:
 
     There are at least two columns, each holding one value per row; the
     lines are formatted and written _WRITE_BLOCK rows at a time.  Where the
-    platform can fork, a table of at least 2 * _ROWS_PER_WORKER rows is cut
-    into min(usable CPUs, rows // _ROWS_PER_WORKER) contiguous ranges, each
-    formatted by its own process placed on its own CPU (forked children
-    write into temporary files that are appended in order), so the bytes do
-    not depend on the split.  A worker that fails raises OSError; a write
-    that fails leaves no file at ``path``.
+    platform can fork, the CPU mask is read once (``spectral._cpus``) and a
+    table of at least 2 * _ROWS_PER_WORKER rows is cut into min(len(cpus),
+    rows // _ROWS_PER_WORKER) contiguous ranges, each formatted by its own
+    process on its own CPU (forked children write into temporary files that
+    are appended in order), so the bytes do not depend on the split.  A
+    worker that fails raises OSError; a write that fails leaves no file at
+    ``path``.
     """
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0
     if len(columns) < 2 or any(col.shape != (rows,) for col in columns):
         raise ValueError("CSV needs two or more 1-D columns of equal length")
-    parts = min(spectral._usable_cpus(), rows // _ROWS_PER_WORKER) if hasattr(os, "fork") else 1
+    cpus = spectral._cpus() if hasattr(os, "fork") else []
+    parts = min(len(cpus), rows // _ROWS_PER_WORKER)
     fh = open(path, "wb")
     try:
         with fh:
@@ -174,7 +174,7 @@ def write_csv(path: Path, header, columns) -> None:
             if parts < 2:
                 _write_range(fh, columns, 0, rows)
             else:
-                _write_parts(fh, columns, [rows * k // parts for k in range(parts + 1)])
+                _write_parts(fh, columns, [rows * k // parts for k in range(parts + 1)], cpus)
     except BaseException:
         # A table cut short would read as a complete one.
         Path(path).unlink(missing_ok=True)

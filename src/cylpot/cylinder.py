@@ -740,18 +740,16 @@ class GreenEvaluator:
         return MartinKernel(evaluator=self, pole=pole, log_reference=log_ref)
 
     def f_plus(self) -> SeparatedSolution:
-        """The canonical positive solution exp(alpha_max u) phi_0(x)/phi_0(x0)."""
-        phi0 = self.spec.ground_state
-        return SeparatedSolution(
-            alpha=self.spec.alpha_max, profile=phi0 / phi0[self.reference.node]
-        )
+        """The canonical positive solution exp(alpha_max u) phi_0(x), 1 at the reference."""
+        return self._separated(self.spec.alpha_max)
 
     def f_minus(self) -> SeparatedSolution:
-        """The mirror solution exp(alpha_min u) phi_0(x)/phi_0(x0)."""
-        phi0 = self.spec.ground_state
-        return SeparatedSolution(
-            alpha=self.spec.alpha_min, profile=phi0 / phi0[self.reference.node]
-        )
+        """The mirror solution exp(alpha_min u) phi_0(x), 1 at the reference."""
+        return self._separated(self.spec.alpha_min)
+
+    def _separated(self, alpha: float) -> SeparatedSolution:
+        phi0, (u0, x0) = self.spec.ground_state, self.reference
+        return SeparatedSolution(alpha=alpha, profile=phi0 / phi0[x0] * math.exp(-alpha * u0))
 
     def martin_deviation_from_f_plus(
         self, pole: CylinderPoint, u_grid: np.ndarray, nodes: np.ndarray
@@ -760,14 +758,14 @@ class GreenEvaluator:
         cancelled algebraically so the difference keeps full relative
         precision however deep the pole sits.
 
-        Requires pole.u >= max(u_grid).  Returns an array of shape
-        (len(nodes), len(u_grid)).  The sums run over the formed modes.  When
-        they are a leading block (F of n), the cells at the pole's own level
-        take the s = 0 rule, and every cell is certified: mass-orthonormal
-        modes satisfy sum_k phi_k(i)^2 = 1/m_i, so by Cauchy-Schwarz the
-        dropped modes add at most e^{-s delta_F} / (2 sqrt(mu_F) sqrt(m_i m_pole))
-        to a mode sum at separation s (delta_F, mu_F of the first dropped
-        mode).  Where the resulting bound on a cell exceeds eps times the
+        Requires pole.u >= max(u_grid) and pole.u >= the reference's u.
+        Returns an array of shape (len(nodes), len(u_grid)).  The sums run
+        over the formed modes.  When they are a leading block (F of n), the
+        cells at the pole's own level take the s = 0 rule, and every cell is
+        certified: mass-orthonormal modes satisfy sum_k phi_k(i)^2 = 1/m_i,
+        so by Cauchy-Schwarz the dropped modes add at most
+        e^{-s delta_F} / (2 sqrt(mu_F) sqrt(m_i m_pole)) to a mode sum at
+        separation s (delta_F, mu_F of the first dropped mode).  Where the resulting bound on a cell exceeds eps times the
         table's largest magnitude, ValueError; run_record keeps the largest
         ratio of the two.  A table whose largest magnitude is not a positive
         normal float (it underflows at deep poles) is a ParameterError on
@@ -776,9 +774,9 @@ class GreenEvaluator:
         u_grid = np.asarray(u_grid, dtype=float)
         nodes = np.asarray(nodes, dtype=int)
         v, jp = float(pole[0]), int(pole[1])
-        if np.any(u_grid > v):
-            raise ValueError("probe grid must stay on the near side of the pole")
-        i0 = self.reference.node
+        u0, i0 = self.reference
+        if np.any(u_grid > v) or u0 > v:
+            raise ValueError("probe grid and reference must stay on the near side of the pole")
         formed = self.spec.modes
         sm = self.sqrt_mu[:formed]
         delta = sm - sm[0]
@@ -788,7 +786,7 @@ class GreenEvaluator:
         C0 = phi[i0] * c_pole                     # (n_modes,)
         m1 = C[:, 0]
         m1_ref = C0[0]
-        decay_ref = np.exp(-v * delta)            # (n_modes,)
+        decay_ref = np.exp(-(v - u0) * delta)     # (n_modes,)
         D0 = float(np.dot(C0, decay_ref))
         # Decay factors exp(-(v - u) delta_k); the mode-1 row is all ones and
         # cancels out of N below, which is the whole point of this routine.
@@ -807,7 +805,7 @@ class GreenEvaluator:
         # Overflow, underflow and 0 * inf at deep poles are caught by the
         # check on sup below, as a ParameterError instead of warnings.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            growth = np.exp(self.spec.alpha_max * u_grid)[None, :]
+            growth = np.exp(self.spec.alpha_max * (u_grid - u0))[None, :]
             dev = growth * N / (D0 * m1_ref)
         sup = float(np.max(np.abs(dev)))
         if not _TINY <= sup < math.inf:
@@ -826,7 +824,7 @@ class GreenEvaluator:
         def dropped(sep, m_i):
             return np.exp(-sep * (cut - sm[0])) / (2.0 * cut * np.sqrt(m_i * mass[jp]))
 
-        ref_tail = dropped(v, mass[i0])
+        ref_tail = dropped(v - u0, mass[i0])
         near = np.where(zero, 0.0, m1_ref * dropped(v - u_grid[None, :], mass[nodes][:, None]))
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (growth * (near + np.abs(m1)[:, None] * ref_tail) / m1_ref

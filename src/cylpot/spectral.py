@@ -403,51 +403,40 @@ def _ints(a: np.ndarray):
     return a.ctypes.data_as(_CTYPES["i"])
 
 
-def _worker_cpus(workers: int) -> list:
-    """The CPUs this process may run on, in order, where there are at least
-    ``workers`` of them: worker k goes on cpus[k], the caller being worker
-    0.  [] where there are fewer or the platform cannot tell, and then no
-    worker is placed."""
-    if not hasattr(os, "sched_getaffinity"):
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    return cpus if len(cpus) >= workers else []
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on; 1 where the platform cannot
-    tell."""
-    return len(_worker_cpus(1)) or 1
+def _cpus() -> list:
+    """The CPUs this process may run on, in order; [] where the platform
+    cannot tell.  A parallel section reads this once, gates on its length
+    and runs worker k on cpus[k], the caller being worker 0."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 
 def _place(cpus) -> None:
-    """Run the calling thread (a forked child's only one) on ``cpus``;
-    nothing when ``cpus`` is empty.  A guest may keep a new thread or
-    process on its creator's CPU, so parallel work overlaps only once
-    placed; no result depends on where it runs, so a host that refuses
-    leaves the thread where it was."""
-    if cpus:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus)
+    """Run the calling thread (a forked child's only one) on ``cpus``.  A
+    guest may keep a new thread or process on its creator's CPU, so
+    parallel work overlaps only once placed; no result depends on where it
+    runs, so a host that refuses, or a CPU outside the mask, leaves the
+    thread where it was."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def _run_pair(first, second, nodes: int):
     """(first(), second()) of two independent callables, for a base of
     ``nodes`` nodes.
 
-    With at least _PAIR_NODES nodes and two usable CPUs, ``first`` runs on
-    a helper thread placed on the second CPU while ``second`` runs in this
-    thread, placed on the first (``_place``); ctypes releases the GIL for
-    each LAPACK call, so the two overlap.  Otherwise, or when no thread can
-    start, they run one after the other, here.  Either way first's
-    exception wins, as if run in order; the helper is joined and this
-    thread's CPU mask restored before this returns or raises.  The helper
-    must call no public function of cylpot: a tracer that wraps those keeps
-    one stack.
+    With at least _PAIR_NODES nodes and two CPUs in the mask (``_cpus``,
+    read once), ``first`` runs on a helper thread placed on cpus[1] while
+    ``second`` runs in this thread, placed on cpus[0] (``_place``); ctypes
+    releases the GIL for each LAPACK call, so the two overlap.  Otherwise,
+    or when no thread can start, they run one after the other, here.
+    Either way first's exception wins, as if run in order; the helper is
+    joined and this thread's mask restored to all of cpus before this
+    returns or raises.  The helper must call no public function of cylpot:
+    a tracer that wraps those keeps one stack.
     """
-    if nodes < _PAIR_NODES or _usable_cpus() < 2:
+    cpus = _cpus() if nodes >= _PAIR_NODES else []
+    if len(cpus) < 2:
         return first(), second()
-    cpus = _worker_cpus(2)
     done, failed = [], []
 
     def helper():

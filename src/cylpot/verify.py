@@ -738,10 +738,10 @@ def check_reflection(
     v2 = -2.0 + 6.0 * raw2[:, 0]
     u2 = v2 - _DOMINATION_GAP - 4.0 * raw2[:, 1]
     y2 = left[(raw2[:, 2] * len(left)).astype(int).clip(0, len(left) - 1)]
-    band = np.arange(band_lo, band_hi)
-    profiles = ev.log_green_many(u2[:, None], band[None, :], v2[:, None], y2[:, None])
-    x0 = ev.reference.node - band_lo
-    dom = float(np.max(profiles.max(axis=1) - profiles[:, x0]))
+    # The band's nodes, then the reference x0, which may lie outside it.
+    nodes = np.append(np.arange(band_lo, band_hi), ev.reference.node)
+    profiles = ev.log_green_many(u2[:, None], nodes[None, :], v2[:, None], y2[:, None])
+    dom = float(np.max(profiles.max(axis=1) - profiles[:, -1]))
 
     def gap(lg, k):
         return lg[:, 0] - lg[:, 1]

@@ -18,7 +18,7 @@ import cylpot
 from cylpot.base import DEFAULT_NECK_RATIO
 from cylpot.cli import build_parser, main, write_csv
 from test_base import MALFORMED_DOCUMENTS, mutated_document
-from test_spectral import _started_threads
+from test_spectral import _fake_cpus, _started_threads
 
 
 @pytest.fixture()
@@ -194,9 +194,9 @@ def test_converge_command(arc_doc, tmp_path):
 
 def test_commands_write_the_same_bytes_with_paired_solves(arc_doc, tmp_path, monkeypatch):
     # spectrum and converge run their solves on two threads when every base
-    # passes the node gate and two CPUs are usable, and one after the other
-    # on one CPU: the same CSV bytes, and after each command the same thread
-    # count (no helper outlives it).
+    # passes the node gate and the mask holds two CPUs, and one after the
+    # other on one CPU: the same CSV bytes, and after each command the same
+    # thread count (no helper outlives it).
     threads = threading.active_count()
     base = ["--base", str(arc_doc)]
     tables = {}
@@ -204,9 +204,7 @@ def test_commands_write_the_same_bytes_with_paired_solves(arc_doc, tmp_path, mon
         with monkeypatch.context() as patch:
             if force == "on":
                 patch.setattr("cylpot.spectral._PAIR_NODES", 0)
-                patch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
-            else:
-                patch.setattr("cylpot.spectral._usable_cpus", lambda: 1)
+            _fake_cpus(patch, 2 if force == "on" else 1)
             for argv in (["spectrum", *base], ["converge", *base, "--v-max", "30"],
                          ["chernoff"]):
                 out = tmp_path / force / argv[0]
@@ -221,9 +219,10 @@ def test_commands_write_the_same_bytes_with_paired_solves(arc_doc, tmp_path, mon
 
 
 def test_commands_succeed_where_cpu_placement_is_denied(arc_doc, tmp_path, monkeypatch):
-    # A host may refuse sched_setaffinity.  With the paired solves and the
-    # split CSV writer forced on, each command still exits 0 with the bytes
-    # of a one-CPU run.
+    # A host may refuse sched_setaffinity, as it does for a CPU outside the
+    # mask.  With the paired solves and the split CSV writer forced on over
+    # a mask of three CPUs, each command still exits 0 with the bytes of a
+    # one-CPU run.
     calls = []
 
     def denied(*args):
@@ -238,9 +237,7 @@ def test_commands_succeed_where_cpu_placement_is_denied(arc_doc, tmp_path, monke
             if force == "on":
                 patch.setattr("cylpot.spectral._PAIR_NODES", 0)
                 patch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
-                patch.setattr("cylpot.spectral._usable_cpus", lambda: 3)
-            else:
-                patch.setattr("cylpot.spectral._usable_cpus", lambda: 1)
+            patch.setattr("cylpot.spectral._cpus", lambda: [0, 1, 2] if force == "on" else [0])
             started, pids = _started_threads(patch), _count_forks(patch)
             for argv in (["spectrum", *base], ["converge", *base, "--v-max", "30"],
                          ["chernoff"]):
@@ -248,12 +245,10 @@ def test_commands_succeed_where_cpu_placement_is_denied(arc_doc, tmp_path, monke
                 assert main(argv + ["--out", str(out)]) == 0
                 tables[force, argv[0]] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
         assert ("cylpot-pair" in started) == bool(pids) == (force == "on")
-    # Placement was asked for wherever the real mask holds a CPU for each
-    # worker, and refused every time: each thread or process on a CPU of
-    # its own, then the caller's whole mask back.
-    cpus = sorted(os.sched_getaffinity(0))
-    asked = {tuple(mask) for _, mask in calls}
-    assert asked == ({(cpus[0],), (cpus[1],), tuple(cpus)} if len(cpus) >= 2 else set())
+    # This process asked, and was refused, to run the helper thread on CPU
+    # 1, itself on CPU 0 and then on the whole mask again (the children's
+    # requests for CPUs 1 and 2 are made in the children).
+    assert {tuple(mask) for _, mask in calls} == {(0,), (1,), (0, 1, 2)}
     for command in ("spectrum", "converge", "chernoff"):
         assert tables["on", command] == tables["off", command]
 
@@ -924,12 +919,12 @@ def test_columnar_csv_spans_write_blocks(tmp_path, monkeypatch):
     _assert_same_bytes(tmp_path, ("i", "x", "b"), columns)
 
 
-def _split_csv(monkeypatch, workers: int = 3) -> list:
-    """Give write_csv a process per 7 rows and ``workers`` usable CPUs, so
-    the split runs on any machine; the pids that os.fork returns in this
+def _split_csv(monkeypatch) -> list:
+    """Give write_csv a process per 7 rows and a mask of three CPUs, so the
+    split runs on any machine; the pids that os.fork returns in this
     process, as a list that fills as it forks."""
     monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
-    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: workers)
+    _fake_cpus(monkeypatch, 3)
     return _count_forks(monkeypatch)
 
 
@@ -1040,13 +1035,14 @@ def test_chernoff_exits_2_when_a_csv_worker_fails(tmp_path, monkeypatch, capfd):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
-    # Each process logs the mask it formats on: the child of range k runs
-    # alone on CPU k of the real mask (counting from 0), the parent formats
-    # the header unplaced and range 0 on CPU 0, and has its whole mask back
-    # afterwards.
+    # 21 rows, a process per 7, over the real mask.  Each process logs the
+    # mask it formats on: the child of range k runs alone on CPU k of the
+    # mask (counting from 0), the parent formats the header unplaced and
+    # range 0 on CPU 0, and has its whole mask back afterwards.
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    pids = _split_csv(monkeypatch, workers=min(3, len(cpus)))
+    monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
+    pids = _count_forks(monkeypatch)
     log, encode_rows = tmp_path / "where.log", cylpot.cli.encode_rows
 
     def encode(columns):
@@ -1055,7 +1051,7 @@ def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
         return encode_rows(columns)
 
     monkeypatch.setattr("cylpot.cli.encode_rows", encode)
-    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    _assert_same_bytes(tmp_path, *_mixed_columns(7))
     assert os.sched_getaffinity(0) == mask
     seen = {}
     for line in log.read_text().splitlines():
@@ -1066,31 +1062,38 @@ def test_parallel_csv_places_each_process_on_its_own_cpu(tmp_path, monkeypatch):
     assert seen == {pid: [str([cpu])] for pid, cpu in zip(pids, cpus[1:])}
 
 
-def test_csv_places_nothing_on_a_mask_of_fewer_cpus_than_parts(tmp_path, monkeypatch):
-    # Three parts claimed over a real mask of two CPUs: the table is still
-    # split, and no process is placed (a placement would raise, in a child
-    # as a failed worker).
-    cpu = min(os.sched_getaffinity(0))
-
-    def placed(*args):
-        raise AssertionError(f"placed on {args}")
-
-    pids = _split_csv(monkeypatch, workers=3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu, cpu + 1})
-    monkeypatch.setattr(os, "sched_setaffinity", placed)
-    _assert_same_bytes(tmp_path, *_mixed_columns(13))
-    assert len(pids) == 2
-
-
 def test_csv_without_an_affinity_call_is_written_by_one_process(tmp_path, monkeypatch):
-    # Where the platform lacks os.sched_getaffinity, one CPU is assumed: a
+    # Where the platform lacks os.sched_getaffinity, the mask is empty: a
     # table past the split threshold forks nothing and keeps its bytes.
     monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     pids = _count_forks(monkeypatch)
-    assert cylpot.spectral._usable_cpus() == 1
+    assert cylpot.spectral._cpus() == []
     _assert_same_bytes(tmp_path, *_mixed_columns(13))
     assert pids == []
+
+
+def test_each_parallel_section_reads_the_mask_once(tmp_path, monkeypatch):
+    # Over a mask of two CPUs, a pair above the node gate and a split table
+    # each read the mask once, and place from that one list.
+    from cylpot.spectral import _run_pair
+
+    reads, placed = [], []
+
+    def read(pid):
+        reads.append(pid)
+        return {0, 1}
+
+    monkeypatch.setattr(os, "sched_getaffinity", read)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(tuple(cpus)))
+    assert _run_pair(lambda: "a", lambda: "b", 10**6) == ("a", "b")
+    assert len(reads) == 1
+    assert sorted(placed) == [(0,), (0, 1), (1,)]
+    monkeypatch.setattr("cylpot.cli._ROWS_PER_WORKER", 7)
+    pids = _count_forks(monkeypatch)
+    _assert_same_bytes(tmp_path, *_mixed_columns(13))
+    assert len(reads) == 2 and len(pids) == 1
+    assert sorted(placed[3:]) == [(0,), (0, 1)]
 
 
 def test_columnar_csv_rejects_ragged_columns(tmp_path):

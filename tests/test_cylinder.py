@@ -196,6 +196,28 @@ def test_martin_deviation_helper_matches_direct(arc_small):
     assert np.max(np.abs(dev - direct)) <= 1e-12
 
 
+def test_martin_deviation_measured_from_a_reference_off_u_zero(arc_small):
+    # With the reference at u = 1, F_plus and F_minus are 1 there and the
+    # table is K - F_plus as evaluated directly; a pole below the reference
+    # is refused.
+    base, spec = arc_small
+    ev = GreenEvaluator(spec=spec, base=base, reference=P(1.0, base.reference_node))
+    fp, fm = ev.f_plus(), ev.f_minus()
+    assert fp(ev.reference) == pytest.approx(1.0, rel=1e-14)
+    assert fm(ev.reference) == pytest.approx(1.0, rel=1e-14)
+    nodes = np.arange(0, ev.spec.n, 7)
+    u_grid = np.linspace(-2, 2, 5)
+    pole = P(8.0, ev.reference.node)
+    dev = ev.martin_deviation_from_f_plus(pole, u_grid, nodes)
+    kern = ev.martin_kernel(pole)
+    direct = np.array(
+        [[kern(P(u, int(i))) - fp(P(u, int(i))) for u in u_grid] for i in nodes]
+    )
+    assert np.max(np.abs(dev - direct)) <= 1e-12
+    with pytest.raises(ValueError, match="near side of the pole"):
+        ev.martin_deviation_from_f_plus(P(0.5, 3), np.zeros(1), nodes)
+
+
 def test_reference_shift_changes_kernel_by_constant(arc_small):
     base, spec = arc_small
     ev1 = GreenEvaluator(spec=spec, base=base)

@@ -897,8 +897,12 @@ def test_reach_forms_every_mode_off_the_plain_path(chain_default, chain_shortcut
     assert cp.decompose(cp.load_base(chain_shortcut[1]), reach=1.0).modes == chain_shortcut[0].n
 
 
-def _one_cpu(monkeypatch):
-    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 1)
+def _fake_cpus(monkeypatch, count: int) -> None:
+    """Give every parallel section a mask of CPUs 0 .. count - 1, so it
+    splits the same on any runner; no placement reaches the host, whose
+    own mask stays as it was."""
+    monkeypatch.setattr("cylpot.spectral._cpus", lambda: list(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
 
 
 def _started_threads(monkeypatch) -> list:
@@ -916,18 +920,16 @@ def _started_threads(monkeypatch) -> list:
 
 def _solves_both_ways(monkeypatch, solve):
     """solve() with _run_pair's helper thread forced on (every base passes
-    the node gate, two usable CPUs claimed on any runner), then with one
-    usable CPU; the helper starts only in the first call, and the thread
-    count is unchanged after each."""
+    the node gate, a mask of two CPUs on any runner), then on a mask of one
+    CPU; the helper starts only in the first call, and the thread count is
+    unchanged after each."""
     threads = threading.active_count()
     results = []
     for force in ("on", "off"):
         with monkeypatch.context() as patch:
             if force == "on":
                 patch.setattr("cylpot.spectral._PAIR_NODES", 0)
-                patch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
-            else:
-                _one_cpu(patch)
+            _fake_cpus(patch, 2 if force == "on" else 1)
             started = _started_threads(patch)
             results.append(solve())
         assert ("cylpot-pair" in started) == (force == "on"), started
@@ -992,10 +994,10 @@ def test_pair_runs_the_first_callable_on_a_helper_thread(monkeypatch):
         return threading.get_ident() != main
 
     monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 10)
-    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     assert _run_pair(elsewhere, elsewhere, 10) == (True, False)
     assert _run_pair(elsewhere, elsewhere, 9) == (False, False)
-    _one_cpu(monkeypatch)
+    _fake_cpus(monkeypatch, 1)
     assert _run_pair(elsewhere, elsewhere, 10) == (False, False)
 
 
@@ -1024,31 +1026,13 @@ def test_pair_places_each_thread_on_its_own_cpu(monkeypatch):
     assert _run_pair(where, where, 9) == (mask, mask)
 
 
-def test_pair_places_nothing_on_a_one_cpu_mask(monkeypatch):
-    # Two usable CPUs claimed over a real mask of one: the helper thread
-    # still runs, and no thread is placed (a placement would raise here).
-    from cylpot.spectral import _run_pair
-
-    cpu = min(os.sched_getaffinity(0))
-
-    def placed(*args):
-        raise AssertionError(f"placed on {args}")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
-    monkeypatch.setattr(os, "sched_setaffinity", placed)
-    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
-    started = _started_threads(monkeypatch)
-    assert _run_pair(lambda: "a", lambda: "b", 10**6) == ("a", "b")
-    assert started == ["cylpot-pair"]
-
-
 def test_pair_without_an_affinity_call_runs_in_the_caller(monkeypatch):
-    # Where the platform lacks os.sched_getaffinity, one CPU is assumed:
-    # a pair above the gate starts no thread and returns the same values.
-    from cylpot.spectral import _run_pair, _usable_cpus
+    # Where the platform lacks os.sched_getaffinity, the mask is empty: a
+    # pair above the gate starts no thread and returns the same values.
+    from cylpot.spectral import _cpus, _run_pair
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _usable_cpus() == 1
+    assert _cpus() == []
     started = _started_threads(monkeypatch)
     assert _run_pair(lambda: "a", lambda: "b", 10**6) == ("a", "b")
     assert started == []
@@ -1092,7 +1076,7 @@ def test_pair_runs_in_order_when_no_thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr("cylpot.spectral._PAIR_NODES", 0)
-    monkeypatch.setattr("cylpot.spectral._usable_cpus", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     order = []
     assert _run_pair(lambda: order.append(1) or "a", lambda: order.append(2) or "b", 5) == (
         "a", "b")

@@ -402,6 +402,31 @@ def test_reflection_constant_stable_under_refinement(arc_sym):
     assert abs(c2 / c1 - 1.0) <= 0.10
 
 
+def test_reflection_constant_is_measured_against_the_reference_node():
+    # A 60-node graph's node band is [1, 59) and its reference, node 0, lies
+    # outside it: the domination constant still divides by the reference's
+    # column, taken from the same 200 profiles the check draws.
+    from cylpot.verify import _sobol
+
+    n = 60
+    leak = np.zeros(n)
+    leak[[0, n - 1]] = 0.5
+    base = cp.build_graph(edges=[[k, k + 1, 1.0] for k in range(n - 1)] + [[10, 49, 0.3]],
+                          mass=np.ones(n), dirichlet_leak=leak, d=3,
+                          symmetry=np.arange(n)[::-1])
+    ev = GreenEvaluator(spec=cp.decompose(base), base=base)
+    assert ev.reference.node == 0
+    raw = _sobol(3, 200, 2)
+    v = -2.0 + 6.0 * raw[:, 0]
+    u = v - 2.0 - 4.0 * raw[:, 1]
+    y = 1 + (raw[:, 2] * 29).astype(int)
+    band = ev.log_green_many(u[:, None], np.arange(1, 59)[None, :], v[:, None], y[:, None])
+    ref = ev.log_green_many(u, 0, v, y)
+    want = math.exp(float(np.max(band.max(axis=1) - ref)))
+    rep = check_reflection(ev, count=200, seed=1)
+    assert rep.empirical_constant == pytest.approx(want, rel=1e-12)
+
+
 def test_ratio_limit_with_a_lost_pair_is_an_error(chain_shortcut):
     chain, doc = chain_shortcut
     base = cp.load_base(doc)
